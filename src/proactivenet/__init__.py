@@ -4,10 +4,10 @@ The package is organized as:
 
 - ``traffic``  : arrival-process generators (unicast, imperfect prediction,
   multicast) under linear and polynomial capacity scaling.
-- ``sched``    : per-slot service policies (EDF, two-class primary/secondary,
-  dynamic primary capacity, multicast alignment, pi2).
-- ``sim``      : slot-by-slot Monte Carlo paths, outage estimation, capacity
-  sweeps and decay-rate fitting.
+- ``sched``    : one earliest-deadline-first path kernel over the vector of
+  pending requests per residual deadline, shared by all six policies.
+- ``sim``      : Monte Carlo paths (arrival draws, one kernel call each),
+  outage estimation, capacity sweeps and decay-rate fitting.
 - ``analytic`` : closed-form decay-rate (diversity) bounds and a numeric
   Chernoff-exponent optimizer used as an independent cross-check.
 - ``oracle``   : exact small-instance ground truth (truncated Markov chains,
@@ -20,7 +20,6 @@ from proactivenet.traffic import (
     LookaheadLaw,
     PredictionErrorSpec,
     MulticastSpec,
-    ArrivalBatch,
     mean_rate,
 )
 from proactivenet.analytic import BoundValue, Constant
@@ -30,7 +29,6 @@ __all__ = [
     "LookaheadLaw",
     "PredictionErrorSpec",
     "MulticastSpec",
-    "ArrivalBatch",
     "mean_rate",
     "BoundValue",
     "Constant",

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from scipy.optimize import brentq
-from scipy.special import xlogy
+from scipy.special import pdtrc, xlogy
 
 from proactivenet.traffic import (
     LINEAR,
@@ -64,9 +64,11 @@ class Constant:
 def poisson_tail(lam: float, k: int) -> float:
     """P(Poisson(lam) > k), exact upward partial sums, relative error 1e-12.
 
-    Starts from the (k+1)-term computed in log space, so the result is
-    accurate far into the tail where scipy-style 1-cdf would round to 0
-    only at genuinely negligible mass.
+    For k >= lam, starts from the (k+1)-term computed in log space, so the
+    result is accurate far into the tail where 1-cdf would round to 0 only
+    at genuinely negligible mass.  Below the mean that first term can
+    underflow while the tail is near 1, so k < lam uses the regularized
+    incomplete gamma function instead.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -74,6 +76,8 @@ def poisson_tail(lam: float, k: int) -> float:
         raise ValueError("k must be nonnegative")
     if lam == 0.0:
         return 0.0
+    if k < lam:
+        return float(pdtrc(k, lam))
     log_term = (k + 1) * math.log(lam) - lam - math.lgamma(k + 2)
     term = math.exp(log_term)
     total = 0.0

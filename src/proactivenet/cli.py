@@ -196,13 +196,57 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def validate(params: dict) -> list[tuple[str, str]]:
+# parameters a command reads without a default; flags that argparse fills
+# in are listed too, since a hand-edited manifest may lack them
+_SIM_REQUIRED = ("policy", "slots", "seed")
+REQUIRED = {
+    "simulate": ("C", "paths", *_SIM_REQUIRED),
+    "sweep": ("C_grid", "paths", *_SIM_REQUIRED),
+    "oracle-check": ("C", "policy"),
+    "reproduce-figure": ("figure_id", "seed"),
+    "analytic": ("quantity",),
+}
+ANALYTIC_REQUIRED = {
+    "nonpred": ("gamma",),
+    "pred-det": ("gamma", "T"),
+    "pred-rand": ("gamma", "lookahead"),
+    "secondary-nonpred": ("gp", "gs"),
+    "secondary-dynamic": ("gp", "gs"),
+    "pred-error": ("alpha_pred", "alpha_miss", "T"),
+    "multicast-nonpred": ("gamma_m", "theta"),
+    "multicast-pred": ("gamma_m", "theta", "T"),
+    "scenario": ("scenario", "gamma_u", "gamma_m", "theta"),
+}
+
+
+def _missing(params: dict, command: str) -> list[str]:
+    need = list(REQUIRED[command])
+    if command == "analytic":
+        need += ANALYTIC_REQUIRED.get(params.get("quantity"), ())
+    else:
+        if "alpha_pred" in params or "alpha_miss" in params:
+            need += ["alpha_pred", "alpha_miss", "gamma"]
+        if any(k in params for k in ("gamma", "gp", "gs")):
+            need.append("regime")
+    return [k for k in dict.fromkeys(need) if params.get(k) is None]
+
+
+def validate(params: dict, command: str | None = None) -> list[tuple[str, str]]:
     """Structural and stability checks; returns (severity, message) pairs.
 
     Severity "error" aborts with exit code 2; "warning" is printed and the
-    run proceeds (unstable runs are well-defined, just hopeless).
+    run proceeds (unstable runs are well-defined, just hopeless).  Given the
+    command, also reports every required parameter that is missing.
     """
     out: list[tuple[str, str]] = []
+    if command is not None:
+        if command not in REQUIRED:
+            return [("error", f"command: unknown value {command!r}")]
+        for k in _missing(params, command):
+            out.append(("error", f"{k}: required parameter missing"))
+        fig = params.get("figure_id")
+        if fig is not None and fig not in FIGURES:
+            out.append(("error", f"figure_id: unknown value {fig!r}"))
     g = params.get("gamma")
     if g is not None and not 0.0 < g < 1.0:
         out.append(("error", f"gamma: must lie in (0,1), got {g}"))
@@ -600,7 +644,7 @@ def _params_from_args(args) -> dict:
 
 
 def run(cfg: ExperimentConfig) -> int:
-    violations = validate(cfg.params)
+    violations = validate(cfg.params, cfg.command)
     errors = [m for sev, m in violations if sev == "error"]
     for sev, m in violations:
         if sev == "warning":
@@ -611,7 +655,7 @@ def run(cfg: ExperimentConfig) -> int:
         return 2
     try:
         rows = COMMANDS[cfg.command](cfg)
-    except (ConfigError, ValueError, KeyError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -1,319 +1,142 @@
-"""Service policies for the slotted deadline network.
+"""Earliest-deadline-first service of one whole sample path.
 
-Every policy is a pure state-transition function: it takes a backlog plus a
-capacity, returns a ServiceOutcome, and never mutates its input.  Within a
-slot the order of events is: arrivals land, service is applied, expirations
-are counted, then residual deadlines shift down.
+Every policy keeps the same state: the vector c of pending requests per
+residual deadline, c[i] = requests with i slots left (i = 0 is due this
+slot).  Each slot, arrivals land, service is applied, requests still at
+residual 0 expire, and residual deadlines shift down one slot.
 
-Policies implemented here:
-  - earliest-deadline-first (EDF) on a single class
-  - selfish primary / dynamic-capacity primary with an opportunistic
-    secondary class riding on leftover capacity
-  - multicast-aligned EDF (serving a source clears every pending request
-    for it at unit cost)
-  - the mixed policy serving expiring multicast first, then unicast, then
-    the remaining multicast by EDF
+Policies differ only in
+  - the arrival source: a count matrix of new requests per look-ahead, or
+    multicast source presence (serving a pending source clears all of its
+    requests at unit cost, so a source is pending or idle);
+  - the primary capacity rule: C, or urgent + ceil(f * non-urgent) capped
+    at C (the dynamic primary; f = 1 is selfish, i.e. plain C);
+  - an optional all-urgent secondary stream served from the capacity the
+    primary leaves;
+  - refill (pi2): capacity left after the secondary goes back to the
+    primary's non-urgent requests by EDF.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from proactivenet.traffic import ArrivalBatch
-
-SELFISH = "selfish"
-DYNAMIC = "dynamic"
-
-# rounding rule for the fractional share f * sum(N_i); ceiling by default so
-# the integral policy never serves less than the real-valued one
-FRACTION_ROUNDING = {"mode": "ceil"}
+import numpy as np
 
 
-def _round_fraction(x: float) -> int:
-    if FRACTION_ROUNDING["mode"] == "floor":
-        return math.floor(x)
-    return math.ceil(x)
+# pending backlogs beyond this abort the path as pathologically unstable
+BACKLOG_OVERFLOW = 10**9
 
 
-@dataclass(frozen=True)
-class Backlog:
-    """Pending requests grouped by residual deadline.
+class PathOverflowError(RuntimeError):
+    """A path's backlog exceeded the overflow guard (unstable run)."""
 
-    counts[i] is the number of requests with i slots remaining before
-    expiry; i = 0 means due this slot.  Length is T_star + 1 where T_star
-    is the maximum supported look-ahead.
+
+def _edf(c: list[int], cap: int) -> int:
+    """Serve up to `cap` requests of `c` in deadline order; return the count."""
+    left = cap
+    for k, ck in enumerate(c):
+        if ck >= left:
+            c[k] = ck - left
+            return cap
+        c[k] = 0
+        left -= ck
+    return cap - left
+
+
+def serve_path(
+    arrivals: np.ndarray,
+    C: int,
+    *,
+    multicast_T: int | None = None,
+    f: float = 1.0,
+    secondary: np.ndarray | None = None,
+    refill: bool = False,
+) -> np.ndarray:
+    """Run one path and return its per-slot expired counts per class.
+
+    arrivals: a (slots, T+1) integer matrix, column k holding the requests
+      that arrive with look-ahead k; or, when `multicast_T` is given, a
+      (slots, L) boolean source-presence matrix.  Each idle source demanded
+      in a slot becomes pending with deadline `multicast_T`; demand for a
+      pending source aligns with it.  Presence of different sources is
+      independent, so the fresh demand is read as the present sources
+      among the first L - pending columns.
+    f: the primary serves at most urgent + ceil(f * non-urgent), capped
+      at C; f = 1 grants it all of C.
+    secondary: per-slot counts of an all-urgent class served from C minus
+      what the primary served.
+    refill: hand capacity left after the secondary back to the primary.
+
+    Raises PathOverflowError once the pending backlog of a slot exceeds
+    BACKLOG_OVERFLOW.
+
+    Returns a (slots, 1) int64 array, or (slots, 2) with a secondary; a slot
+    is an outage for a class iff its entry is positive.  Windows of length
+    0 are served in one vectorized step: a slot's arrivals are all urgent.
     """
+    arrivals = np.asarray(arrivals)
+    if secondary is not None:
+        secondary = np.asarray(secondary)
+    T = arrivals.shape[1] - 1 if multicast_T is None else multicast_T
+    if T < 0 or C < 0:
+        raise ValueError(f"need a window T >= 0 and capacity C >= 0, got {T}, {C}")
+    slots = arrivals.shape[0]
+    limit = BACKLOG_OVERFLOW
+    expired = np.zeros((slots, 1 if secondary is None else 2), dtype=np.int64)
+    if T == 0:
+        a = arrivals.sum(axis=1, dtype=np.int64)
+        over = np.flatnonzero(a > limit)
+        if over.size:
+            raise PathOverflowError(f"backlog overflow at slot {over[0] + 1}")
+        served = np.minimum(a, C)
+        expired[:, 0] = a - served
+        if secondary is not None:
+            expired[:, 1] = np.maximum(secondary - (C - served), 0)
+        return expired
 
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
-            raise ValueError("backlog counts must be nonnegative")
-
-    @classmethod
-    def empty(cls, T_star: int) -> "Backlog":
-        return cls(counts=(0,) * (T_star + 1))
-
-    @property
-    def T_star(self) -> int:
-        return len(self.counts) - 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def urgent(self) -> int:
-        return self.counts[0]
-
-
-@dataclass(frozen=True)
-class MulticastBacklog:
-    """Pending multicast demand: source id -> min residual deadline.
-
-    A source appears at most once; new demand for an already pending
-    source aligns with the existing (earlier or equal) deadline.
-    """
-
-    residual_deadline: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if any(d < 0 for d in self.residual_deadline.values()):
-            raise ValueError("residual deadlines must be nonnegative")
-
-    @property
-    def urgent(self) -> int:
-        return sum(1 for d in self.residual_deadline.values() if d == 0)
-
-    @property
-    def total(self) -> int:
-        return len(self.residual_deadline)
-
-
-@dataclass(frozen=True)
-class ServiceOutcome:
-    """Result of applying one slot of service to one class.
-
-    served_per_deadline[i] is the number served from residual-deadline
-    bucket i; expired counts requests left at residual 0 after service.
-    A slot is an outage for the class iff expired > 0.
-    """
-
-    served_per_deadline: tuple[int, ...]
-    leftover_capacity: int
-    expired: int
-
-    @property
-    def served(self) -> int:
-        return sum(self.served_per_deadline)
-
-    @property
-    def outage(self) -> bool:
-        return self.expired > 0
-
-
-def edf_serve(b: Backlog, capacity: int) -> ServiceOutcome:
-    """Serve up to `capacity` requests, earliest residual deadline first.
-
-    Work-conserving: leftover capacity is nonzero only if the backlog is
-    emptied.  Expired = requests still at residual 0 after service.
-    """
-    if capacity < 0:
-        raise ValueError("capacity must be nonnegative")
-    served = []
-    left = capacity
-    for c in b.counts:
-        s = min(c, left)
-        served.append(s)
-        left -= s
-    expired = b.counts[0] - served[0]
-    return ServiceOutcome(
-        served_per_deadline=tuple(served), leftover_capacity=left, expired=expired
-    )
-
-
-def after_service(b: Backlog, outcome: ServiceOutcome) -> Backlog:
-    """Backlog with the served requests removed, before any deadline shift."""
-    return Backlog(
-        counts=tuple(c - s for c, s in zip(b.counts, outcome.served_per_deadline))
-    )
-
-
-def advance_slot(b: Backlog, arrivals: ArrivalBatch) -> Backlog:
-    """Shift residual deadlines down one slot and insert the next arrivals.
-
-    Must be called on a post-service backlog; whatever sits at residual 0
-    has expired and is dropped here.
-    """
-    n = len(b.counts)
-    shifted = [0] * n
-    for i in range(1, n):
-        shifted[i - 1] = b.counts[i]
-    for k, cnt in arrivals.per_lookahead_counts.items():
-        if not 0 <= k < n:
-            raise ValueError(f"lookahead {k} outside backlog range [0, {n - 1}]")
-        shifted[k] += cnt
-    return Backlog(counts=tuple(shifted))
-
-
-def dynamic_primary_capacity(bp: Backlog, C: int, f: float) -> int:
-    """Capacity a dynamic primary grants itself: urgent demand plus a
-    fraction f of its non-urgent backlog, capped at C.
-
-    f=1 reproduces selfish service; f=0 reproduces a primary that ignores
-    its predictions.
-    """
-    if not 0.0 <= f <= 1.0:
-        raise ValueError(f"f must lie in [0,1], got {f}")
-    nonurgent = bp.total - bp.urgent
-    return min(C, bp.urgent + _round_fraction(f * nonurgent))
-
-
-def serve_two_class(
-    bp: Backlog, secondary_urgent: int, C: int, mode: str, f: float = 0.5
-) -> tuple[ServiceOutcome, ServiceOutcome]:
-    """Serve a predictive primary plus an opportunistic urgent secondary.
-
-    mode "selfish": primary uses the full C under EDF, secondary gets the
-    leftover.  mode "dynamic": primary restricts itself to
-    dynamic_primary_capacity(bp, C, f); secondary gets C minus what the
-    primary actually served.  Secondary requests are all urgent, so any
-    unserved secondary request expires this slot.
-    """
-    if C < 1:
-        raise ValueError("C must be >= 1")
-    if secondary_urgent < 0:
-        raise ValueError("secondary_urgent must be nonnegative")
-    if mode == SELFISH:
-        cap_p = C
-    elif mode == DYNAMIC:
-        cap_p = dynamic_primary_capacity(bp, C, f)
+    if multicast_T is None:
+        # only the look-ahead columns that ever see an arrival
+        columns = [(k, arrivals[:, k].tolist()) for k in range(T + 1) if arrivals[:, k].any()]
     else:
-        raise ValueError(f"unknown mode {mode!r}")
-    primary = edf_serve(bp, cap_p)
-    leftover = C - primary.served
-    served_s = min(secondary_urgent, leftover)
-    secondary = ServiceOutcome(
-        served_per_deadline=(served_s,),
-        leftover_capacity=leftover - served_s,
-        expired=secondary_urgent - served_s,
-    )
-    return primary, secondary
-
-
-def multicast_edf_serve(mb: MulticastBacklog, capacity: int) -> ServiceOutcome:
-    """Serve multicast sources earliest residual deadline first.
-
-    Serving a source costs one capacity unit and clears its entry entirely
-    (all aligned requests delivered at once).  Ties broken by ascending
-    source id.  served_per_deadline is indexed by residual deadline of the
-    served sources.
-    """
-    if capacity < 0:
-        raise ValueError("capacity must be nonnegative")
-    order = sorted(mb.residual_deadline.items(), key=lambda kv: (kv[1], kv[0]))
-    tmax = max((d for _, d in order), default=0)
-    served = [0] * (tmax + 1)
-    left = capacity
-    for _, d in order:
-        if left == 0:
-            break
-        served[d] += 1
-        left -= 1
-    expired = mb.urgent - served[0]
-    return ServiceOutcome(
-        served_per_deadline=tuple(served), leftover_capacity=left, expired=expired
-    )
-
-
-def multicast_after_service(
-    mb: MulticastBacklog, capacity: int
-) -> tuple[ServiceOutcome, MulticastBacklog]:
-    """multicast_edf_serve plus the residual backlog with served sources
-    removed (expired sources are kept; drop them at the shift step)."""
-    outcome = multicast_edf_serve(mb, capacity)
-    order = sorted(mb.residual_deadline.items(), key=lambda kv: (kv[1], kv[0]))
-    kept = dict(mb.residual_deadline)
-    for sid, _ in order[: outcome.served]:
-        del kept[sid]
-    return outcome, MulticastBacklog(residual_deadline=kept)
-
-
-def multicast_advance_slot(
-    mb: MulticastBacklog, arrivals: ArrivalBatch, T: int
-) -> MulticastBacklog:
-    """Drop expired sources, age the rest one slot, and merge new demand.
-
-    New demand for source s carries residual deadline T after the shift;
-    if s is already pending its earlier deadline wins (alignment rule).
-    """
-    nxt = {
-        sid: d - 1 for sid, d in mb.residual_deadline.items() if d > 0
-    }
-    for sid in arrivals.multicast_sources:
-        nxt[sid] = min(nxt.get(sid, T), T)
-    return MulticastBacklog(residual_deadline=nxt)
-
-
-def pi2_serve(
-    mb: MulticastBacklog, unicast_urgent: int, capacity: int
-) -> tuple[ServiceOutcome, ServiceOutcome]:
-    """Mixed-traffic service: expiring multicast sources first, then urgent
-    unicast requests, then remaining multicast sources by EDF.
-
-    Returns (multicast outcome, unicast outcome).  The combined slot outage
-    is expired multicast + expired unicast > 0.
-    """
-    if capacity < 1:
-        raise ValueError("capacity must be >= 1")
-    if unicast_urgent < 0:
-        raise ValueError("unicast_urgent must be nonnegative")
-    order = sorted(mb.residual_deadline.items(), key=lambda kv: (kv[1], kv[0]))
-    tmax = max((d for _, d in order), default=0)
-    served_m = [0] * (tmax + 1)
-    left = capacity
-
-    urgent_sources = [item for item in order if item[1] == 0]
-    later_sources = [item for item in order if item[1] > 0]
-
-    take = min(len(urgent_sources), left)
-    served_m[0] = take
-    left -= take
-
-    served_u = min(unicast_urgent, left)
-    left -= served_u
-
-    for _, d in later_sources:
-        if left == 0:
-            break
-        served_m[d] += 1
-        left -= 1
-
-    expired_m = len(urgent_sources) - served_m[0]
-    mc = ServiceOutcome(
-        served_per_deadline=tuple(served_m), leftover_capacity=left, expired=expired_m
-    )
-    uc = ServiceOutcome(
-        served_per_deadline=(served_u,),
-        leftover_capacity=left,
-        expired=unicast_urgent - served_u,
-    )
-    return mc, uc
-
-
-def pi2_after_service(
-    mb: MulticastBacklog, unicast_urgent: int, capacity: int
-) -> tuple[ServiceOutcome, ServiceOutcome, MulticastBacklog]:
-    """pi2_serve plus the multicast backlog with served sources removed."""
-    mc, uc = pi2_serve(mb, unicast_urgent, capacity)
-    order = sorted(mb.residual_deadline.items(), key=lambda kv: (kv[1], kv[0]))
-    urgent_sources = [item for item in order if item[1] == 0]
-    later_sources = [item for item in order if item[1] > 0]
-    kept = dict(mb.residual_deadline)
-    for sid, _ in urgent_sources[: mc.served_per_deadline[0]]:
-        del kept[sid]
-    n_later = mc.served - mc.served_per_deadline[0]
-    for sid, _ in later_sources[:n_later]:
-        del kept[sid]
-    return mc, uc, MulticastBacklog(residual_deadline=kept)
+        L = arrivals.shape[1]
+        idle_present = np.zeros((slots, L + 1), dtype=np.int32)
+        np.cumsum(arrivals, axis=1, out=idle_present[:, 1:])
+    sec = None if secondary is None else secondary.tolist()
+    dynamic = f < 1.0
+    c = [0] * (T + 1)
+    total = 0
+    for n in range(slots):
+        if multicast_T is None:
+            for k, col in columns:
+                a = col[n]
+                c[k] += a
+                total += a
+        else:
+            a = idle_present.item(n, L - total)
+            c[T] += a
+            total += a
+        if total > limit:
+            raise PathOverflowError(f"backlog overflow at slot {n + 1}")
+        cap = C
+        if dynamic:
+            cap = min(C, c[0] + math.ceil(f * (total - c[0])))
+        if total <= cap:
+            served = total
+            c = [0] * (T + 1)
+        else:
+            served = _edf(c, cap)
+        total -= served
+        if sec is not None:
+            q, spare = sec[n], C - served
+            if q > spare:
+                expired[n, 1] = q - spare
+            elif refill and total and q < spare:
+                total -= _edf(c, spare - q)
+        lost = c[0]
+        if lost:
+            expired[n, 0] = lost
+            total -= lost
+        del c[0]
+        c.append(0)
+    return expired

@@ -1,15 +1,18 @@
-"""Monte Carlo engine: slot-by-slot sample paths and outage estimation.
+"""Monte Carlo engine: sample paths and outage estimation.
 
-A path executes slots sequentially (arrivals land, service applies,
-expirations are counted, deadlines shift).  A slot is an outage for a class
-iff at least one request of that class expires in it; the per-path outage
-ratio divides by all post-warmup slots.  Estimates average path ratios and
-report the standard error across paths.
+A path draws the arrivals of all its slots up front and hands them to the
+one service kernel, `sched.serve_path`, which runs the slots in order
+(arrivals land, service applies, expirations are counted, deadlines shift).
+A slot is an outage for a class iff at least one request of that class
+expires in it; the per-path outage ratio divides by all post-warmup slots.
+Estimates average path ratios and report the standard error across paths.
 
 Seeding uses a counter-based split of the master seed so that path i sees
 the same randomness regardless of how many paths are run, and so that two
 configs sharing (seed, path index) and the same draw layout see identical
-arrival totals (paired comparisons across policies and look-ahead windows).
+arrivals (paired comparisons across policies and look-ahead windows):
+unicast through the Poisson totals of a deterministic window, multicast
+through the source-presence matrix, whose draws do not depend on T.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from proactivenet import sched
+from proactivenet.sched import PathOverflowError  # noqa: F401  (raised by run_path)
 from proactivenet.traffic import (
     LookaheadLaw,
     MulticastSpec,
@@ -42,16 +46,9 @@ PI2 = "pi2"
 
 POLICIES = (REACTIVE, EDF, SELFISH, DYNAMIC, MULTICAST, PI2)
 
-# backlog sizes beyond this abort the path as pathologically unstable
-BACKLOG_OVERFLOW = 10**9
-
 
 class SimConfigError(ValueError):
     pass
-
-
-class PathOverflowError(RuntimeError):
-    """A path's backlog exceeded the overflow guard (unstable run)."""
 
 
 def default_warmup(tmax: int) -> int:
@@ -69,7 +66,8 @@ class SimConfig:
     an urgent secondary class for the two-class policies, `pred_error`
     replaces regime/law for imperfect-prediction runs, `multicast` (plus
     optionally `regime` as the unicast stream for pi2) drives the
-    multicast policies.
+    multicast policies.  `f` in [0, 1] is the dynamic primary's share of
+    its non-urgent backlog.
     """
 
     C: int
@@ -94,6 +92,8 @@ class SimConfig:
             raise SimConfigError(f"unknown policy {self.policy!r}")
         if self.slots < 1:
             raise SimConfigError("slots must be positive")
+        if not 0.0 <= self.f <= 1.0:
+            raise SimConfigError(f"f must lie in [0,1], got {self.f}")
         if self.effective_warmup >= self.slots:
             raise SimConfigError("slots must exceed warmup")
         if self.policy in (SELFISH, DYNAMIC) and self.secondary is None:
@@ -197,239 +197,74 @@ def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, path_index)))
 
 
+# outage classes of the kernel's expired columns, per policy
+_CLASSES = {
+    REACTIVE: ("default",),
+    EDF: ("default",),
+    SELFISH: ("primary", "secondary"),
+    DYNAMIC: ("primary", "secondary"),
+    MULTICAST: ("multicast",),
+    PI2: ("multicast", "unicast"),
+}
+
+
 def run_path(cfg: SimConfig, seed_index: int = 0) -> PathResult:
     """Execute one sample path and count post-warmup outage slots per class.
 
     Deterministic given (cfg.seed, seed_index).  Raises PathOverflowError if
-    a backlog counter exceeds the overflow guard.
+    the pending backlog exceeds the overflow guard.
     """
     rng = path_rng(cfg.seed, seed_index)
-    if cfg.policy == REACTIVE:
-        return _run_reactive(cfg, rng)
-    if cfg.policy == EDF:
-        return _run_edf(cfg, rng)
+    multicast_T = None
+    secondary = None
+    if cfg.policy in (MULTICAST, PI2):
+        arrivals = multicast_presence(cfg.multicast, cfg.C, rng, cfg.slots)
+        multicast_T = cfg.tmax
+    else:
+        arrivals = _unicast_arrivals(cfg, rng)
     if cfg.policy in (SELFISH, DYNAMIC):
-        return _run_two_class(cfg, rng)
-    if cfg.policy == MULTICAST:
-        return _run_multicast(cfg, rng)
-    return _run_pi2(cfg, rng)
+        secondary = rng.poisson(mean_rate(cfg.secondary, cfg.C), cfg.slots)
+    elif cfg.policy == PI2:
+        secondary = rng.poisson(cfg.primary_rate or 0.0, cfg.slots)
+    expired = sched.serve_path(
+        arrivals,
+        cfg.C,
+        multicast_T=multicast_T,
+        f={DYNAMIC: cfg.f, PI2: 0.0}.get(cfg.policy, 1.0),
+        secondary=secondary,
+        refill=cfg.policy == PI2,
+    )
+    w = cfg.effective_warmup
+    flags = dict(zip(_CLASSES[cfg.policy], (expired[w:] > 0).T))
+    if cfg.policy == PI2:
+        flags["combined"] = flags["multicast"] | flags["unicast"]
+    return PathResult(
+        outage_slots={cls: int(v.sum()) for cls, v in flags.items()},
+        total_counted_slots=cfg.slots - w,
+        per_slot_trace=flags if cfg.trace else None,
+    )
 
 
-def _trace_or_none(cfg, flags):
-    if not cfg.trace:
-        return None
-    return {cls: np.asarray(v, dtype=bool) for cls, v in flags.items()}
-
-
-def _scripted_matrix(cfg: SimConfig) -> np.ndarray:
-    s = cfg.scripted
-    out = np.zeros((cfg.slots, s.lookahead + 1), dtype=np.int64)
-    n = min(cfg.slots, len(s.counts))
-    out[:n, s.lookahead] = s.counts[:n]
-    return out
-
-
-def _run_reactive(cfg: SimConfig, rng: np.random.Generator) -> PathResult:
+def _unicast_arrivals(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """(slots, T+1) primary arrival counts; a reactive run sees every
+    request as urgent."""
     if cfg.scripted is not None:
-        arr = _scripted_matrix(cfg).sum(axis=1)
+        s = cfg.scripted
+        out = np.zeros((cfg.slots, s.lookahead + 1), dtype=np.int64)
+        n = min(cfg.slots, len(s.counts))
+        out[:n, s.lookahead] = s.counts[:n]
+    elif cfg.pred_error is not None:
+        out = prediction_error_counts(cfg.pred_error, cfg.C, rng, cfg.slots)
     elif cfg.primary_rate is None:
-        arr = np.zeros(cfg.slots, dtype=np.int64)
+        out = np.zeros((cfg.slots, 1), dtype=np.int64)
     else:
-        arr = rng.poisson(cfg.primary_rate, cfg.slots)
-    outage = arr > cfg.C
-    w = cfg.effective_warmup
-    counted = outage[w:]
-    return PathResult(
-        outage_slots={"default": int(counted.sum())},
-        total_counted_slots=cfg.slots - w,
-        per_slot_trace=_trace_or_none(cfg, {"default": counted}),
-    )
-
-
-def _arrival_matrix(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    if cfg.scripted is not None:
-        return _scripted_matrix(cfg)
-    if cfg.pred_error is not None:
-        return prediction_error_counts(cfg.pred_error, cfg.C, rng, cfg.slots)
-    lam = cfg.primary_rate
-    if lam is None:
-        return np.zeros((cfg.slots, 1), dtype=np.int64)
-    law = cfg.law or LookaheadLaw.deterministic(0)
-    if cfg.rate is None and cfg.regime is not None:
-        return unicast_counts(cfg.regime, law, cfg.C, rng, cfg.slots)
-    out = np.zeros((cfg.slots, law.tmax + 1), dtype=np.int64)
-    if law.is_deterministic:
-        out[:, law.tmax] = rng.poisson(lam, cfg.slots)
-    else:
-        for k in range(law.tmin, law.tmax + 1):
-            p = law.pmf(k)
-            if p > 0.0:
-                out[:, k] = rng.poisson(p * lam, cfg.slots)
+        law = cfg.law
+        if law is None or cfg.policy == REACTIVE:
+            law = LookaheadLaw.deterministic(0)
+        out = unicast_counts(cfg.primary_rate, law, rng, cfg.slots)
+    if cfg.policy == REACTIVE:
+        return out.sum(axis=1, keepdims=True)
     return out
-
-
-def _run_edf(cfg: SimConfig, rng: np.random.Generator) -> PathResult:
-    arr = _arrival_matrix(cfg, rng)
-    tmax = arr.shape[1] - 1
-    C = cfg.C
-    w = cfg.effective_warmup
-    counts = [0] * (tmax + 1)
-    flags = np.zeros(cfg.slots, dtype=bool)
-    for n in range(cfg.slots):
-        row = arr[n]
-        for k in range(tmax + 1):
-            counts[k] += int(row[k])
-        # serve earliest deadlines first
-        left = C
-        for k in range(tmax + 1):
-            if left == 0:
-                break
-            s = counts[k] if counts[k] <= left else left
-            counts[k] -= s
-            left -= s
-        if counts[0] > 0:
-            flags[n] = True
-        # expired requests dropped by the shift
-        for k in range(tmax):
-            counts[k] = counts[k + 1]
-        counts[tmax] = 0
-        if counts[0] > BACKLOG_OVERFLOW:
-            raise PathOverflowError(f"backlog overflow at slot {n + 1}")
-    counted = flags[w:]
-    return PathResult(
-        outage_slots={"default": int(counted.sum())},
-        total_counted_slots=cfg.slots - w,
-        per_slot_trace=_trace_or_none(cfg, {"default": counted}),
-    )
-
-
-def _run_two_class(cfg: SimConfig, rng: np.random.Generator) -> PathResult:
-    arr_p = _arrival_matrix(cfg, rng)
-    lam_s = mean_rate(cfg.secondary, cfg.C)
-    arr_s = rng.poisson(lam_s, cfg.slots)
-    tmax = arr_p.shape[1] - 1
-    C = cfg.C
-    w = cfg.effective_warmup
-    f = cfg.f if cfg.policy == DYNAMIC else 1.0
-    counts = [0] * (tmax + 1)
-    flags_p = np.zeros(cfg.slots, dtype=bool)
-    flags_s = np.zeros(cfg.slots, dtype=bool)
-    for n in range(cfg.slots):
-        row = arr_p[n]
-        for k in range(tmax + 1):
-            counts[k] += int(row[k])
-        if cfg.policy == DYNAMIC:
-            nonurgent = sum(counts[1:])
-            cap_p = min(C, counts[0] + sched._round_fraction(f * nonurgent))
-        else:
-            cap_p = C
-        left = cap_p
-        for k in range(tmax + 1):
-            if left == 0:
-                break
-            s = counts[k] if counts[k] <= left else left
-            counts[k] -= s
-            left -= s
-        served_p = cap_p - left
-        if counts[0] > 0:
-            flags_p[n] = True
-        q_s = int(arr_s[n])
-        leftover = C - served_p
-        if q_s > leftover:
-            flags_s[n] = True
-        for k in range(tmax):
-            counts[k] = counts[k + 1]
-        counts[tmax] = 0
-        if counts[0] > BACKLOG_OVERFLOW:
-            raise PathOverflowError(f"backlog overflow at slot {n + 1}")
-    cp, cs = flags_p[w:], flags_s[w:]
-    return PathResult(
-        outage_slots={"primary": int(cp.sum()), "secondary": int(cs.sum())},
-        total_counted_slots=cfg.slots - w,
-        per_slot_trace=_trace_or_none(cfg, {"primary": cp, "secondary": cs}),
-    )
-
-
-def _run_multicast(cfg: SimConfig, rng: np.random.Generator) -> PathResult:
-    pres = multicast_presence(cfg.multicast, cfg.C, rng, cfg.slots)
-    T = cfg.law.tmax if cfg.law is not None else 0
-    C = cfg.C
-    w = cfg.effective_warmup
-    # residual[s] = slots left for source s; -1 when idle
-    L = pres.shape[1]
-    residual = np.full(L, -1, dtype=np.int64)
-    flags = np.zeros(cfg.slots, dtype=bool)
-    for n in range(cfg.slots):
-        newly = pres[n]
-        fresh = newly & (residual < 0)
-        residual[fresh] = T
-        # EDF over pending sources, ties by source id (argsort is stable)
-        pending = np.flatnonzero(residual >= 0)
-        if pending.size:
-            order = pending[np.argsort(residual[pending], kind="stable")]
-            served = order[:C]
-            n_urgent = int((residual[pending] == 0).sum())
-            served_urgent = int((residual[served] == 0).sum())
-            if n_urgent > served_urgent:
-                flags[n] = True
-            residual[served] = -1
-        residual[residual == 0] = -1
-        residual[residual > 0] -= 1
-    counted = flags[w:]
-    return PathResult(
-        outage_slots={"multicast": int(counted.sum()), "default": int(counted.sum())},
-        total_counted_slots=cfg.slots - w,
-        per_slot_trace=_trace_or_none(cfg, {"multicast": counted}),
-    )
-
-
-def _run_pi2(cfg: SimConfig, rng: np.random.Generator) -> PathResult:
-    pres = multicast_presence(cfg.multicast, cfg.C, rng, cfg.slots)
-    if cfg.regime is not None:
-        arr_u = rng.poisson(mean_rate(cfg.regime, cfg.C), cfg.slots)
-    else:
-        arr_u = np.zeros(cfg.slots, dtype=np.int64)
-    T = cfg.law.tmax if cfg.law is not None else 0
-    C = cfg.C
-    w = cfg.effective_warmup
-    L = pres.shape[1]
-    residual = np.full(L, -1, dtype=np.int64)
-    flags_m = np.zeros(cfg.slots, dtype=bool)
-    flags_u = np.zeros(cfg.slots, dtype=bool)
-    for n in range(cfg.slots):
-        fresh = pres[n] & (residual < 0)
-        residual[fresh] = T
-        urgent = np.flatnonzero(residual == 0)
-        later = np.flatnonzero(residual > 0)
-        left = C
-        take = min(urgent.size, left)
-        if urgent.size > take:
-            flags_m[n] = True
-        residual[urgent[:take]] = -1
-        left -= take
-        q_u = int(arr_u[n])
-        served_u = min(q_u, left)
-        if q_u > served_u:
-            flags_u[n] = True
-        left -= served_u
-        if left and later.size:
-            order = later[np.argsort(residual[later], kind="stable")]
-            residual[order[:left]] = -1
-        residual[residual == 0] = -1
-        residual[residual > 0] -= 1
-    cm, cu = flags_m[w:], flags_u[w:]
-    combined = cm | cu
-    return PathResult(
-        outage_slots={
-            "multicast": int(cm.sum()),
-            "unicast": int(cu.sum()),
-            "combined": int(combined.sum()),
-        },
-        total_counted_slots=cfg.slots - w,
-        per_slot_trace=_trace_or_none(
-            cfg, {"multicast": cm, "unicast": cu, "combined": combined}
-        ),
-    )
 
 
 def estimate_outage(cfg: SimConfig, n_paths: int) -> dict[str, OutageEstimate]:

@@ -13,7 +13,7 @@ normal-approximate -- because the tail events are the quantity under study.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,89 +210,18 @@ class ScriptedTraffic:
     lookahead: int = 0
 
 
-@dataclass(frozen=True)
-class ArrivalBatch:
-    """Arrivals of a single slot.
-
-    per_lookahead_counts maps look-ahead k -> number of requests whose
-    deadline is k slots away.  multicast_sources is the set of distinct
-    data sources demanded this slot.
-    """
-
-    slot: int
-    per_lookahead_counts: dict[int, int] = field(default_factory=dict)
-    multicast_sources: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        if any(v < 0 for v in self.per_lookahead_counts.values()):
-            raise TrafficSpecError("arrival counts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.per_lookahead_counts.values())
-
-
-def sample_unicast(
-    regime: Regime, law: LookaheadLaw, C: int, rng: np.random.Generator, slot: int = 0
-) -> ArrivalBatch:
-    """Draw one slot of unicast arrivals.
-
-    The total is Poisson(mean_rate); the split over look-ahead values is
-    realized as independent Poisson(p_k * rate) components, which is
-    distributionally identical to a multinomial thinning of the total.
-    """
-    lam = mean_rate(regime, C)
-    counts: dict[int, int] = {}
-    for k in range(law.tmin, law.tmax + 1):
-        p = law.pmf(k)
-        if p > 0.0:
-            counts[k] = int(rng.poisson(p * lam))
-    return ArrivalBatch(slot=slot, per_lookahead_counts=counts)
-
-
-def sample_prediction_error(
-    spec: PredictionErrorSpec, C: int, rng: np.random.Generator, slot: int = 0
-) -> ArrivalBatch:
-    """Draw one slot of imperfectly predicted arrivals.
-
-    The missed stream lands at look-ahead 0 (urgent); the predicted stream at
-    look-ahead T.  Raises TrafficSpecError if the rate factors are
-    inconsistent at this capacity.
-    """
-    lam_pred, lam_miss = spec.rates(C)
-    counts = {0: int(rng.poisson(lam_miss))}
-    counts[spec.T] = counts.get(spec.T, 0) + int(rng.poisson(lam_pred))
-    return ArrivalBatch(slot=slot, per_lookahead_counts=counts)
-
-
-def sample_multicast(
-    spec: MulticastSpec, C: int, rng: np.random.Generator, slot: int = 0
-) -> ArrivalBatch:
-    """Draw the set of distinct sources demanded in one slot.
-
-    Each of the L = round(theta*C) sources is independently present with
-    probability 1 - exp(-gamma_m/theta); the set size is Binomial(L, A).
-    """
-    L = spec.num_sources(C)
-    present = rng.random(L) < spec.source_prob()
-    return ArrivalBatch(
-        slot=slot, multicast_sources=frozenset(np.flatnonzero(present).tolist())
-    )
-
-
-# --- vectorized path generation (same distributions, drawn slot-blockwise) ---
-
-
 def unicast_counts(
-    regime: Regime, law: LookaheadLaw, C: int, rng: np.random.Generator, slots: int
+    lam: float, law: LookaheadLaw, rng: np.random.Generator, slots: int
 ) -> np.ndarray:
-    """(slots, tmax+1) arrival matrix; column k = look-ahead-k count per slot.
+    """(slots, tmax+1) arrival matrix of Poisson(lam) arrivals per slot;
+    column k = look-ahead-k count per slot.
 
-    Deterministic laws draw a single Poisson stream placed at column T so
-    that paths with different T but the same seed see identical arrival
-    totals (paired-seed comparisons).
+    The split over look-ahead values is drawn as independent
+    Poisson(p_k * lam) columns, distributionally identical to a multinomial
+    thinning of the total.  Deterministic laws draw a single Poisson stream
+    placed at column T so that paths with different T but the same seed see
+    identical arrival totals (paired-seed comparisons).
     """
-    lam = mean_rate(regime, C)
     out = np.zeros((slots, law.tmax + 1), dtype=np.int64)
     if law.is_deterministic:
         out[:, law.tmax] = rng.poisson(lam, slots)
@@ -320,6 +249,10 @@ def prediction_error_counts(
 def multicast_presence(
     spec: MulticastSpec, C: int, rng: np.random.Generator, slots: int
 ) -> np.ndarray:
-    """(slots, L) boolean matrix of per-slot source demand indicators."""
+    """(slots, L) boolean matrix of per-slot source demand indicators.
+
+    Each of the L = round(theta*C) sources is independently present with
+    probability 1 - exp(-gamma_m/theta), so a row sums to Binomial(L, A).
+    """
     L = spec.num_sources(C)
     return rng.random((slots, L)) < spec.source_prob()

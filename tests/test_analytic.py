@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import poisson as sp_poisson
 
 from proactivenet import analytic as an
@@ -47,6 +49,19 @@ class TestPoissonTail:
                 assert poisson_tail(lam, k) == pytest.approx(
                     sp_poisson.sf(k, lam), rel=1e-10, abs=1e-300
                 )
+
+    def test_far_below_the_mean(self):
+        # the first upward term exp(log pmf(k+1)) underflows here
+        assert poisson_tail(1e4, 10) == 1.0
+        assert poisson_tail(1e3, 600) == pytest.approx(1.0, rel=1e-12)
+
+    @given(st.floats(-3.0, 4.0), st.floats(0.0, 1.0))
+    def test_matches_scipy_sf_everywhere(self, log_lam, u):
+        lam = 10.0**log_lam
+        k = int(u * (lam + 40 * math.sqrt(lam) + 50))
+        sf = sp_poisson.sf(k, lam)
+        if sf >= 1e-300:
+            assert poisson_tail(lam, k) == pytest.approx(sf, rel=1e-9)
 
     def test_deep_tail_positive(self):
         p = poisson_tail(1.0, 150)

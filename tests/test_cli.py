@@ -171,6 +171,32 @@ class TestExitCodes:
         rc = main(["simulate", "--gamma", "0.5"])
         assert rc == 2
 
+    def test_missing_params_are_named(self, capsys):
+        rc = main(["analytic", "--quantity", "scenario", "--gamma-m", "0.5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        for name in ("scenario", "gamma_u", "theta"):
+            assert f"error: {name}: required parameter missing" in err
+        assert main(["simulate", "--gamma", "0.5"]) == 2
+        assert "error: C: required parameter missing" in capsys.readouterr().err
+
+    def test_internal_key_error_is_1(self, capsys, monkeypatch):
+        def broken(cfg):
+            return {}["missing"]
+
+        monkeypatch.setitem(cli.COMMANDS, "simulate", broken)
+        assert main(["simulate", "--C", "4", "--gamma", "0.5"]) == 1
+        assert "failure" in capsys.readouterr().err
+
+    def test_dynamic_fraction_out_of_range_is_2(self, tmp_path, capsys):
+        out = tmp_path / "dyn.csv"
+        rc = main([
+            "simulate", "--C", "4", "--policy", "dynamic:1.5", "--gp", "0.6",
+            "--gs", "0.1", "--paths", "2", "--slots", "300", "--out", str(out),
+        ])
+        assert rc == 2 and not out.exists()
+        assert "f must lie in [0,1]" in capsys.readouterr().err
+
     def test_unknown_policy_is_2(self, capsys):
         rc = main(["simulate", "--C", "4", "--gamma", "0.5", "--policy", "lifo"])
         assert rc == 2

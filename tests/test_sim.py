@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proactivenet import sim
+from proactivenet import sched, sim
 from proactivenet.analytic import poisson_tail
 from proactivenet.sim import (
     OutageEstimate,
@@ -16,6 +16,8 @@ from proactivenet.traffic import (
     MulticastSpec,
     Regime,
     ScriptedTraffic,
+    mean_rate,
+    multicast_presence,
 )
 
 LIN05 = Regime("linear", 0.5)
@@ -130,9 +132,19 @@ class TestPairing:
             C=6, slots=2000, seed=17, warmup=100, regime=Regime("linear", 0.6),
             law=LookaheadLaw.deterministic(3), secondary=Regime("linear", 0.1),
         )
-        a = run_path(SimConfig(policy="selfish", **common), 0)
-        b = run_path(SimConfig(policy="dynamic", f=1.0, **common), 0)
+        a = run_path(SimConfig(policy="selfish", trace=True, **common), 0)
+        b = run_path(SimConfig(policy="dynamic", f=1.0, trace=True, **common), 0)
         assert a.outage_slots == b.outage_slots
+        for cls in ("primary", "secondary"):
+            assert np.array_equal(a.per_slot_trace[cls], b.per_slot_trace[cls])
+
+    @pytest.mark.parametrize("f", [-0.1, 1.5])
+    def test_dynamic_fraction_out_of_range(self, f):
+        with pytest.raises(sim.SimConfigError, match="f must lie"):
+            SimConfig(
+                C=6, policy="dynamic", slots=500, seed=0, warmup=10, f=f,
+                regime=Regime("linear", 0.6), secondary=Regime("linear", 0.1),
+            )
 
 
 class TestSweep:
@@ -202,6 +214,107 @@ class TestMulticastPolicies:
         assert res.outage_slots["combined"] >= max(
             res.outage_slots["multicast"], res.outage_slots["unicast"]
         )
+
+
+def reference_multicast(cfg: SimConfig, seed_index: int) -> dict[str, int]:
+    """Outage slots of one path, tracking each source's residual deadline
+    (-1 when idle); written independently of the counts-vector kernel.
+
+    Multicast serves pending sources by EDF, ties by source id.  pi2 serves
+    urgent sources, then the urgent unicast stream, then later sources.
+    """
+    rng = sim.path_rng(cfg.seed, seed_index)
+    pres = multicast_presence(cfg.multicast, cfg.C, rng, cfg.slots)
+    uni = np.zeros(cfg.slots, dtype=np.int64)
+    if cfg.policy == "pi2":
+        uni = rng.poisson(mean_rate(cfg.regime, cfg.C), cfg.slots)
+    T, C = cfg.law.tmax, cfg.C
+    residual = np.full(pres.shape[1], -1)
+    lost_m = np.zeros(cfg.slots, dtype=bool)
+    lost_u = np.zeros(cfg.slots, dtype=bool)
+    for n in range(cfg.slots):
+        residual[pres[n] & (residual < 0)] = T
+        if cfg.policy == "multicast":
+            pending = np.flatnonzero(residual >= 0)
+            order = pending[np.argsort(residual[pending], kind="stable")]
+            residual[order[:C]] = -1
+            lost_m[n] = (residual == 0).any()
+        else:
+            urgent = np.flatnonzero(residual == 0)
+            later = np.flatnonzero(residual > 0)
+            residual[urgent[:C]] = -1
+            lost_m[n] = urgent.size > C
+            left = C - min(urgent.size, C)
+            lost_u[n] = uni[n] > left
+            left -= min(uni[n], left)
+            order = later[np.argsort(residual[later], kind="stable")]
+            residual[order[:left]] = -1
+        residual[residual == 0] = -1
+        residual[residual > 0] -= 1
+    w = cfg.effective_warmup
+    out = {"multicast": int(lost_m[w:].sum())}
+    if cfg.policy == "pi2":
+        out["unicast"] = int(lost_u[w:].sum())
+    return out
+
+
+class TestMulticastExactness:
+    @pytest.mark.parametrize("policy", ["multicast", "pi2"])
+    def test_window_zero_is_presence_count(self, policy):
+        cfg = SimConfig(
+            C=4, policy=policy, slots=1000, seed=8, warmup=0, trace=True,
+            multicast=MulticastSpec(0.9, 15.0), law=LookaheadLaw.deterministic(0),
+            regime=Regime("linear", 0.05) if policy == "pi2" else None,
+        )
+        for i in range(3):
+            pres = multicast_presence(cfg.multicast, cfg.C, sim.path_rng(cfg.seed, i), 1000)
+            trace = run_path(cfg, i).per_slot_trace["multicast"]
+            assert np.array_equal(trace, pres.sum(axis=1) > cfg.C)
+
+    @pytest.mark.parametrize(
+        "policy,C,T,theta",
+        [("multicast", 4, 1, 15.0), ("multicast", 6, 1, 15.0),
+         ("multicast", 3, 2, 3.0), ("pi2", 5, 2, 0.7)],
+    )
+    def test_agrees_with_per_source_engine(self, policy, C, T, theta):
+        # the same draws feed both engines; they differ only in which idle
+        # sources are read as fresh, so the per-path differences of the
+        # outage ratios must average out (paired z-test).  Where L <= C(T+1)
+        # (multicast at C=3, pi2's multicast class) no source can expire,
+        # and both engines must report exactly 0.
+        cfg = SimConfig(
+            C=C, policy=policy, slots=1100, seed=31, warmup=100,
+            multicast=MulticastSpec(0.5 if policy == "pi2" else 0.9, theta),
+            law=LookaheadLaw.deterministic(T),
+            regime=Regime("linear", 0.5) if policy == "pi2" else None,
+        )
+        n_paths = 20
+        diffs = {}
+        for i in range(n_paths):
+            ref = reference_multicast(cfg, i)
+            got = run_path(cfg, i).outage_slots
+            for cls, v in ref.items():
+                diffs.setdefault(cls, []).append((got[cls] - v) / 1000)
+        for cls, d in diffs.items():
+            d = np.asarray(d)
+            se = d.std(ddof=1) / np.sqrt(n_paths)
+            if se == 0:
+                assert d.mean() == 0, cls
+            else:
+                assert abs(d.mean() / se) < 4, cls
+
+
+@pytest.mark.filterwarnings("ignore:offered load")
+@pytest.mark.parametrize("policy", sim.POLICIES)
+def test_overflow_guard_covers_every_policy(policy, monkeypatch):
+    monkeypatch.setattr(sched, "BACKLOG_OVERFLOW", 2)
+    cfg = SimConfig(
+        C=8, policy=policy, slots=500, seed=0, warmup=10,
+        regime=Regime("linear", 0.6), law=LookaheadLaw.deterministic(1),
+        secondary=Regime("linear", 0.1), multicast=MulticastSpec(0.9, 15.0),
+    )
+    with pytest.raises(sim.PathOverflowError, match="backlog overflow at slot"):
+        run_path(cfg)
 
 
 def test_unstable_config_warns_not_raises():
