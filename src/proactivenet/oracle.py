@@ -2,7 +2,8 @@
 
 Three facilities:
   - stationary outage probabilities of the slotted system computed by
-    state-space enumeration of a truncated Markov chain (power iteration),
+    state-space enumeration of a truncated Markov chain, stored as its
+    successor table and solved by sparse power iteration,
   - exact probabilities of the necessary / sufficient outage events that
     sandwich the simulated outage probability,
   - residual checks of every derived root constant against its defining
@@ -14,11 +15,11 @@ closed forms: they share no code path with either.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from proactivenet import analytic
 from proactivenet.analytic import Constant, poisson_tail
@@ -29,7 +30,21 @@ class OracleError(ValueError):
     pass
 
 
-MAX_STATES = 10**6
+MAX_BYTES = 2**28
+_PEAK_BYTES = 48  # tracemalloc peak of a build and solve, see _check_size
+
+
+def _check_size(n_states: int, levels: int, buckets: int) -> None:
+    """Refuse, before allocating anything, a chain whose build and solve
+    need over MAX_BYTES: _PEAK_BYTES per entry of the (n, levels) successor
+    table (the table and the sparse P and P^T made from it) and per state
+    and bucket (the per-level work arrays)."""
+    need = _PEAK_BYTES * n_states * (levels + buckets)
+    if need > MAX_BYTES:
+        raise OracleError(
+            f"state space of {n_states} states needs ~{need / 2**20:.0f} MB, over "
+            f"{MAX_BYTES / 2**20:.0f} MB; reduce C, T or the rate"
+        )
 
 
 def default_cap(lam: float, C: int, T: int) -> int:
@@ -37,37 +52,61 @@ def default_cap(lam: float, C: int, T: int) -> int:
 
 
 def _poisson_pmf_lumped(lam: float, cap: int) -> np.ndarray:
-    """pmf on {0..cap} with all tail mass lumped at cap."""
+    """pmf on {0..cap} with all tail mass P(X >= cap) lumped at cap."""
     p = np.zeros(cap + 1)
     term = math.exp(-lam)
     for q in range(cap):
         p[q] = term
         term *= lam / (q + 1)
-    p[cap] = max(0.0, 1.0 - p.sum())
+    p[cap] = poisson_tail(lam, cap - 1) if cap else 1.0
     return p
 
 
 @dataclass(frozen=True)
 class TruncatedChain:
-    """Truncated chain over backlog states with its per-state outage law."""
+    """Truncated chain over backlog states with its per-state outage law.
+    From state i, q arrivals (probability weights[q]) lead to the one state
+    transition[i, q]: an (n, cap+1) successor table, not an n x n matrix."""
 
-    states: list[tuple[int, ...]]
-    transition: np.ndarray
+    states: np.ndarray  # (n, buckets) backlog counts of each state
+    transition: np.ndarray  # (n, cap+1) successor index per arrival level
+    weights: np.ndarray  # (cap+1,) arrival pmf, tail lumped at cap
     outage_prob: np.ndarray
     truncation_mass: float
 
     def __post_init__(self):
-        rows = self.transition.sum(axis=1)
-        if not np.allclose(rows, 1.0, atol=1e-12):
-            raise OracleError("transition rows must sum to 1")
+        if abs(self.weights.sum() - 1.0) > 1e-12:
+            raise OracleError("arrival weights must sum to 1")
+        if self.transition.shape != (len(self.states), len(self.weights)):
+            raise OracleError("transition needs one successor per state and level")
+
+    def matrix(self) -> sparse.csr_array:
+        """The transition matrix P; arrival levels that reach one successor
+        are summed."""
+        n, levels = self.transition.shape
+        rows = np.repeat(np.arange(n), levels)
+        data = np.tile(self.weights, n)
+        return sparse.csr_array((data, (rows, self.transition.ravel())), shape=(n, n))
 
     def stationary(self, tol: float = 1e-12, max_iter: int = 10**6) -> np.ndarray:
+        """Power iteration pi <- pi P from the uniform vector.
+
+        Steps shrink by a rate rho, read off the last two, so after an L1
+        step d the fixed point is ~d rho / (1 - rho) away: stop once
+        d < tol (1 - rho), or once d < tol stops shrinking (rounding).  For
+        rho above ~0.99, rho is read off steps near the rounding floor and
+        the error can exceed tol.
+        """
+        step = self.matrix().T.tocsr()
         pi = np.full(len(self.states), 1.0 / len(self.states))
+        last = np.inf
         for _ in range(max_iter):
-            nxt = pi @ self.transition
-            if np.abs(nxt - pi).sum() < tol:
+            nxt = step @ pi
+            d = np.abs(nxt - pi).sum()
+            rho = d / last
+            if d < tol * (1.0 - rho) or (d < tol and rho >= 1.0):
                 return nxt
-            pi = nxt
+            pi, last = nxt, d
         raise OracleError("power iteration did not converge")
 
 
@@ -76,44 +115,28 @@ def build_edf_chain(C: int, lam: float, T: int, cap: int) -> TruncatedChain:
     of T slots.
 
     State = backlog counts at residual deadlines 0..T-1 at slot start (the
-    current slot's arrivals land at residual T).  Each bucket is capped at
-    `cap`; clipped probability mass is lumped at the cap and reported.
+    current slot's arrivals land at residual T).  Arrivals are truncated at
+    `cap`, their tail mass P(X >= cap) lumped there and reported; no bucket
+    can then exceed `cap`.
     """
     if T < 1:
         raise OracleError("build_edf_chain needs T >= 1; reactive is stateless")
+    shape = (cap + 1,) * T
     n_states = (cap + 1) ** T
-    if n_states > MAX_STATES:
-        raise OracleError(
-            f"state space {n_states} exceeds {MAX_STATES}; reduce C, T or the rate"
-        )
-    pmf = _poisson_pmf_lumped(lam, cap)
-    states = list(itertools.product(range(cap + 1), repeat=T))
-    index = {s: i for i, s in enumerate(states)}
-    P = np.zeros((n_states, n_states))
+    _check_size(n_states, cap + 1, T + 1)
+    weights = _poisson_pmf_lumped(lam, cap)
+    states = np.indices(shape).reshape(T, -1).T  # itertools.product order
+    transition = np.empty((n_states, cap + 1), dtype=np.intp)
     out = np.zeros(n_states)
-    clipped = 0.0
-    for s in states:
-        i = index[s]
-        for q, pq in enumerate(pmf):
-            if pq == 0.0:
-                continue
-            v = list(s) + [q]
-            left = C
-            for k in range(T + 1):
-                take = min(v[k], left)
-                v[k] -= take
-                left -= take
-            if v[0] > 0:
-                out[i] += pq
-            nxt = v[1:]
-            for k in range(T):
-                if nxt[k] > cap:
-                    nxt[k] = cap
-                    clipped += pq
-            P[i, index[tuple(nxt)]] += pq
-    return TruncatedChain(
-        states=states, transition=P, outage_prob=out, truncation_mass=clipped
-    )
+    v = np.empty((n_states, T + 1), dtype=np.intp)
+    for q in range(cap + 1):
+        v[:, :T] = states
+        v[:, T] = q
+        # EDF: each bucket gets what the earlier deadlines left of C
+        v -= np.clip(C - (np.cumsum(v, axis=1) - v), 0, v)
+        out += weights[q] * (v[:, 0] > 0)
+        transition[:, q] = np.ravel_multi_index(v[:, 1:].T, shape)
+    return TruncatedChain(states, transition, weights, out, float(weights[cap]))
 
 
 @dataclass(frozen=True)
@@ -131,9 +154,7 @@ def exact_outage_stationary(cfg: SimConfig, cap: int | None = None) -> Stationar
     state the chain builder does not model and raise OracleError.
     """
     lam = cfg.primary_rate
-    if lam is None:
-        return StationaryResult(0.0, 0.0, 1)
-    if lam == 0.0:
+    if not lam:  # no primary stream, or rate 0
         return StationaryResult(0.0, 0.0, 1)
     T = cfg.tmax
     if cap is None:
@@ -145,12 +166,8 @@ def exact_outage_stationary(cfg: SimConfig, cap: int | None = None) -> Stationar
     if cfg.law is not None and not cfg.law.is_deterministic:
         raise OracleError("exact chain supports deterministic look-ahead only")
     chain = build_edf_chain(cfg.C, lam, T, cap)
-    pi = chain.stationary()
-    return StationaryResult(
-        value=float(pi @ chain.outage_prob),
-        truncation_mass=chain.truncation_mass,
-        n_states=len(chain.states),
-    )
+    value = float(chain.stationary() @ chain.outage_prob)
+    return StationaryResult(value, chain.truncation_mass, len(chain.states))
 
 
 # --- exact event bounds ---
@@ -160,11 +177,10 @@ def _union_partial_sums(rates: list[float], thresholds: list[int]) -> float:
     """P(exists k: X_0 + ... + X_k > thresholds[k]) for independent Poisson
     X_j ~ rates[j], computed exactly by eliminating the surviving partial
     sums level by level."""
-    assert len(rates) == len(thresholds)
     # dist[s] = P(no threshold crossed so far, partial sum = s)
     dist = np.array([1.0])
     crossed = 0.0
-    for lam, thr in zip(rates, thresholds):
+    for lam, thr in zip(rates, thresholds, strict=True):
         pmf = _poisson_pmf_lumped(lam, thr + 1)  # any increment beyond thr crosses
         new = np.convolve(dist, pmf)
         if len(new) > thr + 1:
@@ -218,39 +234,22 @@ def build_dynamic_urgent_chain(C: int, lam: float, cap: int) -> TruncatedChain:
     From urgent count i with arrivals q, the policy grants the primary
     min(C, i + ceil(q/2)) units, urgent requests are served first, and the
     unserved remainder of q becomes the next urgent count:
-    q - min(C - i, ceil(q/2)) when i < C, else q.
+    q - min(C - i, ceil(q/2)) when i < C, else q.  Arrivals are truncated
+    at `cap` as in `build_edf_chain`.
     """
-    if (cap + 1) > MAX_STATES:
-        raise OracleError("state space too large")
-    pmf = _poisson_pmf_lumped(lam, cap)
-    n = cap + 1
-    P = np.zeros((n, n))
-    out = np.zeros(n)
-    clipped = 0.0
-    for i in range(n):
-        for q, pq in enumerate(pmf):
-            if pq == 0.0:
-                continue
-            if i >= C:
-                nxt = q
-            else:
-                nxt = q - min(C - i, math.ceil(q / 2))
-            if i > C:
-                out[i] += pq
-            if nxt > cap:
-                clipped += pq
-                nxt = cap
-            P[i, nxt] += pq
-    return TruncatedChain(
-        states=[(i,) for i in range(n)], transition=P, outage_prob=out,
-        truncation_mass=clipped,
-    )
+    _check_size(cap + 1, cap + 1, 1)
+    weights = _poisson_pmf_lumped(lam, cap)
+    i = np.arange(cap + 1)[:, None]
+    q = np.arange(cap + 1)[None, :]
+    transition = np.where(i >= C, q, q - np.minimum(C - i, (q + 1) // 2))
+    out = np.where(i[:, 0] > C, weights.sum(), 0.0)
+    return TruncatedChain(i, transition, weights, out, float(weights[cap]))
 
 
 def chain_drift(chain: TruncatedChain) -> np.ndarray:
     """E[next urgent count - current | current = i] for each state i."""
-    levels = np.array([s[0] for s in chain.states], dtype=float)
-    return chain.transition @ levels - levels
+    levels = chain.states[:, 0].astype(float)
+    return levels[chain.transition] @ chain.weights - levels
 
 
 # --- root verification ---

@@ -1,7 +1,11 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proactivenet import analytic, oracle
 from proactivenet.analytic import poisson_tail
@@ -18,6 +22,71 @@ from proactivenet.sim import SimConfig, estimate_outage
 from proactivenet.traffic import LookaheadLaw, Regime
 
 
+def reference_edf_chain(C, lam, T, cap):
+    """Scalar EDF chain builder, one state and arrival level at a time:
+    (states, dense P, outage probabilities)."""
+    pmf = oracle._poisson_pmf_lumped(lam, cap)
+    states = list(itertools.product(range(cap + 1), repeat=T))
+    index = {s: i for i, s in enumerate(states)}
+    P = np.zeros((len(states), len(states)))
+    out = np.zeros(len(states))
+    for s in states:
+        i = index[s]
+        for q, pq in enumerate(pmf):
+            if pq == 0.0:
+                continue
+            v = list(s) + [q]
+            left = C
+            for k in range(T + 1):
+                take = min(v[k], left)
+                v[k] -= take
+                left -= take
+            if v[0] > 0:
+                out[i] += pq
+            P[i, index[tuple(v[1:])]] += pq
+    return states, P, out
+
+
+def reference_dynamic_chain(C, lam, cap):
+    """Scalar dynamic (f = 0.5, window 1) urgent-count chain: (dense P,
+    outage probabilities)."""
+    pmf = oracle._poisson_pmf_lumped(lam, cap)
+    P = np.zeros((cap + 1, cap + 1))
+    out = np.zeros(cap + 1)
+    for i in range(cap + 1):
+        for q, pq in enumerate(pmf):
+            if pq == 0.0:
+                continue
+            nxt = q if i >= C else q - min(C - i, math.ceil(q / 2))
+            if i > C:
+                out[i] += pq
+            P[i, nxt] += pq
+    return P, out
+
+
+def dense_stationary(P):
+    """pi P = pi, sum(pi) = 1, by a dense solve with a normalisation row."""
+    n = len(P)
+    A = P.T - np.eye(n)
+    A[-1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    return np.linalg.solve(A, b)
+
+
+# EDF chains of at most 400 states: (C, lam, T, cap), lam up to above C
+MAX_CAP = {1: 19, 2: 19, 3: 6}
+edf_chains = st.tuples(st.integers(1, 4), st.integers(1, 3)).flatmap(
+    lambda ct: st.tuples(
+        st.just(ct[0]),
+        st.floats(0.01, ct[0] + 2.0),
+        st.just(ct[1]),
+        st.integers(1, MAX_CAP[ct[1]]),
+    )
+)
+dynamic_chains = st.tuples(st.integers(1, 4), st.floats(0.01, 6.0), st.integers(1, 40))
+
+
 def edf_cfg(C=2, rate=1.0, T=1, **kw):
     kw.setdefault("slots", 1000)
     kw.setdefault("seed", 0)
@@ -30,14 +99,14 @@ def edf_cfg(C=2, rate=1.0, T=1, **kw):
 class TestEdfChain:
     def test_rows_and_outage_range(self):
         ch = build_edf_chain(C=2, lam=1.0, T=1, cap=12)
-        assert np.allclose(ch.transition.sum(axis=1), 1.0)
+        assert np.allclose(ch.matrix().sum(axis=1), 1.0)
         assert np.all((ch.outage_prob >= 0) & (ch.outage_prob <= 1))
         assert ch.truncation_mass < 1e-9
 
     def test_stationary_is_fixed_point(self):
         ch = build_edf_chain(C=2, lam=1.0, T=1, cap=12)
         pi = ch.stationary()
-        assert np.abs(pi @ ch.transition - pi).max() < 1e-10
+        assert np.abs(pi @ ch.matrix() - pi).max() < 1e-10
         assert pi.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_needs_positive_window(self):
@@ -47,6 +116,54 @@ class TestEdfChain:
     def test_state_space_guard(self):
         with pytest.raises(OracleError, match="state space"):
             build_edf_chain(C=2, lam=1.0, T=6, cap=30)
+
+    def test_guard_bounds_bytes_before_allocating(self):
+        # 10^6 states, but an 8 GB successor table: refused up front
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleError, match="state space"):
+                build_edf_chain(C=1, lam=1.0, T=2, cap=999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("C, lam, T, cap", [(4, 2.0, 2, 31), (1, 0.5, 4, 9), (2, 1.0, 6, 4)])
+    def test_guard_estimate_covers_build_and_solve(self, C, lam, T, cap):
+        n = (cap + 1) ** T
+        tracemalloc.start()
+        try:
+            build_edf_chain(C, lam, T, cap).stationary()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= oracle._PEAK_BYTES * n * (cap + 1 + T + 1)
+
+    def test_truncation_mass_is_the_lumped_tail(self):
+        ch = build_edf_chain(C=2, lam=1.0, T=1, cap=12)
+        assert ch.truncation_mass == pytest.approx(8.3e-10, rel=0.01)
+        assert ch.truncation_mass == pytest.approx(poisson_tail(1.0, 11), rel=1e-12)
+
+    def test_successor_table_is_small(self):
+        ch = build_edf_chain(C=1, lam=0.6, T=3, cap=14)
+        assert ch.states.shape == (3375, 3)
+        assert ch.transition.shape == (3375, 15)
+        assert ch.transition.nbytes <= 3375 * 15 * 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(edf_chains)
+    def test_matches_scalar_reference(self, chain):
+        states, P, out = reference_edf_chain(*chain)
+        ch = build_edf_chain(*chain)
+        assert np.array_equal(ch.states, np.array(states))
+        assert np.abs(ch.matrix().toarray() - P).max() <= 1e-15
+        assert np.abs(ch.outage_prob - out).max() <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(edf_chains)
+    def test_stationary_matches_dense_solve(self, chain):
+        ch = build_edf_chain(*chain)
+        assert np.abs(ch.stationary() - dense_stationary(ch.matrix().toarray())).max() <= 1e-12
 
 
 class TestStationaryOutage:
@@ -135,6 +252,27 @@ class TestEventBounds:
 
         assert lower(0.9) < lower(0.1)
 
+    def test_lumped_tail_keeps_its_relative_accuracy(self):
+        p = oracle._poisson_pmf_lumped(0.3, 30)
+        assert p[30] == pytest.approx(poisson_tail(0.3, 29), rel=1e-12)
+        assert 0.0 < p[30] < 1e-40
+        assert oracle._poisson_pmf_lumped(2.0, 0).tolist() == [1.0]
+
+    def test_binomial_window_bounds_in_order(self):
+        # P_L <= P_U with no slack, far into the tail
+        inverted = []
+        for C in (2, 4, 8, 16, 24, 32):
+            for gamma in np.round(np.arange(0.30, 0.905, 0.01), 2):
+                for p in np.round(np.arange(0.1, 0.95, 0.1), 1):
+                    cfg = SimConfig(
+                        C=C, policy="edf", regime=Regime("linear", gamma),
+                        law=LookaheadLaw.binomial(5, p), slots=100, warmup=10, seed=0,
+                    )
+                    lo, up = exact_event_bounds(cfg)
+                    if lo > up:
+                        inverted.append((C, gamma, p, lo, up))
+        assert inverted == []
+
     def test_union_partial_sums_single_level(self):
         p = oracle._union_partial_sums([2.0], [4])
         assert p == pytest.approx(poisson_tail(2.0, 4), rel=1e-10)
@@ -146,9 +284,17 @@ class TestEventBounds:
 
 
 class TestDynamicChain:
+    @settings(max_examples=60, deadline=None)
+    @given(dynamic_chains)
+    def test_matches_scalar_reference(self, chain):
+        P, out = reference_dynamic_chain(*chain)
+        ch = build_dynamic_urgent_chain(*chain)
+        assert np.abs(ch.matrix().toarray() - P).max() <= 1e-15
+        assert np.abs(ch.outage_prob - out).max() <= 1e-15
+
     def test_rows_and_outage(self):
         ch = build_dynamic_urgent_chain(C=3, lam=1.5, cap=40)
-        assert np.allclose(ch.transition.sum(axis=1), 1.0)
+        assert np.allclose(ch.matrix().sum(axis=1), 1.0)
         # outage only from states strictly above capacity
         assert ch.outage_prob[: 3 + 1].sum() == 0.0
         assert np.all(ch.outage_prob[3 + 2 :] > 0) or ch.outage_prob.size <= 5
