@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.special import pdtr
 
 from proactivenet import analytic
 from proactivenet.analytic import Constant, poisson_tail
@@ -54,11 +55,12 @@ def default_cap(lam: float, C: int, T: int) -> int:
 def _poisson_pmf_lumped(lam: float, cap: int) -> np.ndarray:
     """pmf on {0..cap} with all tail mass P(X >= cap) lumped at cap."""
     p = np.zeros(cap + 1)
-    term = math.exp(-lam)
-    for q in range(cap):
-        p[q] = term
-        term *= lam / (q + 1)
+    log_lam = math.log(lam) if lam else -math.inf
+    for q in range(cap):  # in log space: exp(-lam) alone underflows above lam ~ 745
+        p[q] = math.exp((q * log_lam if q else 0.0) - lam - math.lgamma(q + 1))
     p[cap] = poisson_tail(lam, cap - 1) if cap else 1.0
+    # rescale to P(X < cap) (1 - tail unless it cancels): log rounding ~1e-11 at lam = 5000
+    p[:cap] *= (1.0 - p[cap] if p[cap] <= 0.5 else pdtr(cap - 1, lam)) / (p[:cap].sum() or 1.0)
     return p
 
 

@@ -3,7 +3,8 @@
 Every policy keeps the same state: the vector c of pending requests per
 residual deadline, c[i] = requests with i slots left (i = 0 is due this
 slot).  Each slot, arrivals land, service is applied, requests still at
-residual 0 expire, and residual deadlines shift down one slot.
+residual 0 expire, and residual deadlines drop by one.  The loop runs only
+through busy periods; slots that an empty system clears settle at once.
 
 Policies differ only in
   - the arrival source: a count matrix of new requests per look-ahead, or
@@ -35,12 +36,14 @@ class PathOverflowError(RuntimeError):
 def _edf(c: list[int], cap: int) -> int:
     """Serve up to `cap` requests of `c` in deadline order; return the count."""
     left = cap
-    for k, ck in enumerate(c):
+    k = 0  # counted by hand: enumerate() costs ~10% of a busy path
+    for ck in c:
         if ck >= left:
             c[k] = ck - left
             return cap
         c[k] = 0
         left -= ck
+        k += 1
     return cap - left
 
 
@@ -72,8 +75,7 @@ def serve_path(
     BACKLOG_OVERFLOW.
 
     Returns a (slots, 1) int64 array, or (slots, 2) with a secondary; a slot
-    is an outage for a class iff its entry is positive.  Windows of length
-    0 are served in one vectorized step: a slot's arrivals are all urgent.
+    is an outage for a class iff its entry is positive.
     """
     arrivals = np.asarray(arrivals)
     if secondary is not None:
@@ -83,16 +85,23 @@ def serve_path(
         raise ValueError(f"need a window T >= 0 and capacity C >= 0, got {T}, {C}")
     slots = arrivals.shape[0]
     limit = BACKLOG_OVERFLOW
+    dynamic = f < 1.0
     expired = np.zeros((slots, 1 if secondary is None else 2), dtype=np.int64)
-    if T == 0:
-        a = arrivals.sum(axis=1, dtype=np.int64)
-        over = np.flatnonzero(a > limit)
-        if over.size:
-            raise PathOverflowError(f"backlog overflow at slot {over[0] + 1}")
-        served = np.minimum(a, C)
-        expired[:, 0] = a - served
-        if secondary is not None:
-            expired[:, 1] = np.maximum(secondary - (C - served), 0)
+    # settled: slots an empty system clears (at T = 0, all the guard passes); met
+    # in a busy period such a slot loses no less, and the loop writes its losses
+    fresh = np.einsum("ij->i", arrivals, dtype=np.int64)  # ~5x faster than .sum(axis=1) here
+    settled = fresh <= (min(C, limit) if T else limit)
+    if dynamic and T:  # urgent + ceil(f * non-urgent) must cover the non-urgent
+        later = fresh if multicast_T is not None else fresh - arrivals[:, 0]
+        settled &= np.ceil(f * later) >= later
+    if secondary is not None:
+        settled |= refill & (fresh + secondary <= min(C, limit))
+        np.maximum(np.minimum(fresh, C) - C + secondary, 0, out=expired[:, 1], where=settled)
+    np.maximum(np.subtract(fresh, C, out=fresh), 0, out=expired[:, 0], where=settled)
+    settled = settled.tobytes()  # bytes.find jumps to the next unsettled slot
+    fresh = later = None  # free the int64 temporaries before the loop's lists
+    n = settled.find(0)
+    if n < 0:  # no busy period
         return expired
 
     if multicast_T is None:
@@ -103,40 +112,43 @@ def serve_path(
         idle_present = np.zeros((slots, L + 1), dtype=np.int32)
         np.cumsum(arrivals, axis=1, out=idle_present[:, 1:])
     sec = None if secondary is None else secondary.tolist()
-    dynamic = f < 1.0
     c = [0] * (T + 1)
     total = 0
-    for n in range(slots):
-        if multicast_T is None:
-            for k, col in columns:
-                a = col[n]
-                c[k] += a
+    while n >= 0:
+        for n in range(n, slots):
+            if multicast_T is None:
+                for k, col in columns:
+                    a = col[n]
+                    c[k] += a
+                    total += a
+            else:
+                a = idle_present.item(n, L - total)
+                c[T] += a
                 total += a
-        else:
-            a = idle_present.item(n, L - total)
-            c[T] += a
-            total += a
-        if total > limit:
-            raise PathOverflowError(f"backlog overflow at slot {n + 1}")
-        cap = C
-        if dynamic:
-            cap = min(C, c[0] + math.ceil(f * (total - c[0])))
-        if total <= cap:
-            served = total
-            c = [0] * (T + 1)
-        else:
-            served = _edf(c, cap)
-        total -= served
-        if sec is not None:
-            q, spare = sec[n], C - served
-            if q > spare:
-                expired[n, 1] = q - spare
-            elif refill and total and q < spare:
-                total -= _edf(c, spare - q)
-        lost = c[0]
-        if lost:
-            expired[n, 0] = lost
-            total -= lost
-        del c[0]
-        c.append(0)
+            if total > limit:
+                raise PathOverflowError(f"backlog overflow at slot {n + 1}")
+            cap = C
+            if dynamic and (want := c[0] + math.ceil(f * (total - c[0]))) < C:
+                cap = want  # not min(C, want): that call costs ~15% of a dynamic path
+            if total <= cap:
+                served = total
+                c = [0] * (T + 1)
+            else:
+                served = _edf(c, cap)
+            total -= served
+            if sec is not None:
+                q, spare = sec[n], C - served
+                if q > spare:
+                    expired[n, 1] = q - spare
+                elif refill and total and q < spare:
+                    total -= _edf(c, spare - q)
+            lost = c[0]
+            if lost:
+                expired[n, 0] = lost
+                total -= lost
+            del c[0]
+            c.append(0)
+            if not total:  # the busy period ends with this slot
+                break
+        n = settled.find(0, n + 1)
     return expired

@@ -1,8 +1,8 @@
 """Monte Carlo engine: sample paths and outage estimation.
 
 A path draws the arrivals of all its slots up front and hands them to the
-one service kernel, `sched.serve_path`, which runs the slots in order
-(arrivals land, service applies, expirations are counted, deadlines shift).
+one service kernel, `sched.serve_path`, which settles the slots that an
+empty system clears in one vectorized step and loops only through busy periods.
 A slot is an outage for a class iff at least one request of that class
 expires in it; the per-path outage ratio divides by all post-warmup slots.
 Estimates average path ratios and report the standard error across paths.
@@ -31,6 +31,7 @@ from proactivenet.traffic import (
     PredictionErrorSpec,
     Regime,
     ScriptedTraffic,
+    TrafficSpecError,
     mean_rate,
     multicast_presence,
     prediction_error_counts,
@@ -130,7 +131,7 @@ class SimConfig:
         return default_warmup(self.tmax)
 
     def check_stability(self) -> None:
-        """Warn (never raise) when the configured rates exceed capacity."""
+        """Warn when the rates exceed capacity; reject inconsistent pred_error rates."""
         if self.C == 0:
             return
         load = self.primary_rate or 0.0
@@ -139,8 +140,8 @@ class SimConfig:
         if self.pred_error is not None:
             try:
                 load += sum(self.pred_error.rates(self.C))
-            except ValueError:
-                pass
+            except TrafficSpecError as exc:
+                raise SimConfigError(str(exc)) from exc
         if self.multicast is not None:
             L = self.multicast.num_sources(self.C)
             load += L * self.multicast.source_prob()

@@ -197,6 +197,19 @@ class TestExitCodes:
         assert rc == 2 and not out.exists()
         assert "f must lie in [0,1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha_pred", ["0.2", "1.5"])
+    def test_inconsistent_prediction_rates_are_2(self, alpha_pred, tmp_path, capsys):
+        # 0.2 + 0.3 < 1 is caught by validate; 1.5 + 0.3 >= 1/gamma only
+        # warns there and is refused by SimConfig
+        out = tmp_path / "pe.csv"
+        rc = main([
+            "simulate", "--C", "8", "--policy", "edf", "--alpha-pred", alpha_pred,
+            "--alpha-miss", "0.3", "--gamma", "0.6", "--T", "2", "--paths", "2",
+            "--slots", "300", "--out", str(out),
+        ])
+        assert rc == 2 and not out.exists()
+        assert "alpha_pred+alpha_miss" in capsys.readouterr().err
+
     def test_unknown_policy_is_2(self, capsys):
         rc = main(["simulate", "--C", "4", "--gamma", "0.5", "--policy", "lifo"])
         assert rc == 2

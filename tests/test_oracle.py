@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -257,6 +258,32 @@ class TestEventBounds:
         assert p[30] == pytest.approx(poisson_tail(0.3, 29), rel=1e-12)
         assert 0.0 < p[30] < 1e-40
         assert oracle._poisson_pmf_lumped(2.0, 0).tolist() == [1.0]
+
+    @pytest.mark.parametrize(
+        "lam, cap", [(800.0, 900), (800.0, 1200), (5000.0, 5600), (5000.0, 5000), (5000.0, 4500)]
+    )
+    def test_pmf_beyond_the_exp_underflow(self, lam, cap):
+        # exp(-lam) underflows to 0 above lam ~ 745; the body must not.  Both
+        # pmfs round k log(lam) - lgamma(k + 1) to ~1e-11 at lam = 5000.
+        p = oracle._poisson_pmf_lumped(lam, cap)
+        ref = scipy.stats.poisson.pmf(np.arange(cap), lam)
+        assert np.allclose(p[:cap], ref, rtol=1e-10, atol=0.0)
+        assert abs(p.sum() - 1.0) <= 1e-12
+
+    def test_union_of_partial_sums_beyond_the_exp_underflow(self):
+        # the first level almost never crosses, so the union is the tail of
+        # the two-level sum, Poisson(1600) > 1700
+        got = oracle._union_partial_sums([800.0, 800.0], [1000, 1700])
+        assert got == pytest.approx(scipy.stats.poisson.sf(1700, 1600), rel=1e-8)
+
+    def test_binomial_window_bounds_at_a_window_rate_above_745(self):
+        # per-window rates 800 * cdf(j) reach 775
+        cfg = SimConfig(
+            C=800, policy="edf", rate=800.0, law=LookaheadLaw.binomial(5, 0.5),
+            slots=100, warmup=10, seed=0,
+        )
+        lo, up = exact_event_bounds(cfg)
+        assert 0.0 <= lo <= up <= 1.0
 
     def test_binomial_window_bounds_in_order(self):
         # P_L <= P_U with no slack, far into the tail

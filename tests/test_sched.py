@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from proactivenet.sched import serve_path
+from proactivenet import sched
+from proactivenet.sched import BACKLOG_OVERFLOW, PathOverflowError, serve_path
 
 # a backlog c[0..T]: pending requests per residual deadline
 backlogs = st.lists(st.integers(0, 20), min_size=1, max_size=6)
@@ -76,8 +77,8 @@ class TestEdfServe:
 @given(st.lists(st.integers(0, 12), min_size=1, max_size=12), st.integers(0, 8),
        st.sampled_from([0.0, 0.5, 1.0]), st.booleans(), st.data())
 def test_window_zero_matches_the_slot_loop(a, C, f, refill, data):
-    # a window of length 0 is served in one vectorized step; the same
-    # arrivals, all urgent, in a window of length 1 run through the loop
+    # a window of length 0 has no busy period; the same arrivals, all
+    # urgent, in a window of length 1 run through the slot loop
     q = data.draw(st.lists(st.integers(0, 6), min_size=len(a), max_size=len(a)))
     flat = serve_path([[x] for x in a], C, f=f, secondary=q, refill=refill)
     loop = serve_path([[x, 0] for x in a], C, f=f, secondary=q, refill=refill)
@@ -239,3 +240,161 @@ def test_edf_equals_fcfs_under_deterministic_window():
         queue = [a for a in queue if a + T > n]
 
     assert edf_expired == fifo_expired
+
+
+def edf_by_bucket(c, cap):
+    """Reference EDF step: serve up to `cap` of `c` by deadline; return the count."""
+    left = cap
+    for k, ck in enumerate(c):
+        if ck >= left:
+            c[k] = ck - left
+            return cap
+        c[k] = 0
+        left -= ck
+    return cap - left
+
+
+def serve_path_by_slot(arrivals, C, *, multicast_T=None, f=1.0, secondary=None,
+                       refill=False):
+    """Reference: the kernel run slot by slot over every slot of the path."""
+    arrivals = np.asarray(arrivals)
+    T = arrivals.shape[1] - 1 if multicast_T is None else multicast_T
+    slots = arrivals.shape[0]
+    limit = sched.BACKLOG_OVERFLOW
+    expired = np.zeros((slots, 1 if secondary is None else 2), dtype=np.int64)
+    if multicast_T is not None:
+        L = arrivals.shape[1]
+        idle_present = np.zeros((slots, L + 1), dtype=np.int64)
+        np.cumsum(arrivals, axis=1, out=idle_present[:, 1:])
+    c = [0] * (T + 1)
+    total = 0
+    for n in range(slots):
+        if multicast_T is None:
+            for k in range(T + 1):
+                a = int(arrivals[n, k])
+                c[k] += a
+                total += a
+        else:
+            a = int(idle_present[n, L - total])
+            c[T] += a
+            total += a
+        if total > limit:
+            raise PathOverflowError(f"backlog overflow at slot {n + 1}")
+        cap = C
+        if f < 1.0:
+            cap = min(C, c[0] + math.ceil(f * (total - c[0])))
+        if total <= cap:
+            served = total
+            c = [0] * (T + 1)
+        else:
+            served = edf_by_bucket(c, cap)
+        total -= served
+        if secondary is not None:
+            q, spare = int(secondary[n]), C - served
+            if q > spare:
+                expired[n, 1] = q - spare
+            elif refill and total and q < spare:
+                total -= edf_by_bucket(c, spare - q)
+        lost = c[0]
+        if lost:
+            expired[n, 0] = lost
+            total -= lost
+        del c[0]
+        c.append(0)
+    return expired
+
+
+def assert_matches_slot_loop(arrivals, C, **kw):
+    got = serve_path(arrivals, C, **kw)
+    ref = serve_path_by_slot(arrivals, C, **kw)
+    assert got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+
+
+kernel_options = st.fixed_dictionaries({
+    "f": st.sampled_from([0.0, 0.5, 1.0]),
+    "refill": st.booleans(),
+    "with_secondary": st.booleans(),
+})
+
+
+def _options(data, slots, opts):
+    kw = {"f": opts["f"], "refill": opts["refill"]}
+    if opts["with_secondary"]:
+        kw["secondary"] = np.asarray(data.draw(
+            st.lists(st.integers(0, 6), min_size=slots, max_size=slots)))
+    return kw
+
+
+class TestSettledSlots:
+    """The busy-period kernel against the reference slot loop."""
+
+    @given(st.integers(0, 4), st.integers(1, 40), st.integers(0, 8), kernel_options,
+           st.data())
+    def test_unicast_paths(self, T, slots, C, opts, data):
+        # arrivals scaled to C, so that paths mix settled and busy slots
+        arr = np.asarray(data.draw(st.lists(
+            st.lists(st.integers(0, max(C, 1)), min_size=T + 1, max_size=T + 1),
+            min_size=slots, max_size=slots)))
+        assert_matches_slot_loop(arr, C, **_options(data, slots, opts))
+
+    @given(st.integers(0, 3), st.integers(1, 40), st.integers(1, 8), st.integers(0, 6),
+           kernel_options, st.data())
+    def test_multicast_presence(self, T, slots, L, C, opts, data):
+        pres = np.asarray(data.draw(st.lists(
+            st.lists(st.booleans(), min_size=L, max_size=L),
+            min_size=slots, max_size=slots)), dtype=bool)
+        assert_matches_slot_loop(pres, C, multicast_T=T, **_options(data, slots, opts))
+
+    def test_all_slots_settled(self):
+        arr = [[1, 2], [0, 3], [2, 0], [0, 0]]
+        assert_matches_slot_loop(arr, 3)
+        assert_matches_slot_loop(arr, 3, secondary=np.array([4, 0, 2, 5]))
+        assert not serve_path(arr, 3).any()
+
+    def test_no_slot_settled(self):
+        arr = [[3, 3]] * 6
+        assert_matches_slot_loop(arr, 2)
+        assert_matches_slot_loop(arr, 2, f=0.5, secondary=np.full(6, 2), refill=True)
+        assert serve_path(arr, 2)[:, 0].tolist() == [1, 4, 4, 4, 4, 4]
+
+    def test_busy_period_open_at_the_last_slot(self):
+        # the last slot leaves two requests pending: the path ends busy
+        arr = [[0, 1], [0, 0], [0, 5]]
+        assert_matches_slot_loop(arr, 3)
+        assert_matches_slot_loop(arr, 3, secondary=np.array([0, 3, 1]))
+        assert serve_path(arr, 3)[:, 0].tolist() == [0, 0, 0]
+
+    def test_busy_periods_that_touch(self):
+        # slot 0 ends its busy period with an expiry, and slot 1 opens the
+        # next one from the empty state it leaves
+        arr = [[3, 0], [0, 4], [0, 0], [0, 1]]
+        assert_matches_slot_loop(arr, 2)
+        assert_matches_slot_loop(arr, 2, secondary=np.array([1, 0, 1, 0]))
+        assert serve_path(arr, 2)[:, 0].tolist() == [1, 0, 0, 0]
+
+    def test_settled_slot_inside_a_busy_period(self):
+        # slot 1 fits C from empty but meets slot 0's backlog: the secondary
+        # loses what the empty-state outcome would not
+        arr = [[0, 3], [0, 1], [0, 0]]
+        q = np.array([0, 1, 0])
+        assert serve_path(arr, 2, secondary=q).tolist() == [[0, 0], [0, 1], [0, 0]]
+        assert_matches_slot_loop(arr, 2, secondary=q)
+
+
+class TestOverflowSlot:
+    @pytest.mark.parametrize("T", [0, 2])
+    def test_fresh_demand_beyond_the_guard_is_never_settled(self, T):
+        # C covers the demand, yet the slot must reach the guard
+        arr = np.zeros((3, T + 1), dtype=np.int64)
+        arr[1, T] = BACKLOG_OVERFLOW + 1
+        for fn in (serve_path, serve_path_by_slot):
+            with pytest.raises(PathOverflowError, match="at slot 2$"):
+                fn(arr, 2 * BACKLOG_OVERFLOW)
+
+    def test_backlog_built_in_a_busy_period(self):
+        half = BACKLOG_OVERFLOW // 2 + 1
+        arr = [[0, 0, 0], [0, 0, half], [0, 0, half], [0, 0, 0]]
+        for fn in (serve_path, serve_path_by_slot):
+            with pytest.raises(PathOverflowError, match="at slot 3$"):
+                fn(arr, 0)

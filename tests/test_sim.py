@@ -14,6 +14,7 @@ from proactivenet.sim import (
 from proactivenet.traffic import (
     LookaheadLaw,
     MulticastSpec,
+    PredictionErrorSpec,
     Regime,
     ScriptedTraffic,
     mean_rate,
@@ -145,6 +146,14 @@ class TestPairing:
                 C=6, policy="dynamic", slots=500, seed=0, warmup=10, f=f,
                 regime=Regime("linear", 0.6), secondary=Regime("linear", 0.1),
             )
+
+    @pytest.mark.parametrize("alphas", [(0.2, 0.3), (1.5, 0.3)])
+    def test_inconsistent_prediction_rates(self, alphas):
+        # alpha_pred + alpha_miss must lie in [1, 1/gamma); refused when the
+        # config is built, not first when a run draws arrivals
+        spec = PredictionErrorSpec(*alphas, 2, Regime("linear", 0.6))
+        with pytest.raises(sim.SimConfigError, match="alpha_pred"):
+            SimConfig(C=8, policy="edf", slots=500, seed=0, pred_error=spec)
 
 
 class TestSweep:
