@@ -62,34 +62,17 @@ class Constant:
 
 
 def poisson_tail(lam: float, k: int) -> float:
-    """P(Poisson(lam) > k), exact upward partial sums, relative error 1e-12.
+    """P(Poisson(lam) > k) by the regularized incomplete gamma function.
 
-    For k >= lam, starts from the (k+1)-term computed in log space, so the
-    result is accurate far into the tail where 1-cdf would round to 0 only
-    at genuinely negligible mass.  Below the mean that first term can
-    underflow while the tail is near 1, so k < lam uses the regularized
-    incomplete gamma function instead.
+    Relative error <= 1e-11 against 50-digit arithmetic for lam in
+    [1e-3, 2e4] and every k up to lam + 40 sqrt(lam) + 50 (worst seen
+    9.2e-12, at a tail of 2.5e-219); <= 3e-13 down to 1e-278 for lam <= 100.
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if lam == 0.0:
-        return 0.0
-    if k < lam:
-        return float(pdtrc(k, lam))
-    log_term = (k + 1) * math.log(lam) - lam - math.lgamma(k + 2)
-    term = math.exp(log_term)
-    total = 0.0
-    j = k + 1
-    while term > 0.0:
-        total += term
-        j += 1
-        term *= lam / j
-        if term < total * 1e-16:
-            total += term / (1.0 - lam / (j + 1)) if lam < j + 1 else term
-            break
-    return min(total, 1.0)
+    return float(pdtrc(k, lam))
 
 
 # --- numeric Chernoff exponent over composite log-MGFs ---
@@ -308,8 +291,10 @@ def prediction_error_gain(spec: PredictionErrorSpec) -> tuple[BoundValue, float]
     The gain is the min of a window term (predicted stream over T+1 slots)
     and an urgent term (missed stream alone).  T_crit is the real-valued
     window at which both terms are equal; it maximizes the min.  Linear
-    regime gives a lower bound, polynomial an exact value.
+    regime gives a lower bound, polynomial an exact value.  Inconsistent
+    rate factors raise TrafficSpecError (`PredictionErrorSpec.validate`).
     """
+    spec.validate()
     window, urgent = prediction_error_terms(spec, spec.T)
     slope = window / (spec.T + 1)
     kind = LOWER if spec.regime.kind == LINEAR else EXACT

@@ -12,6 +12,12 @@ Every run writes a CSV with the fixed header
 `experiment,C,class,metric,value,stderr,seed` plus a JSON manifest holding
 the complete parameter set; re-running from the manifest reproduces the
 CSV byte for byte.  Exit codes: 0 ok, 1 runtime failure, 2 config error.
+
+`validate` checks only the command, the required parameters and the
+figure id.  Every other configuration rule belongs to the model object
+that uses the parameter (`Regime`, `SimConfig`, `PredictionErrorSpec`, the
+`analytic` functions): its ValueError exits 2, and each warning it raises
+prints as one `warning: <message>` line on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -31,11 +36,11 @@ from proactivenet import analytic, oracle
 from proactivenet.sim import (
     DYNAMIC,
     EDF,
+    MULTICAST,
     POLICIES,
     REACTIVE,
     SELFISH,
     SimConfig,
-    estimate_outage,
     sweep_capacity,
 )
 from proactivenet.traffic import (
@@ -43,7 +48,6 @@ from proactivenet.traffic import (
     MulticastSpec,
     PredictionErrorSpec,
     Regime,
-    mean_rate,
 )
 
 CSV_HEADER = ["experiment", "C", "class", "metric", "value", "stderr", "seed"]
@@ -231,66 +235,23 @@ def _missing(params: dict, command: str) -> list[str]:
     return [k for k in dict.fromkeys(need) if params.get(k) is None]
 
 
-def validate(params: dict, command: str | None = None) -> list[tuple[str, str]]:
-    """Structural and stability checks; returns (severity, message) pairs.
-
-    Severity "error" aborts with exit code 2; "warning" is printed and the
-    run proceeds (unstable runs are well-defined, just hopeless).  Given the
-    command, also reports every required parameter that is missing.
-    """
-    out: list[tuple[str, str]] = []
-    if command is not None:
-        if command not in REQUIRED:
-            return [("error", f"command: unknown value {command!r}")]
-        for k in _missing(params, command):
-            out.append(("error", f"{k}: required parameter missing"))
-        fig = params.get("figure_id")
-        if fig is not None and fig not in FIGURES:
-            out.append(("error", f"figure_id: unknown value {fig!r}"))
-    g = params.get("gamma")
-    if g is not None and not 0.0 < g < 1.0:
-        out.append(("error", f"gamma: must lie in (0,1), got {g}"))
-    gp, gs = params.get("gp"), params.get("gs")
-    if gp is not None and gs is not None:
-        if not gs < gp:
-            out.append(
-                ("error", f"gs: secondary rate factor {gs} must be below primary {gp}")
-            )
-        elif params.get("regime") == "linear" and gp + gs >= 1.0:
-            out.append(
-                ("warning", f"gp+gs={gp + gs} >= 1: two-class system is unstable")
-            )
-    gm, theta, gu = params.get("gamma_m"), params.get("theta"), params.get("gamma_u")
-    if gm is not None and theta is not None and gu is not None and 0 < theta < 1:
-        A = -math.expm1(-gm / theta)
-        if A * theta + gu >= 1.0:
-            out.append(
-                (
-                    "warning",
-                    f"source demand mass {A * theta:.4g} plus unicast load {gu} "
-                    "reaches capacity: mixed system is unstable",
-                )
-            )
-    ap, am = params.get("alpha_pred"), params.get("alpha_miss")
-    if ap is not None and am is not None and g is not None:
-        if params.get("regime", "linear") == "linear":
-            if am >= 1.0:
-                out.append(("error", f"alpha_miss: must be < 1, got {am}"))
-            if not 1.0 <= ap + am:
-                out.append(("error", f"alpha_pred+alpha_miss={ap + am} must be >= 1"))
-            elif ap + am >= 1.0 / g:
-                out.append(
-                    ("warning", f"alpha_pred+alpha_miss={ap + am} >= 1/gamma: unstable")
-                )
-    return out
+def validate(params: dict, command: str) -> list[str]:
+    """Errors no model object can see: an unknown command, each missing
+    required parameter (named) and an unknown figure id."""
+    if command not in REQUIRED:
+        return [f"command: unknown value {command!r}"]
+    errors = [f"{k}: required parameter missing" for k in _missing(params, command)]
+    fig = params.get("figure_id")
+    if fig is not None and fig not in FIGURES:
+        errors.append(f"figure_id: unknown value {fig!r}")
+    return errors
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
+def _rows_to_csv(rows: list[tuple]) -> str:
     buf = io.StringIO()
-    w = csv.DictWriter(buf, fieldnames=CSV_HEADER, lineterminator="\n")
-    w.writeheader()
-    for r in rows:
-        w.writerow(r)
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(CSV_HEADER)
+    w.writerows(rows)
     return buf.getvalue()
 
 
@@ -307,7 +268,7 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(cfg: ExperimentConfig, rows: list[dict]) -> None:
+def _emit(cfg: ExperimentConfig, rows: list[tuple]) -> None:
     text = _rows_to_csv(rows)
     if cfg.out is None:
         sys.stdout.write(text)
@@ -367,52 +328,27 @@ def _sim_config(p: dict) -> SimConfig:
     )
 
 
-def _estimate_rows(experiment: str, p: dict) -> list[dict]:
-    cfg = _sim_config(p)
-    est = estimate_outage(cfg, p["paths"])
-    rows = []
-    for cls in sorted(est):
-        e = est[cls]
-        rows.append(
-            {
-                "experiment": experiment,
-                "C": p["C"],
-                "class": cls,
-                "metric": "outage",
-                "value": _fmt(e.p_hat),
-                "stderr": _fmt(e.stderr),
-                "seed": p["seed"],
-            }
-        )
-    return rows
+def _outage_rows(experiment: str, p: dict, C_grid: list[int], paths: int) -> list[tuple]:
+    """CSV rows of the outage estimate of every capacity and class."""
+    base = _sim_config({**p, "C": C_grid[0]})
+    return [
+        (experiment, C, cls, "outage", _fmt(e.p_hat), _fmt(e.stderr), p["seed"])
+        for C, est in sweep_capacity(base, C_grid, paths)
+        for cls, e in sorted(est.items())
+    ]
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> list[dict]:
-    return _estimate_rows("simulate", cfg.params)
-
-
-def cmd_sweep(cfg: ExperimentConfig) -> list[dict]:
+def cmd_simulate(cfg: ExperimentConfig) -> list[tuple]:
     p = cfg.params
-    base = _sim_config({**p, "C": p["C_grid"][0]})
-    rows = []
-    for C, est in sweep_capacity(base, p["C_grid"], p["paths"]):
-        for cls in sorted(est):
-            e = est[cls]
-            rows.append(
-                {
-                    "experiment": "sweep",
-                    "C": C,
-                    "class": cls,
-                    "metric": "outage",
-                    "value": _fmt(e.p_hat),
-                    "stderr": _fmt(e.stderr),
-                    "seed": p["seed"],
-                }
-            )
-    return rows
+    return _outage_rows("simulate", p, [p["C"]], p["paths"])
 
 
-def cmd_analytic(cfg: ExperimentConfig) -> list[dict]:
+def cmd_sweep(cfg: ExperimentConfig) -> list[tuple]:
+    p = cfg.params
+    return _outage_rows("sweep", p, p["C_grid"], p["paths"])
+
+
+def cmd_analytic(cfg: ExperimentConfig) -> list[tuple]:
     p = cfg.params
     q = p["quantity"]
     regime = Regime(p.get("regime", "linear"), p.get("gamma", 0.5))
@@ -462,101 +398,50 @@ def cmd_analytic(cfg: ExperimentConfig) -> list[dict]:
             results.append(("combined", name, c.value))
     else:
         raise ConfigError(f"quantity: unknown value {q!r}")
-    return [
-        {
-            "experiment": f"analytic-{q}",
-            "C": "",
-            "class": cls,
-            "metric": metric,
-            "value": _fmt(v),
-            "stderr": "",
-            "seed": "",
-        }
-        for cls, metric, v in results
-    ]
+    return [(f"analytic-{q}", "", cls, metric, _fmt(v), "", "") for cls, metric, v in results]
 
 
-def cmd_oracle_check(cfg: ExperimentConfig) -> list[dict]:
+def cmd_oracle_check(cfg: ExperimentConfig) -> list[tuple]:
     p = cfg.params
     sim_cfg = _sim_config({**p, "slots": 1000, "seed": 0, "paths": 0})
     res = oracle.exact_outage_stationary(sim_cfg)
     return [
-        {
-            "experiment": "oracle-check",
-            "C": p["C"],
-            "class": "default",
-            "metric": "exact_outage",
-            "value": _fmt(res.value),
-            "stderr": _fmt(res.truncation_mass),
-            "seed": "",
-        }
+        ("oracle-check", p["C"], "default", "exact_outage", _fmt(res.value),
+         _fmt(res.truncation_mass), "")
     ]
 
 
-def cmd_reproduce_figure(cfg: ExperimentConfig) -> list[dict]:
+def cmd_reproduce_figure(cfg: ExperimentConfig) -> list[tuple]:
     p = cfg.params
-    fig = FIGURES[p["figure_id"]]
-    seed = p["seed"]
-    rows: list[dict] = []
-
-    def sweep_rows(label: str, sim_params: dict) -> None:
-        base = _sim_config({**sim_params, "C": fig["C_grid"][0]})
-        for C, est in sweep_capacity(base, fig["C_grid"], fig["paths"]):
-            for cls in sorted(est):
-                e = est[cls]
-                rows.append(
-                    {
-                        "experiment": f"{p['figure_id']}:{label}",
-                        "C": C,
-                        "class": cls,
-                        "metric": "outage",
-                        "value": _fmt(e.p_hat),
-                        "stderr": _fmt(e.stderr),
-                        "seed": seed,
-                    }
-                )
-
-    common = {"slots": fig["slots"], "seed": seed, "paths": fig["paths"], "warmup": 100}
-    if fig["kind"] == "unicast":
-        sweep_rows(
-            "nonpred",
-            {**common, "regime": fig["regime"], "gamma": fig["gamma"],
-             "policy": REACTIVE},
-        )
-        for T in fig["T_values"]:
-            sweep_rows(
-                f"T{T}",
-                {**common, "regime": fig["regime"], "gamma": fig["gamma"],
-                 "policy": EDF, "lookahead": "det", "T": T},
-            )
-    elif fig["kind"] == "random-T":
-        sweep_rows(
-            "nonpred",
-            {**common, "regime": fig["regime"], "gamma": fig["gamma"],
-             "policy": REACTIVE},
-        )
-        for pv in fig["p_values"]:
-            sweep_rows(
-                f"p{pv}",
-                {**common, "regime": fig["regime"], "gamma": fig["gamma"],
-                 "policy": EDF, "lookahead": f"binom:{fig['tmax']},{pv}"},
-            )
+    fig_id = p["figure_id"]
+    fig = FIGURES[fig_id]
+    if fig["kind"] in ("unicast", "random-T"):
+        one = {"regime": fig["regime"], "gamma": fig["gamma"]}
+        runs = [("nonpred", {**one, "policy": REACTIVE})]
+        if fig["kind"] == "unicast":
+            runs += [(f"T{T}", {**one, "policy": EDF, "lookahead": "det", "T": T})
+                     for T in fig["T_values"]]
+        else:
+            runs += [(f"p{pv}", {**one, "policy": EDF,
+                                 "lookahead": f"binom:{fig['tmax']},{pv}"})
+                     for pv in fig["p_values"]]
     elif fig["kind"] == "two-class":
-        for f in fig["f_values"]:
-            policy = SELFISH if f == 1.0 else DYNAMIC
-            sweep_rows(
-                f"f{f}",
-                {**common, "regime": fig["regime"], "gp": fig["gp"],
-                 "gs": fig["gs"], "T": fig["T"], "policy": policy, "f": f},
-            )
-    elif fig["kind"] == "multicast":
-        for T in fig["T_values"]:
-            sweep_rows(
-                f"T{T}",
-                {**common, "gamma_m": fig["gamma_m"], "theta": fig["theta"],
-                 "policy": "multicast", "lookahead": "det", "T": T},
-            )
-    return rows
+        runs = [(f"f{f}", {"regime": fig["regime"], "gp": fig["gp"], "gs": fig["gs"],
+                           "T": fig["T"], "policy": SELFISH if f == 1.0 else DYNAMIC,
+                           "f": f})
+                for f in fig["f_values"]]
+    else:  # multicast
+        runs = [(f"T{T}", {"gamma_m": fig["gamma_m"], "theta": fig["theta"],
+                           "policy": MULTICAST, "lookahead": "det", "T": T})
+                for T in fig["T_values"]]
+    common = {"slots": fig["slots"], "seed": p["seed"], "warmup": 100}
+    return [
+        row
+        for label, params in runs
+        for row in _outage_rows(
+            f"{fig_id}:{label}", {**common, **params}, fig["C_grid"], fig["paths"]
+        )
+    ]
 
 
 COMMANDS = {
@@ -643,24 +528,29 @@ def _params_from_args(args) -> dict:
     return p
 
 
+def _print_warning(message, *_) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(cfg: ExperimentConfig) -> int:
-    violations = validate(cfg.params, cfg.command)
-    errors = [m for sev, m in violations if sev == "error"]
-    for sev, m in violations:
-        if sev == "warning":
-            print(f"warning: {m}", file=sys.stderr)
+    errors = validate(cfg.params, cfg.command)
+    for m in errors:
+        print(f"error: {m}", file=sys.stderr)
     if errors:
-        for m in errors:
-            print(f"error: {m}", file=sys.stderr)
         return 2
-    try:
-        rows = COMMANDS[cfg.command](cfg)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # "default": each distinct message once, though a sweep builds the
+        # config of its first capacity twice
+        warnings.simplefilter("default")
+        warnings.showwarning = _print_warning
+        try:
+            rows = COMMANDS[cfg.command](cfg)
+        except ValueError as exc:  # ConfigError and the model objects' errors
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:
+            print(f"failure: {exc}", file=sys.stderr)
+            return 1
     _emit(cfg, rows)
     return 0
 
@@ -676,15 +566,13 @@ def main(argv: list[str] | None = None) -> int:
         return run(cfg)
     try:
         params = _params_from_args(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     cfg = ExperimentConfig(
         command=args.command, params=params, out=getattr(args, "out", None)
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        return run(cfg)
+    return run(cfg)
 
 
 if __name__ == "__main__":

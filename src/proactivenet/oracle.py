@@ -3,7 +3,9 @@
 Three facilities:
   - stationary outage probabilities of the slotted system computed by
     state-space enumeration of a truncated Markov chain, stored as its
-    successor table and solved by sparse power iteration,
+    successor table and solved by sparse power iteration; only reactive
+    and deterministic-window EDF have a chain (no two-class, dynamic or
+    multicast chain),
   - exact probabilities of the necessary / sufficient outage events that
     sandwich the simulated outage probability,
   - residual checks of every derived root constant against its defining
@@ -224,34 +226,6 @@ def exact_event_bounds(cfg: SimConfig) -> tuple[float, float]:
     thr_j = [C * (k + 1) for k in range(tmin, tmax)]
     p_j = _union_partial_sums(rates_j, thr_j) if rates_j else 0.0
     return p_l, min(1.0, p_i + p_j)
-
-
-# --- dynamic-capacity chain (two-class, f=0.5, window 1) ---
-
-
-def build_dynamic_urgent_chain(C: int, lam: float, cap: int) -> TruncatedChain:
-    """Chain of the primary urgent count under the dynamic capacity policy
-    with f=0.5 and a one-slot look-ahead.
-
-    From urgent count i with arrivals q, the policy grants the primary
-    min(C, i + ceil(q/2)) units, urgent requests are served first, and the
-    unserved remainder of q becomes the next urgent count:
-    q - min(C - i, ceil(q/2)) when i < C, else q.  Arrivals are truncated
-    at `cap` as in `build_edf_chain`.
-    """
-    _check_size(cap + 1, cap + 1, 1)
-    weights = _poisson_pmf_lumped(lam, cap)
-    i = np.arange(cap + 1)[:, None]
-    q = np.arange(cap + 1)[None, :]
-    transition = np.where(i >= C, q, q - np.minimum(C - i, (q + 1) // 2))
-    out = np.where(i[:, 0] > C, weights.sum(), 0.0)
-    return TruncatedChain(i, transition, weights, out, float(weights[cap]))
-
-
-def chain_drift(chain: TruncatedChain) -> np.ndarray:
-    """E[next urgent count - current | current = i] for each state i."""
-    levels = chain.states[:, 0].astype(float)
-    return levels[chain.transition] @ chain.weights - levels
 
 
 # --- root verification ---

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from proactivenet.traffic import (
     MulticastSpec,
     PredictionErrorSpec,
     Regime,
-    ScriptedTraffic,
     TrafficSpecError,
     mean_rate,
     multicast_presence,
@@ -64,7 +63,8 @@ class SimConfig:
     the single-class policies (reactive ignores the law); `rate` overrides
     the regime's mean for stress runs at or beyond the critical load, which
     the scaling regimes exclude by construction; `secondary` adds
-    an urgent secondary class for the two-class policies, `pred_error`
+    an urgent secondary class for the two-class policies, its rate factor
+    below the primary's, `pred_error`
     replaces regime/law for imperfect-prediction runs, `multicast` (plus
     optionally `regime` as the unicast stream for pi2) drives the
     multicast policies.  `f` in [0, 1] is the dynamic primary's share of
@@ -83,8 +83,6 @@ class SimConfig:
     pred_error: PredictionErrorSpec | None = None
     multicast: MulticastSpec | None = None
     f: float = 0.5
-    scripted: ScriptedTraffic | None = None
-    trace: bool = False
 
     def __post_init__(self):
         if self.C < 0:
@@ -97,8 +95,14 @@ class SimConfig:
             raise SimConfigError(f"f must lie in [0,1], got {self.f}")
         if self.effective_warmup >= self.slots:
             raise SimConfigError("slots must exceed warmup")
-        if self.policy in (SELFISH, DYNAMIC) and self.secondary is None:
-            raise SimConfigError(f"policy {self.policy} needs a secondary traffic spec")
+        if self.policy in (SELFISH, DYNAMIC):
+            if self.secondary is None:
+                raise SimConfigError(f"policy {self.policy} needs a secondary traffic spec")
+            if self.regime is not None and not self.secondary.gamma < self.regime.gamma:
+                raise SimConfigError(
+                    f"secondary rate factor {self.secondary.gamma} must be below "
+                    f"primary {self.regime.gamma}"
+                )
         if self.policy in (MULTICAST, PI2) and self.multicast is None:
             raise SimConfigError(f"policy {self.policy} needs a multicast spec")
         self.check_stability()
@@ -109,8 +113,6 @@ class SimConfig:
             return self.pred_error.T
         if self.law is not None and self.policy != REACTIVE:
             return self.law.tmax
-        if self.scripted is not None:
-            return self.scripted.lookahead
         return 0
 
     @property
@@ -159,7 +161,6 @@ class PathResult:
 
     outage_slots: dict[str, int]
     total_counted_slots: int
-    per_slot_trace: dict[str, np.ndarray] | None = None
 
     def __post_init__(self):
         for cls, cnt in self.outage_slots.items():
@@ -242,19 +243,13 @@ def run_path(cfg: SimConfig, seed_index: int = 0) -> PathResult:
     return PathResult(
         outage_slots={cls: int(v.sum()) for cls, v in flags.items()},
         total_counted_slots=cfg.slots - w,
-        per_slot_trace=flags if cfg.trace else None,
     )
 
 
 def _unicast_arrivals(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
     """(slots, T+1) primary arrival counts; a reactive run sees every
     request as urgent."""
-    if cfg.scripted is not None:
-        s = cfg.scripted
-        out = np.zeros((cfg.slots, s.lookahead + 1), dtype=np.int64)
-        n = min(cfg.slots, len(s.counts))
-        out[:n, s.lookahead] = s.counts[:n]
-    elif cfg.pred_error is not None:
+    if cfg.pred_error is not None:
         out = prediction_error_counts(cfg.pred_error, cfg.C, rng, cfg.slots)
     elif cfg.primary_rate is None:
         out = np.zeros((cfg.slots, 1), dtype=np.int64)

@@ -136,23 +136,25 @@ class PredictionErrorSpec:
         if self.T < 0:
             raise TrafficSpecError("prediction window T must be >= 0")
 
-    def validate(self, C: int) -> None:
-        """Check consistency of the rate factors at operating capacity C."""
+    def validate(self, C: int | None = None) -> None:
+        """Check consistency of the rate factors at operating capacity C.
+
+        Without C, only the rules that hold at every capacity are checked:
+        the polynomial regime's rate window depends on C.
+        """
+        if not self.alpha_miss < 1.0:
+            raise TrafficSpecError(
+                f"alpha_miss={self.alpha_miss} must be < 1 (missed stream is a "
+                "strict subset of the true arrivals)"
+            )
         g = self.regime.gamma
         if self.regime.kind == LINEAR:
-            if not self.alpha_miss < 1.0:
-                raise TrafficSpecError(
-                    f"alpha_miss={self.alpha_miss} must be < 1 (missed stream is a "
-                    "strict subset of the true arrivals)"
-                )
             tot = self.alpha_pred + self.alpha_miss
             if not 1.0 <= tot < 1.0 / g:
                 raise TrafficSpecError(
                     f"alpha_pred+alpha_miss={tot} must lie in [1, 1/gamma={1/g:.6g})"
                 )
-        else:
-            if not self.alpha_miss < 1.0:
-                raise TrafficSpecError(f"alpha_miss={self.alpha_miss} must be < 1")
+        elif C is not None:
             total = C ** (self.alpha_pred * g) + C ** (self.alpha_miss * g)
             if not C**g <= total < C:
                 raise TrafficSpecError(
@@ -199,15 +201,6 @@ def bernoulli_source_prob(spec: MulticastSpec, window: int) -> float:
     if window < 1:
         raise TrafficSpecError(f"window must be >= 1, got {window}")
     return -math.expm1(-window * spec.gamma_m / spec.theta)
-
-
-@dataclass(frozen=True)
-class ScriptedTraffic:
-    """Deterministic arrival script for hand-traced tests: counts[n] requests
-    arrive at slot n, all with the given look-ahead."""
-
-    counts: tuple[int, ...]
-    lookahead: int = 0
 
 
 def unicast_counts(

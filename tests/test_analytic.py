@@ -63,6 +63,19 @@ class TestPoissonTail:
         if sf >= 1e-300:
             assert poisson_tail(lam, k) == pytest.approx(sf, rel=1e-9)
 
+    # P(Poisson(lam) > k) to 25 digits, from 60-digit sums of the pmf
+    REFERENCES = {
+        (5000.0, 5600): 3.952387246310452343005439e-17,
+        (20000.0, 20500): 2.112351601958214078915645e-4,
+        (1.0, 150): 4.292414725256941271516207e-266,
+        (100.0, 600): 5.864818925791670222757415e-253,
+    }
+
+    @pytest.mark.parametrize("lam,k", sorted(REFERENCES))
+    def test_matches_high_precision_references(self, lam, k):
+        # a log-space series from the (k+1)-term missed (5000, 5600) by 3.1e-12
+        assert poisson_tail(lam, k) == pytest.approx(self.REFERENCES[lam, k], rel=1e-12, abs=0)
+
     def test_deep_tail_positive(self):
         p = poisson_tail(1.0, 150)
         assert 0.0 < p < 1e-200

@@ -12,7 +12,6 @@ from proactivenet.cli import (
     _parse_lookahead,
     _parse_policy,
     main,
-    validate,
 )
 from proactivenet.traffic import Regime
 
@@ -48,25 +47,92 @@ class TestParsing:
             _parse_policy("fifo")
 
 
+SIM = ["--paths", "2", "--slots", "300"]
+SELFISH_OVERLOAD = [
+    "simulate", "--C", "4", "--policy", "selfish", "--gp", "0.7", "--gs", "0.4", *SIM,
+]
+PRED_ERROR = ["--alpha-miss", "0.3", "--gamma", "0.6", "--T", "2"]
+MIXED = ["--gamma-u", "0.8", "--gamma-m", "0.9", "--theta", "0.7"]
+
+# rule -> (argv, exit code, text on stderr) per command that owns the rule
+RULES = {
+    "gamma": [
+        (["simulate", "--C", "4", "--gamma", "1.2", *SIM], 2, "error: gamma must lie in (0,1)"),
+        (["analytic", "--quantity", "nonpred", "--gamma", "1.2"], 2,
+         "error: gamma must lie in (0,1)"),
+    ],
+    "two-class order": [
+        (["simulate", "--C", "4", "--policy", "dynamic", "--gp", "0.2", "--gs", "0.5", *SIM],
+         2, "error: secondary rate factor 0.5 must be below primary 0.2"),
+        (["analytic", "--quantity", "secondary-nonpred", "--gp", "0.2", "--gs", "0.5"], 2,
+         "error: need 0 < gs < gp < 1"),
+    ],
+    # a run at a fixed capacity is unstable but well-defined; a diversity
+    # gain of an overloaded system does not exist
+    "two-class overload": [
+        (SELFISH_OVERLOAD, 0, "warning: offered load 4.4 >= capacity 4"),
+        (["analytic", "--quantity", "secondary-nonpred", "--gp", "0.7", "--gs", "0.4"], 2,
+         "error: linear regime needs gp+gs < 1"),
+    ],
+    "mixed overload": [
+        (["simulate", "--C", "4", "--policy", "pi2", *MIXED, "--T", "1", *SIM], 0,
+         "warning: offered load 5.371 >= capacity 4"),
+        (["analytic", "--quantity", "scenario", "--scenario", "2", *MIXED], 2,
+         "error: stability violated"),
+    ],
+    "alpha sum": [
+        (["simulate", "--C", "8", "--policy", "edf", "--alpha-pred", ap, *PRED_ERROR, *SIM],
+         2, f"error: alpha_pred+alpha_miss={tot} must lie in [1, 1/gamma")
+        for ap, tot in (("0.2", 0.5), ("1.5", 1.8))
+    ] + [
+        (["analytic", "--quantity", "pred-error", "--alpha-pred", ap, *PRED_ERROR], 2,
+         f"error: alpha_pred+alpha_miss={tot} must lie in [1, 1/gamma")
+        for ap, tot in (("0.2", 0.5), ("1.5", 1.8))
+    ],
+}
+
+
+def check_rule(capsys, rule):
+    for argv, code, text in RULES[rule]:
+        assert main(argv) == code, argv
+        err = capsys.readouterr().err
+        assert text in err, (argv, err)
+        if code == 2:
+            assert "warning:" not in err, (argv, err)
+
+
 class TestValidate:
-    def test_clean(self):
-        assert validate({"gamma": 0.5}) == []
+    """Each configuration rule through main(): its exit code and message.
+    `cli.validate` owns only the required parameters and the figure id;
+    the model objects own the rest."""
 
-    def test_gamma_out_of_range_is_error(self):
-        sev = [s for s, _ in validate({"gamma": 1.2})]
-        assert sev == ["error"]
+    def test_clean(self, capsys):
+        assert main(["simulate", "--C", "4", "--gamma", "0.5", *SIM]) == 0
+        assert capsys.readouterr().err == ""
 
-    def test_two_class_order_is_error(self):
-        msgs = validate({"gp": 0.2, "gs": 0.5, "regime": "linear"})
-        assert msgs and msgs[0][0] == "error"
+    def test_gamma_out_of_range_is_error(self, capsys):
+        check_rule(capsys, "gamma")
 
-    def test_two_class_overload_is_warning(self):
-        msgs = validate({"gp": 0.7, "gs": 0.4, "regime": "linear"})
-        assert msgs and msgs[0][0] == "warning"
+    def test_two_class_order_is_error(self, capsys):
+        check_rule(capsys, "two-class order")
 
-    def test_mixed_overload_is_warning(self):
-        msgs = validate({"gamma_m": 0.9, "theta": 0.7, "gamma_u": 0.8})
-        assert msgs and msgs[0][0] == "warning"
+    def test_two_class_overload_is_warning(self, capsys):
+        check_rule(capsys, "two-class overload")
+
+    def test_mixed_overload_is_warning(self, capsys):
+        check_rule(capsys, "mixed overload")
+
+    def test_alpha_sum_out_of_range_is_error(self, capsys):
+        check_rule(capsys, "alpha sum")
+
+    def test_unknown_figure_id_is_error(self, tmp_path, capsys):
+        manifest = tmp_path / "fig.csv.manifest.json"
+        manifest.write_text(json.dumps(
+            {"command": "reproduce-figure", "params": {"figure_id": "fig9", "seed": 1},
+             "out": None}
+        ))
+        assert main(["rerun-from-manifest", str(manifest)]) == 2
+        assert capsys.readouterr().err == "error: figure_id: unknown value 'fig9'\n"
 
 
 class TestCommands:
@@ -199,8 +265,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("alpha_pred", ["0.2", "1.5"])
     def test_inconsistent_prediction_rates_are_2(self, alpha_pred, tmp_path, capsys):
-        # 0.2 + 0.3 < 1 is caught by validate; 1.5 + 0.3 >= 1/gamma only
-        # warns there and is refused by SimConfig
+        # 0.2 + 0.3 < 1 and 1.5 + 0.3 >= 1/gamma: both refused by the
+        # prediction-error spec when SimConfig is built
         out = tmp_path / "pe.csv"
         rc = main([
             "simulate", "--C", "8", "--policy", "edf", "--alpha-pred", alpha_pred,
@@ -209,6 +275,16 @@ class TestExitCodes:
         ])
         assert rc == 2 and not out.exists()
         assert "alpha_pred+alpha_miss" in capsys.readouterr().err
+
+    def test_model_warning_prints_as_one_line(self, tmp_path, capsys):
+        # one overload, one line, also when the run is repeated from its manifest
+        line = "warning: offered load 4.4 >= capacity 4; run is unstable but still well-defined"
+        out = tmp_path / "sel.csv"
+        assert main([*SELFISH_OVERLOAD, "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert main(["rerun-from-manifest", f"{out}.manifest.json"]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [line] and "UserWarning" not in err
 
     def test_unknown_policy_is_2(self, capsys):
         rc = main(["simulate", "--C", "4", "--gamma", "0.5", "--policy", "lifo"])

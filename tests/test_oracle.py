@@ -1,5 +1,4 @@
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
@@ -12,9 +11,7 @@ from proactivenet import analytic, oracle
 from proactivenet.analytic import poisson_tail
 from proactivenet.oracle import (
     OracleError,
-    build_dynamic_urgent_chain,
     build_edf_chain,
-    chain_drift,
     exact_event_bounds,
     exact_outage_stationary,
     verify_root,
@@ -48,23 +45,6 @@ def reference_edf_chain(C, lam, T, cap):
     return states, P, out
 
 
-def reference_dynamic_chain(C, lam, cap):
-    """Scalar dynamic (f = 0.5, window 1) urgent-count chain: (dense P,
-    outage probabilities)."""
-    pmf = oracle._poisson_pmf_lumped(lam, cap)
-    P = np.zeros((cap + 1, cap + 1))
-    out = np.zeros(cap + 1)
-    for i in range(cap + 1):
-        for q, pq in enumerate(pmf):
-            if pq == 0.0:
-                continue
-            nxt = q if i >= C else q - min(C - i, math.ceil(q / 2))
-            if i > C:
-                out[i] += pq
-            P[i, nxt] += pq
-    return P, out
-
-
 def dense_stationary(P):
     """pi P = pi, sum(pi) = 1, by a dense solve with a normalisation row."""
     n = len(P)
@@ -85,7 +65,6 @@ edf_chains = st.tuples(st.integers(1, 4), st.integers(1, 3)).flatmap(
         st.integers(1, MAX_CAP[ct[1]]),
     )
 )
-dynamic_chains = st.tuples(st.integers(1, 4), st.floats(0.01, 6.0), st.integers(1, 40))
 
 
 def edf_cfg(C=2, rate=1.0, T=1, **kw):
@@ -308,38 +287,6 @@ class TestEventBounds:
         one = oracle._union_partial_sums([1.0], [3])
         two = oracle._union_partial_sums([1.0, 1.0], [3, 9])
         assert two >= one
-
-
-class TestDynamicChain:
-    @settings(max_examples=60, deadline=None)
-    @given(dynamic_chains)
-    def test_matches_scalar_reference(self, chain):
-        P, out = reference_dynamic_chain(*chain)
-        ch = build_dynamic_urgent_chain(*chain)
-        assert np.abs(ch.matrix().toarray() - P).max() <= 1e-15
-        assert np.abs(ch.outage_prob - out).max() <= 1e-15
-
-    def test_rows_and_outage(self):
-        ch = build_dynamic_urgent_chain(C=3, lam=1.5, cap=40)
-        assert np.allclose(ch.matrix().sum(axis=1), 1.0)
-        # outage only from states strictly above capacity
-        assert ch.outage_prob[: 3 + 1].sum() == 0.0
-        assert np.all(ch.outage_prob[3 + 2 :] > 0) or ch.outage_prob.size <= 5
-
-    def test_negative_drift_above_capacity(self):
-        # stability: from any overloaded state the urgent count falls back
-        ch = build_dynamic_urgent_chain(C=4, lam=2.0, cap=60)
-        drift = chain_drift(ch)
-        levels = np.arange(len(drift))
-        assert np.all(drift[(levels > 8) & (levels < 55)] < 0)
-
-    def test_stationary_outage_below_selfish(self):
-        # granting the primary only half its non-urgent demand leaves less
-        # urgent carryover than any policy can by serving at most C
-        ch = build_dynamic_urgent_chain(C=4, lam=2.0, cap=60)
-        pi = ch.stationary()
-        p = float(pi @ ch.outage_prob)
-        assert 0.0 < p < poisson_tail(4.0, 4)
 
 
 class TestVerifyRoot:

@@ -16,9 +16,9 @@ from proactivenet.traffic import (
     MulticastSpec,
     PredictionErrorSpec,
     Regime,
-    ScriptedTraffic,
     mean_rate,
     multicast_presence,
+    unicast_counts,
 )
 
 LIN05 = Regime("linear", 0.5)
@@ -48,24 +48,22 @@ class TestRunPath:
     def test_scripted_overflow_trace(self):
         # 5 arrivals with a 1-slot window into C=2: 4 servable over two
         # slots, exactly one outage in the second slot
-        cfg = SimConfig(
-            C=2,
-            policy="edf",
-            slots=3,
-            seed=0,
-            warmup=0,
-            scripted=ScriptedTraffic(counts=(5, 0, 0), lookahead=1),
-            trace=True,
-        )
-        res = run_path(cfg)
-        assert res.outage_slots["default"] == 1
-        assert res.per_slot_trace["default"].tolist() == [False, True, False]
+        outage = sched.serve_path(np.array([[0, 5], [0, 0], [0, 0]]), 2)[:, 0] > 0
+        assert outage.sum() == 1
+        assert outage.tolist() == [False, True, False]
 
     def test_reproducible(self):
-        cfg = reactive_cfg(trace=True)
+        cfg = reactive_cfg()
         a, b = run_path(cfg, 3), run_path(cfg, 3)
         assert a.outage_slots == b.outage_slots
-        assert np.array_equal(a.per_slot_trace["default"], b.per_slot_trace["default"])
+        # per slot: path 3's arrivals, drawn and served twice
+        law = LookaheadLaw.deterministic(0)
+        outage = [
+            sched.serve_path(unicast_counts(2.0, law, sim.path_rng(cfg.seed, 3), cfg.slots), 4)
+            for _ in range(2)
+        ]
+        assert np.array_equal(outage[0], outage[1])
+        assert (outage[0][cfg.effective_warmup :, 0] > 0).sum() == a.outage_slots["default"]
 
     def test_warmup_must_be_below_slots(self):
         with pytest.raises(sim.SimConfigError):
@@ -133,11 +131,21 @@ class TestPairing:
             C=6, slots=2000, seed=17, warmup=100, regime=Regime("linear", 0.6),
             law=LookaheadLaw.deterministic(3), secondary=Regime("linear", 0.1),
         )
-        a = run_path(SimConfig(policy="selfish", trace=True, **common), 0)
-        b = run_path(SimConfig(policy="dynamic", f=1.0, trace=True, **common), 0)
+        a = run_path(SimConfig(policy="selfish", **common), 0)
+        b = run_path(SimConfig(policy="dynamic", f=1.0, **common), 0)
         assert a.outage_slots == b.outage_slots
-        for cls in ("primary", "secondary"):
-            assert np.array_equal(a.per_slot_trace[cls], b.per_slot_trace[cls])
+        # per slot and class, with the dynamic capacity rule itself at the
+        # largest f below 1, where ceil(f * backlog) is the whole backlog; a
+        # heavier primary so that both classes see outages
+        rng = np.random.default_rng(17)
+        arrivals = unicast_counts(4.8, LookaheadLaw.deterministic(1), rng, 2000)
+        secondary = rng.poisson(0.6, 2000)
+        selfish = sched.serve_path(arrivals, 6, secondary=secondary)
+        dynamic = sched.serve_path(
+            arrivals, 6, f=np.nextafter(1.0, 0.0), secondary=secondary
+        )
+        assert selfish[:, 0].any() and selfish[:, 1].any()
+        assert np.array_equal(selfish, dynamic)
 
     @pytest.mark.parametrize("f", [-0.1, 1.5])
     def test_dynamic_fraction_out_of_range(self, f):
@@ -271,14 +279,19 @@ class TestMulticastExactness:
     @pytest.mark.parametrize("policy", ["multicast", "pi2"])
     def test_window_zero_is_presence_count(self, policy):
         cfg = SimConfig(
-            C=4, policy=policy, slots=1000, seed=8, warmup=0, trace=True,
+            C=4, policy=policy, slots=1000, seed=8, warmup=0,
             multicast=MulticastSpec(0.9, 15.0), law=LookaheadLaw.deterministic(0),
             regime=Regime("linear", 0.05) if policy == "pi2" else None,
         )
         for i in range(3):
-            pres = multicast_presence(cfg.multicast, cfg.C, sim.path_rng(cfg.seed, i), 1000)
-            trace = run_path(cfg, i).per_slot_trace["multicast"]
-            assert np.array_equal(trace, pres.sum(axis=1) > cfg.C)
+            rng = sim.path_rng(cfg.seed, i)
+            pres = multicast_presence(cfg.multicast, cfg.C, rng, 1000)
+            kw = {}
+            if policy == "pi2":
+                kw = dict(f=0.0, secondary=rng.poisson(0.2, 1000), refill=True)
+            outage = sched.serve_path(pres, cfg.C, multicast_T=0, **kw)[:, 0] > 0
+            assert np.array_equal(outage, pres.sum(axis=1) > cfg.C)
+            assert run_path(cfg, i).outage_slots["multicast"] == outage.sum()
 
     @pytest.mark.parametrize(
         "policy,C,T,theta",
