@@ -9,15 +9,16 @@ class with deterministic/random look-ahead, two QoS classes, imperfect
 prediction, multicast alignment, mixed unicast/multicast scenarios) and
 also exposes a numeric exponent optimizer over composite log-MGFs as an
 independent cross-check on each closed form.
+
+scipy is imported inside the two functions that call it (`poisson_tail`,
+`chernoff_exponent`), so importing this module, as every simulation
+command does, loads no scipy module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
-from scipy.special import pdtrc, xlogy
 
 from proactivenet.traffic import (
     LINEAR,
@@ -72,6 +73,8 @@ def poisson_tail(lam: float, k: int) -> float:
         raise ValueError("lam must be nonnegative")
     if k < 0:
         raise ValueError("k must be nonnegative")
+    from scipy.special import pdtrc
+
     return float(pdtrc(k, lam))
 
 
@@ -142,6 +145,8 @@ def chernoff_exponent(terms: list, threshold: float, scale: float = 1.0) -> floa
         hi *= 2.0
         if hi > 1e6:
             raise RuntimeError("failed to bracket the exponent optimizer")
+    from scipy.optimize import brentq
+
     r_star = brentq(g, 0.0, hi, xtol=1e-14, rtol=1e-15)
     return (threshold * r_star - _log_mgf(terms, r_star)) / scale
 
@@ -315,7 +320,7 @@ def div_multicast_nonpred(gm: float, theta: float) -> BoundValue:
     if theta <= 1.0:
         return BoundValue(math.inf, EXACT)
     val = (
-        xlogy(theta - 1.0, theta - 1.0)
+        (theta - 1.0) * math.log(theta - 1.0)
         - theta * math.log(theta)
         + gm * (theta - 1.0) / theta
         - math.log(-math.expm1(-gm / theta))

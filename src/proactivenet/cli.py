@@ -216,7 +216,7 @@ ANALYTIC_REQUIRED = {
     "pred-rand": ("gamma", "lookahead"),
     "secondary-nonpred": ("gp", "gs"),
     "secondary-dynamic": ("gp", "gs"),
-    "pred-error": ("alpha_pred", "alpha_miss", "T"),
+    "pred-error": ("alpha_pred", "alpha_miss", "T", "gamma"),
     "multicast-nonpred": ("gamma_m", "theta"),
     "multicast-pred": ("gamma_m", "theta", "T"),
     "scenario": ("scenario", "gamma_u", "gamma_m", "theta"),

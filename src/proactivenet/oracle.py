@@ -13,20 +13,26 @@ Three facilities:
 
 These are the anti-regression backstop for both the simulator and the
 closed forms: they share no code path with either.
+
+scipy is imported only inside the functions that call it (here the lumped
+arrival pmf and `TruncatedChain.matrix`), so importing this module loads no
+scipy module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.special import pdtr
 
 from proactivenet import analytic
 from proactivenet.analytic import Constant, poisson_tail
 from proactivenet.sim import EDF, REACTIVE, SimConfig
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class OracleError(ValueError):
@@ -56,6 +62,8 @@ def default_cap(lam: float, C: int, T: int) -> int:
 
 def _poisson_pmf_lumped(lam: float, cap: int) -> np.ndarray:
     """pmf on {0..cap} with all tail mass P(X >= cap) lumped at cap."""
+    from scipy.special import pdtr
+
     p = np.zeros(cap + 1)
     log_lam = math.log(lam) if lam else -math.inf
     for q in range(cap):  # in log space: exp(-lam) alone underflows above lam ~ 745
@@ -87,6 +95,8 @@ class TruncatedChain:
     def matrix(self) -> sparse.csr_array:
         """The transition matrix P; arrival levels that reach one successor
         are summed."""
+        from scipy import sparse
+
         n, levels = self.transition.shape
         rows = np.repeat(np.arange(n), levels)
         data = np.tile(self.weights, n)

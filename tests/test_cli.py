@@ -246,6 +246,12 @@ class TestExitCodes:
         assert main(["simulate", "--gamma", "0.5"]) == 2
         assert "error: C: required parameter missing" in capsys.readouterr().err
 
+    def test_pred_error_needs_gamma(self, capsys):
+        argv = ["analytic", "--quantity", "pred-error", "--alpha-pred", "1.2",
+                "--alpha-miss", "0.3", "--T", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: gamma: required parameter missing\n"
+
     def test_internal_key_error_is_1(self, capsys, monkeypatch):
         def broken(cfg):
             return {}["missing"]

@@ -121,8 +121,8 @@ class TestEdfChain:
 
     def test_truncation_mass_is_the_lumped_tail(self):
         ch = build_edf_chain(C=2, lam=1.0, T=1, cap=12)
-        assert ch.truncation_mass == pytest.approx(8.3e-10, rel=0.01)
-        assert ch.truncation_mass == pytest.approx(poisson_tail(1.0, 11), rel=1e-12)
+        assert ch.truncation_mass == pytest.approx(8.3e-10, rel=0.01, abs=0)
+        assert ch.truncation_mass == pytest.approx(poisson_tail(1.0, 11), rel=1e-12, abs=0)
 
     def test_successor_table_is_small(self):
         ch = build_edf_chain(C=1, lam=0.6, T=3, cap=14)
@@ -153,18 +153,18 @@ class TestStationaryOutage:
             regime=Regime("linear", 0.5),
         )
         res = exact_outage_stationary(cfg)
-        assert res.value == pytest.approx(poisson_tail(2.0, 4), rel=1e-12)
+        assert res.value == pytest.approx(poisson_tail(2.0, 4), rel=1e-12, abs=0)
         assert res.n_states == 1
 
     def test_window_zero_equals_reactive(self):
         res = exact_outage_stationary(edf_cfg(T=0))
-        assert res.value == pytest.approx(poisson_tail(1.0, 2), rel=1e-12)
+        assert res.value == pytest.approx(poisson_tail(1.0, 2), rel=1e-12, abs=0)
 
     def test_frozen_value_and_cap_insensitivity(self):
         a = exact_outage_stationary(edf_cfg(), cap=14)
         b = exact_outage_stationary(edf_cfg(), cap=28)
-        assert a.value == pytest.approx(0.007333273, rel=1e-5)
-        assert a.value == pytest.approx(b.value, rel=1e-10)
+        assert a.value == pytest.approx(0.007333273, rel=1e-5, abs=0)
+        assert a.value == pytest.approx(b.value, rel=1e-10, abs=0)
         assert a.truncation_mass < 1e-9
 
     def test_bracketed_by_event_bounds(self):
@@ -204,13 +204,13 @@ class TestStationaryOutage:
 class TestEventBounds:
     def test_deterministic_window(self):
         lo, up = exact_event_bounds(edf_cfg(C=2, rate=1.0, T=1))
-        assert lo == pytest.approx(poisson_tail(1.0, 4), rel=1e-12)
-        assert up == pytest.approx(poisson_tail(2.0, 4), rel=1e-12)
+        assert lo == pytest.approx(poisson_tail(1.0, 4), rel=1e-12, abs=0)
+        assert up == pytest.approx(poisson_tail(2.0, 4), rel=1e-12, abs=0)
         assert lo < up
 
     def test_window_zero_bounds_collapse(self):
         lo, up = exact_event_bounds(edf_cfg(T=0))
-        assert lo == up == pytest.approx(poisson_tail(1.0, 2), rel=1e-12)
+        assert lo == up == pytest.approx(poisson_tail(1.0, 2), rel=1e-12, abs=0)
 
     def test_random_window_brackets_simulation(self):
         cfg = SimConfig(
@@ -234,7 +234,7 @@ class TestEventBounds:
 
     def test_lumped_tail_keeps_its_relative_accuracy(self):
         p = oracle._poisson_pmf_lumped(0.3, 30)
-        assert p[30] == pytest.approx(poisson_tail(0.3, 29), rel=1e-12)
+        assert p[30] == pytest.approx(poisson_tail(0.3, 29), rel=1e-12, abs=0)
         assert 0.0 < p[30] < 1e-40
         assert oracle._poisson_pmf_lumped(2.0, 0).tolist() == [1.0]
 
@@ -253,7 +253,7 @@ class TestEventBounds:
         # the first level almost never crosses, so the union is the tail of
         # the two-level sum, Poisson(1600) > 1700
         got = oracle._union_partial_sums([800.0, 800.0], [1000, 1700])
-        assert got == pytest.approx(scipy.stats.poisson.sf(1700, 1600), rel=1e-8)
+        assert got == pytest.approx(scipy.stats.poisson.sf(1700, 1600), rel=1e-8, abs=0)
 
     def test_binomial_window_bounds_at_a_window_rate_above_745(self):
         # per-window rates 800 * cdf(j) reach 775
@@ -281,7 +281,7 @@ class TestEventBounds:
 
     def test_union_partial_sums_single_level(self):
         p = oracle._union_partial_sums([2.0], [4])
-        assert p == pytest.approx(poisson_tail(2.0, 4), rel=1e-10)
+        assert p == pytest.approx(poisson_tail(2.0, 4), rel=1e-10, abs=0)
 
     def test_union_partial_sums_monotone_in_levels(self):
         one = oracle._union_partial_sums([1.0], [3])
