@@ -8,16 +8,24 @@ Subcommands:
   reproduce-figure    canned parameter sets emitting plot-ready curves
   rerun-from-manifest re-execute a previous run bit-identically
 
+A run is its manifest, the dict {command, params, out}: `COMMANDS` maps
+the command to a function of the flat parameter dict.  A canned figure is
+a capacity grid plus one such parameter dict per curve, run as a sweep;
+an analytic quantity is one `ANALYTIC` entry (its required parameters,
+CSV class and rows), and an exact value is one row.  `--lookahead`
+defaults to `det`, so `--T` alone sets a deterministic window.
+
 Every run writes a CSV with the fixed header
 `experiment,C,class,metric,value,stderr,seed` plus a JSON manifest holding
 the complete parameter set; re-running from the manifest reproduces the
 CSV byte for byte.  Exit codes: 0 ok, 1 runtime failure, 2 config error.
 
-`validate` checks only the command, the required parameters and the
-figure id.  Every other configuration rule belongs to the model object
-that uses the parameter (`Regime`, `SimConfig`, `PredictionErrorSpec`, the
-`analytic` functions): its ValueError exits 2, and each warning it raises
-prints as one `warning: <message>` line on stderr.
+`validate` checks only the command, the required parameters, the figure
+id and the analytic quantity.  Every other configuration rule belongs to
+the model object that uses the parameter (`Regime`, `SimConfig`,
+`PredictionErrorSpec`, the `analytic` functions): its ValueError exits 2,
+and each warning it raises prints as one `warning: <message>` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ import os
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass, field
 
 from proactivenet import analytic, oracle
 from proactivenet.sim import (
@@ -52,121 +59,52 @@ from proactivenet.traffic import (
 
 CSV_HEADER = ["experiment", "C", "class", "metric", "value", "stderr", "seed"]
 
-FIGURES = {
-    # single class, linear, reactive vs deterministic windows
-    "fig4a": {
-        "kind": "unicast",
-        "regime": "linear",
-        "gamma": 0.8,
-        "C_grid": [4, 8, 12, 16, 20],
-        "T_values": [1, 2, 5],
-        "paths": 20,
-        "slots": 1000,
-    },
-    "fig4b": {
-        "kind": "unicast",
-        "regime": "poly",
-        "gamma": 0.8,
-        "C_grid": [4, 8, 12, 16, 20],
-        "T_values": [1, 2, 5],
-        "paths": 20,
-        "slots": 1000,
-    },
-    # single class, random windows (binomial on 0..5)
-    "fig5a": {
-        "kind": "random-T",
-        "regime": "linear",
-        "gamma": 0.6,
-        "C_grid": [2, 4, 6, 8, 10],
-        "tmax": 5,
-        "p_values": [0.1, 0.9],
-        "paths": 20,
-        "slots": 1000,
-    },
-    "fig5b": {
-        "kind": "random-T",
-        "regime": "poly",
-        "gamma": 0.9,
-        "C_grid": [2, 4, 6, 8, 10],
-        "tmax": 5,
-        "p_values": [0.1, 0.9],
-        "paths": 20,
-        "slots": 1000,
-    },
-    # two classes, selfish primary, window 4
-    "fig6a": {
-        "kind": "two-class",
-        "regime": "linear",
-        "gp": 0.6,
-        "gs": 0.1,
-        "T": 4,
-        "f_values": [1.0],
-        "C_grid": [4, 8, 12, 16, 20],
-        "paths": 20,
-        "slots": 1000,
-    },
-    "fig6b": {
-        "kind": "two-class",
-        "regime": "poly",
-        "gp": 0.75,
-        "gs": 0.05,
-        "T": 4,
-        "f_values": [1.0],
-        "C_grid": [4, 8, 12, 16, 20],
-        "paths": 20,
-        "slots": 1000,
-    },
-    # two classes, dynamic capacity, window 4, fraction swept
-    "fig-dyn": {
-        "kind": "two-class",
-        "regime": "linear",
-        "gp": 0.6,
-        "gs": 0.1,
-        "T": 4,
-        "f_values": [0.0, 0.5, 1.0],
-        "C_grid": [4, 8, 12, 16, 20],
-        "paths": 20,
-        "slots": 1000,
-    },
-    # symmetric multicast, reactive vs one-slot window
-    "fig-multicast": {
-        "kind": "multicast",
-        "gamma_m": 0.9,
-        "theta": 15.0,
-        "T_values": [0, 1],
-        "C_grid": [2, 4, 6, 8],
-        "paths": 20,
-        "slots": 1000,
-    },
-}
+# every canned figure estimates each capacity from 20 paths of 1000 slots
+# after a 100-slot warm-up
+PATHS, SLOTS, WARMUP = 20, 1000, 100
 
-ANALYTIC_QUANTITIES = (
-    "nonpred",
-    "pred-det",
-    "pred-rand",
-    "secondary-nonpred",
-    "secondary-dynamic",
-    "pred-error",
-    "multicast-nonpred",
-    "multicast-pred",
-    "scenario",
-)
+
+def _single_class(regime: str, gamma: float, windows: dict) -> dict:
+    """A reactive curve plus one EDF curve per {label: window params}."""
+    one = {"regime": regime, "gamma": gamma}
+    return {"nonpred": {**one, "policy": REACTIVE},
+            **{label: {**one, "policy": EDF, **w} for label, w in windows.items()}}
+
+
+def _two_class(regime: str, gp: float, gs: float, fs: tuple) -> dict:
+    """One curve per primary share f of a window-4 primary: selfish at f = 1."""
+    return {f"f{f}": {"regime": regime, "gp": gp, "gs": gs, "T": 4,
+                      "policy": SELFISH if f == 1.0 else DYNAMIC, "f": f}
+            for f in fs}
+
+
+_DET = {f"T{T}": {"T": T} for T in (1, 2, 5)}
+_BINOM = {f"p{p}": {"lookahead": f"binom:5,{p}"} for p in (0.1, 0.9)}
+_C20 = [4, 8, 12, 16, 20]
+
+# figure id -> (capacity grid, {curve label: sweep params})
+FIGURES = {
+    # single class, reactive vs deterministic windows
+    "fig4a": (_C20, _single_class("linear", 0.8, _DET)),
+    "fig4b": (_C20, _single_class("poly", 0.8, _DET)),
+    # single class, random windows (binomial on 0..5)
+    "fig5a": ([2, 4, 6, 8, 10], _single_class("linear", 0.6, _BINOM)),
+    "fig5b": ([2, 4, 6, 8, 10], _single_class("poly", 0.9, _BINOM)),
+    # two classes, selfish primary
+    "fig6a": (_C20, _two_class("linear", 0.6, 0.1, (1.0,))),
+    "fig6b": (_C20, _two_class("poly", 0.75, 0.05, (1.0,))),
+    # two classes, dynamic capacity, fraction swept
+    "fig-dyn": (_C20, _two_class("linear", 0.6, 0.1, (0.0, 0.5, 1.0))),
+    # symmetric multicast, reactive vs one-slot window
+    "fig-multicast": ([2, 4, 6, 8], {
+        f"T{T}": {"gamma_m": 0.9, "theta": 15.0, "policy": MULTICAST, "T": T}
+        for T in (0, 1)
+    }),
+}
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class ExperimentConfig:
-    """Fully resolved parameters of one CLI run, manifest-serializable."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    out: str | None = None
-
-    def manifest(self) -> dict:
-        return {"command": self.command, "params": self.params, "out": self.out}
 
 
 def _parse_lookahead(text: str, T: int) -> LookaheadLaw:
@@ -200,6 +138,54 @@ def _resolve_seed(args) -> int:
     return 0
 
 
+def _bounds(*bounds) -> list[tuple[str, float]]:
+    """(kind, value) of each distinct bound: an exact value is one row."""
+    return [(b.kind, b.value) for b in dict.fromkeys(bounds)]
+
+
+def _pred_error_rows(p: dict, regime: Regime) -> list[tuple[str, float]]:
+    spec = PredictionErrorSpec(
+        alpha_pred=p["alpha_pred"], alpha_miss=p["alpha_miss"], T=p["T"], regime=regime
+    )
+    b, t_crit = analytic.prediction_error_gain(spec)
+    return [(b.kind, b.value), ("t_crit", t_crit)]
+
+
+def _scenario_rows(p: dict, regime: Regime) -> list[tuple[str, float]]:
+    res = analytic.scenario_bounds(
+        p["scenario"], p["gamma_u"], p["gamma_m"], p["theta"], p.get("T", 0)
+    )
+    return [(kind, b.value) for kind, b in sorted(res["bounds"].items())] + [
+        (name, c.value) for name, c in sorted(res["constants"].items())
+    ]
+
+
+# quantity -> (parameters it needs, CSV class, its (metric, value) rows
+# from the parameters and the regime)
+ANALYTIC = {
+    "nonpred": (("gamma",), "default",
+                lambda p, r: _bounds(analytic.div_nonpred(r, p["gamma"]))),
+    "pred-det": (("gamma", "T"), "default",
+                 lambda p, r: _bounds(*analytic.div_pred_det(r, p["gamma"], p["T"]))),
+    "pred-rand": (("gamma", "lookahead"), "default",
+                  lambda p, r: _bounds(analytic.div_pred_rand(
+                      r, p["gamma"], _parse_lookahead(p["lookahead"], p.get("T", 0))))),
+    "secondary-nonpred": (("gp", "gs"), "secondary",
+                          lambda p, r: _bounds(*analytic.div_secondary_nonpred(
+                              p["gp"], p["gs"], r))),
+    "secondary-dynamic": (("gp", "gs"), "secondary",
+                          lambda p, r: _bounds(analytic.div_secondary_dynamic(
+                              p["gp"], p["gs"], r))),
+    "pred-error": (("alpha_pred", "alpha_miss", "T", "gamma"), "default", _pred_error_rows),
+    "multicast-nonpred": (("gamma_m", "theta"), "multicast",
+                          lambda p, r: _bounds(analytic.div_multicast_nonpred(
+                              p["gamma_m"], p["theta"]))),
+    "multicast-pred": (("gamma_m", "theta", "T"), "multicast",
+                       lambda p, r: _bounds(analytic.div_multicast_pred(
+                           p["gamma_m"], p["theta"], p["T"]))),
+    "scenario": (("scenario", "gamma_u", "gamma_m", "theta"), "combined", _scenario_rows),
+}
+
 # parameters a command reads without a default; flags that argparse fills
 # in are listed too, since a hand-edited manifest may lack them
 _SIM_REQUIRED = ("policy", "slots", "seed")
@@ -210,23 +196,12 @@ REQUIRED = {
     "reproduce-figure": ("figure_id", "seed"),
     "analytic": ("quantity",),
 }
-ANALYTIC_REQUIRED = {
-    "nonpred": ("gamma",),
-    "pred-det": ("gamma", "T"),
-    "pred-rand": ("gamma", "lookahead"),
-    "secondary-nonpred": ("gp", "gs"),
-    "secondary-dynamic": ("gp", "gs"),
-    "pred-error": ("alpha_pred", "alpha_miss", "T", "gamma"),
-    "multicast-nonpred": ("gamma_m", "theta"),
-    "multicast-pred": ("gamma_m", "theta", "T"),
-    "scenario": ("scenario", "gamma_u", "gamma_m", "theta"),
-}
 
 
 def _missing(params: dict, command: str) -> list[str]:
     need = list(REQUIRED[command])
     if command == "analytic":
-        need += ANALYTIC_REQUIRED.get(params.get("quantity"), ())
+        need += ANALYTIC.get(params.get("quantity"), ((),))[0]
     else:
         if "alpha_pred" in params or "alpha_miss" in params:
             need += ["alpha_pred", "alpha_miss", "gamma"]
@@ -237,13 +212,15 @@ def _missing(params: dict, command: str) -> list[str]:
 
 def validate(params: dict, command: str) -> list[str]:
     """Errors no model object can see: an unknown command, each missing
-    required parameter (named) and an unknown figure id."""
+    required parameter (named), an unknown figure id and an unknown
+    analytic quantity."""
     if command not in REQUIRED:
         return [f"command: unknown value {command!r}"]
     errors = [f"{k}: required parameter missing" for k in _missing(params, command)]
-    fig = params.get("figure_id")
-    if fig is not None and fig not in FIGURES:
-        errors.append(f"figure_id: unknown value {fig!r}")
+    for key, known in (("figure_id", FIGURES), ("quantity", ANALYTIC)):
+        v = params.get(key)
+        if v is not None and v not in known:
+            errors.append(f"{key}: unknown value {v!r}")
     return errors
 
 
@@ -268,15 +245,14 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit(cfg: ExperimentConfig, rows: list[tuple]) -> None:
+def _emit(manifest: dict, rows: list[tuple]) -> None:
     text = _rows_to_csv(rows)
-    if cfg.out is None:
+    out = manifest["out"]
+    if out is None:
         sys.stdout.write(text)
         return
-    _atomic_write(cfg.out, text)
-    _atomic_write(
-        cfg.out + ".manifest.json", json.dumps(cfg.manifest(), indent=2) + "\n"
-    )
+    _atomic_write(out, text)
+    _atomic_write(out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _fmt(x: float) -> str:
@@ -285,16 +261,12 @@ def _fmt(x: float) -> str:
 
 def _sim_config(p: dict) -> SimConfig:
     regime = Regime(p["regime"], p["gamma"]) if p.get("gamma") is not None else None
-    law = None
-    if p.get("lookahead") is not None:
-        law = _parse_lookahead(p["lookahead"], p.get("T", 0))
+    law = _parse_lookahead(p.get("lookahead", "det"), p.get("T", 0))
     secondary = (
         Regime(p["regime"], p["gs"]) if p.get("gs") is not None else None
     )
     if p.get("gp") is not None:
         regime = Regime(p["regime"], p["gp"])
-        if law is None:
-            law = LookaheadLaw.deterministic(p.get("T", 0))
     pred_error = None
     if p.get("alpha_pred") is not None:
         pred_error = PredictionErrorSpec(
@@ -309,10 +281,6 @@ def _sim_config(p: dict) -> SimConfig:
         multicast = MulticastSpec(gamma_m=p["gamma_m"], theta=p["theta"])
         if p.get("gamma_u") is not None:
             regime = Regime("linear", p["gamma_u"])
-        elif p.get("gp") is None and p.get("gamma") is None:
-            regime = None
-        if law is None:
-            law = LookaheadLaw.deterministic(p.get("T", 0))
     return SimConfig(
         C=p["C"],
         policy=p["policy"],
@@ -338,71 +306,14 @@ def _outage_rows(experiment: str, p: dict, C_grid: list[int], paths: int) -> lis
     ]
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> list[tuple]:
-    p = cfg.params
-    return _outage_rows("simulate", p, [p["C"]], p["paths"])
-
-
-def cmd_sweep(cfg: ExperimentConfig) -> list[tuple]:
-    p = cfg.params
-    return _outage_rows("sweep", p, p["C_grid"], p["paths"])
-
-
-def cmd_analytic(cfg: ExperimentConfig) -> list[tuple]:
-    p = cfg.params
+def cmd_analytic(p: dict) -> list[tuple]:
     q = p["quantity"]
+    _, cls, rows = ANALYTIC[q]
     regime = Regime(p.get("regime", "linear"), p.get("gamma", 0.5))
-    results: list[tuple[str, str, float]] = []
-    if q == "nonpred":
-        b = analytic.div_nonpred(regime, p["gamma"])
-        results.append(("default", b.kind, b.value))
-    elif q == "pred-det":
-        lo, up = analytic.div_pred_det(regime, p["gamma"], p["T"])
-        results.append(("default", lo.kind, lo.value))
-        if up is not lo:
-            results.append(("default", up.kind, up.value))
-    elif q == "pred-rand":
-        law = _parse_lookahead(p["lookahead"], p.get("T", 0))
-        b = analytic.div_pred_rand(regime, p["gamma"], law)
-        results.append(("default", b.kind, b.value))
-    elif q == "secondary-nonpred":
-        lo, up = analytic.div_secondary_nonpred(p["gp"], p["gs"], regime)
-        results.append(("secondary", lo.kind, lo.value))
-        results.append(("secondary", up.kind, up.value))
-    elif q == "secondary-dynamic":
-        b = analytic.div_secondary_dynamic(p["gp"], p["gs"], regime)
-        results.append(("secondary", b.kind, b.value))
-    elif q == "pred-error":
-        spec = PredictionErrorSpec(
-            alpha_pred=p["alpha_pred"],
-            alpha_miss=p["alpha_miss"],
-            T=p["T"],
-            regime=regime,
-        )
-        b, t_crit = analytic.prediction_error_gain(spec)
-        results.append(("default", b.kind, b.value))
-        results.append(("default", "t_crit", t_crit))
-    elif q == "multicast-nonpred":
-        b = analytic.div_multicast_nonpred(p["gamma_m"], p["theta"])
-        results.append(("multicast", b.kind, b.value))
-    elif q == "multicast-pred":
-        b = analytic.div_multicast_pred(p["gamma_m"], p["theta"], p["T"])
-        results.append(("multicast", b.kind, b.value))
-    elif q == "scenario":
-        res = analytic.scenario_bounds(
-            p["scenario"], p["gamma_u"], p["gamma_m"], p["theta"], p.get("T", 0)
-        )
-        for kind, b in sorted(res["bounds"].items()):
-            results.append(("combined", kind, b.value))
-        for name, c in sorted(res["constants"].items()):
-            results.append(("combined", name, c.value))
-    else:
-        raise ConfigError(f"quantity: unknown value {q!r}")
-    return [(f"analytic-{q}", "", cls, metric, _fmt(v), "", "") for cls, metric, v in results]
+    return [(f"analytic-{q}", "", cls, metric, _fmt(v), "", "") for metric, v in rows(p, regime)]
 
 
-def cmd_oracle_check(cfg: ExperimentConfig) -> list[tuple]:
-    p = cfg.params
+def cmd_oracle_check(p: dict) -> list[tuple]:
     sim_cfg = _sim_config({**p, "slots": 1000, "seed": 0, "paths": 0})
     res = oracle.exact_outage_stationary(sim_cfg)
     return [
@@ -411,42 +322,21 @@ def cmd_oracle_check(cfg: ExperimentConfig) -> list[tuple]:
     ]
 
 
-def cmd_reproduce_figure(cfg: ExperimentConfig) -> list[tuple]:
-    p = cfg.params
+def cmd_reproduce_figure(p: dict) -> list[tuple]:
     fig_id = p["figure_id"]
-    fig = FIGURES[fig_id]
-    if fig["kind"] in ("unicast", "random-T"):
-        one = {"regime": fig["regime"], "gamma": fig["gamma"]}
-        runs = [("nonpred", {**one, "policy": REACTIVE})]
-        if fig["kind"] == "unicast":
-            runs += [(f"T{T}", {**one, "policy": EDF, "lookahead": "det", "T": T})
-                     for T in fig["T_values"]]
-        else:
-            runs += [(f"p{pv}", {**one, "policy": EDF,
-                                 "lookahead": f"binom:{fig['tmax']},{pv}"})
-                     for pv in fig["p_values"]]
-    elif fig["kind"] == "two-class":
-        runs = [(f"f{f}", {"regime": fig["regime"], "gp": fig["gp"], "gs": fig["gs"],
-                           "T": fig["T"], "policy": SELFISH if f == 1.0 else DYNAMIC,
-                           "f": f})
-                for f in fig["f_values"]]
-    else:  # multicast
-        runs = [(f"T{T}", {"gamma_m": fig["gamma_m"], "theta": fig["theta"],
-                           "policy": MULTICAST, "lookahead": "det", "T": T})
-                for T in fig["T_values"]]
-    common = {"slots": fig["slots"], "seed": p["seed"], "warmup": 100}
+    C_grid, curves = FIGURES[fig_id]
+    common = {"slots": SLOTS, "seed": p["seed"], "warmup": WARMUP}
     return [
         row
-        for label, params in runs
-        for row in _outage_rows(
-            f"{fig_id}:{label}", {**common, **params}, fig["C_grid"], fig["paths"]
-        )
+        for label, curve in curves.items()
+        for row in _outage_rows(f"{fig_id}:{label}", {**common, **curve}, C_grid, PATHS)
     ]
 
 
+# each command maps the run's parameters to its CSV rows
 COMMANDS = {
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
+    "simulate": lambda p: _outage_rows("simulate", p, [p["C"]], p["paths"]),
+    "sweep": lambda p: _outage_rows("sweep", p, p["C_grid"], p["paths"]),
     "analytic": cmd_analytic,
     "oracle-check": cmd_oracle_check,
     "reproduce-figure": cmd_reproduce_figure,
@@ -487,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated ascending capacities")
 
     sp = sub.add_parser("analytic", help="closed-form bounds")
-    sp.add_argument("--quantity", choices=ANALYTIC_QUANTITIES, required=True)
+    sp.add_argument("--quantity", choices=ANALYTIC, required=True)
     sp.add_argument("--scenario", type=int, default=None)
     _add_common_sim_flags(sp)
 
@@ -532,8 +422,9 @@ def _print_warning(message, *_) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def run(cfg: ExperimentConfig) -> int:
-    errors = validate(cfg.params, cfg.command)
+def run(manifest: dict) -> int:
+    """Execute one run, given as its manifest {command, params, out}."""
+    errors = validate(manifest["params"], manifest["command"])
     for m in errors:
         print(f"error: {m}", file=sys.stderr)
     if errors:
@@ -544,14 +435,14 @@ def run(cfg: ExperimentConfig) -> int:
         warnings.simplefilter("default")
         warnings.showwarning = _print_warning
         try:
-            rows = COMMANDS[cfg.command](cfg)
+            rows = COMMANDS[manifest["command"]](manifest["params"])
         except ValueError as exc:  # ConfigError and the model objects' errors
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except Exception as exc:
             print(f"failure: {exc}", file=sys.stderr)
             return 1
-    _emit(cfg, rows)
+    _emit(manifest, rows)
     return 0
 
 
@@ -560,19 +451,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "rerun-from-manifest":
         with open(args.manifest) as fh:
             m = json.load(fh)
-        cfg = ExperimentConfig(
-            command=m["command"], params=m["params"], out=args.out or m["out"]
-        )
-        return run(cfg)
+        return run({"command": m["command"], "params": m["params"],
+                    "out": args.out or m["out"]})
     try:
         params = _params_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    cfg = ExperimentConfig(
-        command=args.command, params=params, out=getattr(args, "out", None)
-    )
-    return run(cfg)
+    return run({"command": args.command, "params": params, "out": getattr(args, "out", None)})
 
 
 if __name__ == "__main__":

@@ -133,18 +133,21 @@ class SimConfig:
         return default_warmup(self.tmax)
 
     def check_stability(self) -> None:
-        """Warn when the rates exceed capacity; reject inconsistent pred_error rates."""
+        """Warn when the rates of the streams the policy draws exceed
+        capacity; reject inconsistent pred_error rates."""
         if self.C == 0:
             return
-        load = self.primary_rate or 0.0
-        if self.secondary is not None:
+        load = 0.0 if self.policy == MULTICAST else (self.primary_rate or 0.0)
+        if self.policy in (SELFISH, DYNAMIC):
             load += mean_rate(self.secondary, self.C)
         if self.pred_error is not None:
             try:
-                load += sum(self.pred_error.rates(self.C))
+                rates = self.pred_error.rates(self.C)
             except TrafficSpecError as exc:
                 raise SimConfigError(str(exc)) from exc
-        if self.multicast is not None:
+            if self.policy not in (MULTICAST, PI2):
+                load += sum(rates)
+        if self.policy in (MULTICAST, PI2):
             L = self.multicast.num_sources(self.C)
             load += L * self.multicast.source_prob()
         if load >= self.C:

@@ -64,7 +64,6 @@ class LookaheadLaw:
     tmin: int
     tmax: int
     probs: tuple[float, ...]
-    kind: str = "finite"
 
     def __post_init__(self):
         if not 0 <= self.tmin <= self.tmax:
@@ -78,7 +77,7 @@ class LookaheadLaw:
 
     @classmethod
     def deterministic(cls, T: int) -> "LookaheadLaw":
-        return cls(tmin=T, tmax=T, probs=(1.0,), kind="deterministic")
+        return cls(tmin=T, tmax=T, probs=(1.0,))
 
     @classmethod
     def finite(cls, pmf: dict[int, float]) -> "LookaheadLaw":
@@ -87,7 +86,7 @@ class LookaheadLaw:
             raise TrafficSpecError("empty pmf")
         tmin, tmax = min(pmf), max(pmf)
         probs = tuple(pmf.get(k, 0.0) for k in range(tmin, tmax + 1))
-        return cls(tmin=tmin, tmax=tmax, probs=probs, kind="finite")
+        return cls(tmin=tmin, tmax=tmax, probs=probs)
 
     @classmethod
     def binomial(cls, tmax: int, p: float) -> "LookaheadLaw":
@@ -97,7 +96,7 @@ class LookaheadLaw:
         probs = tuple(
             math.comb(tmax, k) * p**k * (1 - p) ** (tmax - k) for k in range(tmax + 1)
         )
-        return cls(tmin=0, tmax=tmax, probs=probs, kind="binomial")
+        return cls(tmin=0, tmax=tmax, probs=probs)
 
     @property
     def is_deterministic(self) -> bool:
@@ -188,19 +187,10 @@ class MulticastSpec:
         return max(1, round(self.theta * C))
 
     def source_prob(self) -> float:
-        """Probability a given source is demanded in one slot."""
-        return bernoulli_source_prob(self, 1)
-
-
-def bernoulli_source_prob(spec: MulticastSpec, window: int) -> float:
-    """Probability a data source is demanded at least once in `window` slots.
-
-    With per-source Poisson demand of rate gamma_m/theta per slot, this is
-    1 - exp(-window * gamma_m / theta).
-    """
-    if window < 1:
-        raise TrafficSpecError(f"window must be >= 1, got {window}")
-    return -math.expm1(-window * spec.gamma_m / spec.theta)
+        """Probability a given source is demanded in one slot: with
+        per-source Poisson demand of rate gamma_m/theta per slot, this is
+        1 - exp(-gamma_m / theta)."""
+        return -math.expm1(-self.gamma_m / self.theta)
 
 
 def unicast_counts(

@@ -1,14 +1,15 @@
 import csv
+import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from proactivenet import cli
 from proactivenet.analytic import div_nonpred, poisson_tail
 from proactivenet.cli import (
     CSV_HEADER,
-    ExperimentConfig,
     _parse_lookahead,
     _parse_policy,
     main,
@@ -134,6 +135,28 @@ class TestValidate:
         assert main(["rerun-from-manifest", str(manifest)]) == 2
         assert capsys.readouterr().err == "error: figure_id: unknown value 'fig9'\n"
 
+    def test_unknown_quantity_is_error(self, tmp_path, capsys):
+        manifest = tmp_path / "an.csv.manifest.json"
+        manifest.write_text(json.dumps(
+            {"command": "analytic", "params": {"quantity": "gain"}, "out": None}
+        ))
+        assert main(["rerun-from-manifest", str(manifest)]) == 2
+        assert capsys.readouterr().err == "error: quantity: unknown value 'gain'\n"
+
+    def test_undrawn_stream_is_not_load(self, capsys):
+        # the multicast policy draws no unicast stream, so --gamma adds no
+        # load (it would be 5.11 >= 4) and leaves the estimate as it is
+        argv = ["simulate", "--C", "4", "--policy", "multicast", "--gamma-m", "0.9",
+                "--theta", "3", "--T", "1", "--paths", "4", "--seed", "1"]
+        assert main(argv) == 0
+        alone = capsys.readouterr()
+        assert main([*argv, "--gamma", "0.5"]) == 0
+        assert capsys.readouterr() == alone and alone.err == ""
+        # a secondary stream counts only for the two-class policies
+        assert main(["simulate", "--C", "4", "--gamma", "0.5", "--gs", "0.6",
+                     "--policy", "edf", *SIM]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestCommands:
     def test_simulate_csv(self, tmp_path):
@@ -207,23 +230,88 @@ class TestCommands:
         assert row[3] == "exact_outage"
         assert 0.0 < float(row[4]) < poisson_tail(1.0, 2)
 
-    def test_reproduce_figure_labels(self, tmp_path):
+    def test_reproduce_figure_labels(self, tmp_path, monkeypatch):
         out = tmp_path / "fig.csv"
-        cli.FIGURES["fig4a"], saved = {
-            **cli.FIGURES["fig4a"],
-            "C_grid": [2, 4],
-            "T_values": [1],
-            "paths": 2,
-            "slots": 300,
-        }, cli.FIGURES["fig4a"]
-        try:
-            rc = main(["reproduce-figure", "fig4a", "--seed", "1", "--out", str(out)])
-        finally:
-            cli.FIGURES["fig4a"] = saved
+        _, curves = cli.FIGURES["fig4a"]
+        monkeypatch.setitem(cli.FIGURES, "fig4a", (
+            [2, 4], {label: curves[label] for label in ("nonpred", "T1")}
+        ))
+        monkeypatch.setattr(cli, "PATHS", 2)
+        monkeypatch.setattr(cli, "SLOTS", 300)
+        rc = main(["reproduce-figure", "fig4a", "--seed", "1", "--out", str(out)])
         assert rc == 0
         rows = read_csv(str(out))
         labels = {r["experiment"] for r in rows}
         assert labels == {"fig4a:nonpred", "fig4a:T1"}
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["pred-det", "--gamma", "0.8", "--T", "2", "--regime", "poly"],
+         [("exact", 0.6)]),
+        (["pred-det", "--gamma", "0.8", "--T", "2"],
+         [("lower", 0.0694306539), ("upper", 1.7652675199)]),
+        (["pred-det", "--gamma", "0.8", "--T", "0"],
+         [("lower", 0.0231435513), ("upper", 0.0231435513)]),
+        (["secondary-nonpred", "--gp", "0.6", "--gs", "0.1", "--regime", "poly"],
+         [("exact", 0.4)]),
+        (["secondary-nonpred", "--gp", "0.6", "--gs", "0.1"],
+         [("lower", 0.0566749439), ("upper", 0.1108256238)]),
+    ])
+    def test_analytic_bound_rows(self, capsys, argv, rows):
+        # an exact value is one row; the linear regime keeps both bounds,
+        # even where they coincide
+        assert main(["analytic", "--quantity", *argv]) == 0
+        got = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[3] for r in got] == [kind for kind, _ in rows]
+        assert [float(r[4]) for r in got] == pytest.approx([v for _, v in rows], rel=1e-9)
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle-check", "--C", "2", "--gamma", "0.5", "--policy", "edf", "--T", "1"],
+        ["simulate", "--C", "4", "--gamma", "0.8", "--policy", "edf", "--T", "3",
+         "--paths", "4", "--seed", "1"],
+        ["sweep", "--C-grid", "2,4", "--gamma", "0.6", "--policy", "selfish", "--gs", "0.1",
+         "--T", "2", "--paths", "3", "--slots", "300", "--seed", "1"],
+    ])
+    def test_window_defaults_to_deterministic(self, capsys, argv):
+        assert main(argv) == 0
+        without = capsys.readouterr().out
+        assert main([*argv, "--lookahead", "det"]) == 0
+        assert capsys.readouterr().out == without
+        # and the window is honoured: a later --T 0 overrides it
+        assert main([*argv, "--T", "0"]) == 0
+        assert capsys.readouterr().out != without
+
+
+# sha256 of each canned CSV at seed 1, and the numpy whose random streams
+# they come from; a change to the random-draw layout must update them
+CANNED_NUMPY = "2.4.6"
+CANNED_SHA256 = {
+    "fig4a": "9deed3ff5a083532a508519a975c223a0d48b921c19e2ffcf2ff06eb1e6019c2",
+    "fig4b": "e868cc1d8f593e1d9d6eb8b3802dc58e7204885f3c9960216b93f1bd7ec4996d",
+    "fig5a": "009ae705d31beb6f50adc256b6de8195326815ff5bb0878137a31a4273a2befa",
+    "fig5b": "8a75bdc546694db97f2f0372cd3ecb087bea1d02cfc23d7d980bdb02c7e86254",
+    "fig6a": "313664fc49aab9103af9af932a621d86c382a85d393e3996828a32ddabfb79c4",
+    "fig6b": "cd17025025aae317521b888c3b05812756ff7b1e535c816853b806f67ce3f38b",
+    "fig-dyn": "13b89db8046e600bc8321c811f3e10da9405e21be1e5f5bbb5aa527311354d20",
+    "fig-multicast": "57b28fbdcf0241099100a414fea4c638ec740b412b4f1a416ed77c35cb66a509",
+    "sweep-pi2": "4d51c0d4b6b31fbf96dcb7dba23c16b3e4f947c27ae9d88da169fde781848f92",
+}
+CANNED_ARGV = {
+    **{fig: ["reproduce-figure", fig] for fig in CANNED_SHA256 if fig.startswith("fig")},
+    "sweep-pi2": ["sweep", "--policy", "pi2", "--gamma-m", "0.9", "--theta", "15",
+                  "--gamma-u", "0.05", "--T", "1", "--C-grid", "4,6,8", "--paths", "20",
+                  "--slots", "1000"],
+}
+
+
+def test_canned_outputs_are_pinned(tmp_path):
+    if np.__version__ != CANNED_NUMPY:
+        pytest.skip(f"digests recorded with numpy {CANNED_NUMPY}, running {np.__version__}")
+    got = {}
+    for name, argv in CANNED_ARGV.items():
+        out = tmp_path / f"{name}.csv"
+        assert main([*argv, "--seed", "1", "--out", str(out)]) == 0
+        got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == CANNED_SHA256
 
 
 class TestExitCodes:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from proactivenet import analytic as an
 from proactivenet import traffic as tr
 
 
@@ -112,12 +113,9 @@ class TestPredictionError:
 
 class TestMulticast:
     def test_source_prob_values(self):
-        assert tr.bernoulli_source_prob(
-            tr.MulticastSpec(0.9, 15.0), 2
-        ) == pytest.approx(0.113080, abs=1e-6)
-        assert tr.bernoulli_source_prob(
-            tr.MulticastSpec(0.5, 2.0), 1
-        ) == pytest.approx(0.221199, abs=1e-6)
+        # a source demanded within a 2-slot window: x_m of the window T = 1
+        assert an.x_m(0.9, 15.0, 1).value == pytest.approx(0.113080, abs=1e-6)
+        assert tr.MulticastSpec(0.5, 2.0).source_prob() == pytest.approx(0.221199, abs=1e-6)
 
     def test_num_sources_at_least_one(self):
         assert tr.MulticastSpec(0.5, 0.01).num_sources(10) == 1
