@@ -10,8 +10,9 @@ The package is organized as:
   outage estimation, capacity sweeps and decay-rate fitting.
 - ``analytic`` : closed-form decay-rate (diversity) bounds and a numeric
   Chernoff-exponent optimizer used as an independent cross-check.
-- ``oracle``   : exact small-instance ground truth (truncated Markov chains,
-  exact event-probability bounds, root verification).
+- ``oracle``   : exact ground truth (the deterministic-window EDF chain over
+  the accepted backlog, solved by GTH; exact event-probability bounds; root
+  verification).
 - ``cli``      : batch experiment harness with CSV/JSON outputs.
 """
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from proactivenet.traffic import (
     LINEAR,
     LookaheadLaw,
-    MulticastSpec,
     PredictionErrorSpec,
     Regime,
 )
@@ -247,8 +246,7 @@ def div_secondary_nonpred(
 def y_bar(gp: float, gs: float) -> Constant:
     """Positive root of gs*y^2 + gp*y - 1 = 0 (stationary optimizer of the
     dynamic-capacity secondary bound)."""
-    y = (-gp + math.sqrt(gp * gp + 4.0 * gs)) / (2.0 * gs)
-    return Constant("y_bar", y, {"gp": gp, "gs": gs})
+    return Constant("y_bar", _positive_root(gs, gp, -1.0), {"gp": gp, "gs": gs})
 
 
 def div_secondary_dynamic(gp: float, gs: float, regime: Regime) -> BoundValue:

@@ -4,7 +4,7 @@ Subcommands:
   simulate            one Monte Carlo estimate at a fixed capacity
   sweep               estimates over a capacity grid
   analytic            closed-form diversity gains and bounds
-  oracle-check        exact stationary outage via the truncated chain
+  oracle-check        exact stationary outage (reactive tail or EDF chain)
   reproduce-figure    canned parameter sets emitting plot-ready curves
   rerun-from-manifest re-execute a previous run bit-identically
 

@@ -204,6 +204,11 @@ class TestTwoClass:
         assert y > 1.0
         assert 0.1 * y * y + 0.6 * y - 1.0 == pytest.approx(0.0, abs=1e-14)
 
+    def test_y_bar_small_secondary_load(self):
+        # -gp + sqrt(gp^2 + 4 gs) cancels as gs -> 0; 40-digit mpmath root
+        y = y_bar(0.6, 1e-9).value
+        assert y == pytest.approx(1.666666662037037124436257588765, rel=1e-14, abs=0)
+
     def test_dynamic_frozen_and_cross_checked(self):
         val = div_secondary_dynamic(0.6, 0.02, LIN(0.6)).value
         assert val == pytest.approx(0.18892578823556572)

@@ -230,6 +230,21 @@ class TestCommands:
         assert row[3] == "exact_outage"
         assert 0.0 < float(row[4]) < poisson_tail(1.0, 2)
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["--C", "4", "--policy", "multicast", "--gamma-m", "0.9", "--theta", "3", "--T", "1"],
+         "no exact chain for policy 'multicast'"),
+        (["--C", "8", "--policy", "edf", "--alpha-pred", "0.9", "--alpha-miss", "0.3",
+          "--gamma", "0.6", "--T", "2"], "no exact chain for prediction-error traffic"),
+        (["--C", "4", "--policy", "selfish", "--gp", "0.6", "--gs", "0.1"],
+         "no exact chain for policy 'selfish'"),
+    ])
+    def test_oracle_check_refuses_what_it_cannot_model(self, capsys, argv, reason):
+        # the policy and the traffic are checked before the rate and the window
+        assert main(["oracle-check", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.strip() == f"error: {reason}"
+
     def test_reproduce_figure_labels(self, tmp_path, monkeypatch):
         out = tmp_path / "fig.csv"
         _, curves = cli.FIGURES["fig4a"]

@@ -86,3 +86,8 @@ def test_scipy_commands_still_run(report, stage):
 def test_oracle_loads_scipy_on_first_use(report):
     # and so the empty lists above are not an artefact of the check
     assert "scipy.special" in report["oracle-check"][1]
+
+
+def test_oracle_check_loads_no_sparse_module(report):
+    # the chain is solved densely, by GTH
+    assert [m for m in report["oracle-check"][1] if m.startswith("scipy.sparse")] == []

@@ -16,6 +16,7 @@ from proactivenet.oracle import (
     exact_outage_stationary,
     verify_root,
 )
+from proactivenet.sched import serve_path
 from proactivenet.sim import SimConfig, estimate_outage
 from proactivenet.traffic import LookaheadLaw, Regime
 
@@ -94,56 +95,108 @@ class TestEdfChain:
             build_edf_chain(C=2, lam=1.0, T=0, cap=5)
 
     def test_state_space_guard(self):
+        # 6001 states: the dense matrix alone is 288 MB
         with pytest.raises(OracleError, match="state space"):
-            build_edf_chain(C=2, lam=1.0, T=6, cap=30)
+            build_edf_chain(C=2000, lam=1.0, T=3, cap=8002)
 
     def test_guard_bounds_bytes_before_allocating(self):
-        # 10^6 states, but an 8 GB successor table: refused up front
-        tracemalloc.start()
-        try:
-            with pytest.raises(OracleError, match="state space"):
-                build_edf_chain(C=1, lam=1.0, T=2, cap=999)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
+        # many states, or a 1.6 GB successor table of two states: refused up front
+        for C, T, cap in [(2000, 3, 8002), (1, 1, 10**8)]:
+            tracemalloc.start()
+            try:
+                with pytest.raises(OracleError, match="state space"):
+                    build_edf_chain(C=C, lam=1.0, T=T, cap=cap)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
-    @pytest.mark.parametrize("C, lam, T, cap", [(4, 2.0, 2, 31), (1, 0.5, 4, 9), (2, 1.0, 6, 4)])
+    @pytest.mark.parametrize(
+        "C, lam, T, cap", [(20, 16.0, 5, 200), (100, 80.0, 3, 401), (2, 1.0, 1, 20000)]
+    )
     def test_guard_estimate_covers_build_and_solve(self, C, lam, T, cap):
-        n = (cap + 1) ** T
+        n = C * T + 1
         tracemalloc.start()
         try:
             build_edf_chain(C, lam, T, cap).stationary()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= oracle._PEAK_BYTES * n * (cap + 1 + T + 1)
+        assert peak <= oracle._PEAK_BYTES * n * (n + cap + 1)
 
     def test_truncation_mass_is_the_lumped_tail(self):
-        ch = build_edf_chain(C=2, lam=1.0, T=1, cap=12)
-        assert ch.truncation_mass == pytest.approx(8.3e-10, rel=0.01, abs=0)
-        assert ch.truncation_mass == pytest.approx(poisson_tail(1.0, 11), rel=1e-12, abs=0)
+        # lumping at cap <= C(T+1) = 4 loses P(X >= cap); above, it is exact
+        ch = build_edf_chain(C=2, lam=1.0, T=1, cap=4)
+        assert ch.truncation_mass == pytest.approx(0.01899, rel=1e-3, abs=0)
+        assert ch.truncation_mass == pytest.approx(poisson_tail(1.0, 3), rel=1e-12, abs=0)
+        assert build_edf_chain(C=2, lam=1.0, T=1, cap=5).truncation_mass == 0.0
 
     def test_successor_table_is_small(self):
         ch = build_edf_chain(C=1, lam=0.6, T=3, cap=14)
-        assert ch.states.shape == (3375, 3)
-        assert ch.transition.shape == (3375, 15)
-        assert ch.transition.nbytes <= 3375 * 15 * 8
+        assert ch.states.tolist() == [0, 1, 2, 3]
+        assert ch.transition.shape == (4, 15)
+        assert ch.transition.nbytes <= 4 * 15 * 8
+
+    def test_zero_pivot_raises(self):
+        # fewer than C arrivals has probability 0 in floating point, so the
+        # backlog never falls from the full state: GTH has no pivot
+        with pytest.raises(OracleError, match="GTH pivot"):
+            build_edf_chain(C=1, lam=5000.0, T=1, cap=3).stationary()
 
     @settings(max_examples=60, deadline=None)
     @given(edf_chains)
     def test_matches_scalar_reference(self, chain):
-        states, P, out = reference_edf_chain(*chain)
+        _, P, out = reference_edf_chain(*chain)
         ch = build_edf_chain(*chain)
-        assert np.array_equal(ch.states, np.array(states))
-        assert np.abs(ch.matrix().toarray() - P).max() <= 1e-15
-        assert np.abs(ch.outage_prob - out).max() <= 1e-15
+        assert abs(ch.stationary() @ ch.outage_prob - dense_stationary(P) @ out) <= 1e-14
 
     @settings(max_examples=60, deadline=None)
     @given(edf_chains)
     def test_stationary_matches_dense_solve(self, chain):
         ch = build_edf_chain(*chain)
-        assert np.abs(ch.stationary() - dense_stationary(ch.matrix().toarray())).max() <= 1e-12
+        assert np.abs(ch.stationary() - dense_stationary(ch.matrix())).max() <= 1e-13
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 5),
+        st.integers(1, 4),
+        st.lists(st.integers(0, 20), min_size=5, max_size=60),
+    )
+    def test_walk_matches_serve_path(self, C, T, counts):
+        # the chain's successor table, walked along a path, loses a slot's
+        # arrivals exactly when the kernel books an expiry T slots later
+        K = C * (T + 1)
+        ch = build_edf_chain(C, 1.0, T, K + 1)
+        V, lost = 0, []
+        for x in counts:
+            q = min(x, K + 1)  # lumped: every level above K behaves alike
+            lost.append(q > K - V)
+            V = ch.transition[V, q]
+        arrivals = np.zeros((len(counts), T + 1), dtype=np.int64)
+        arrivals[:, T] = counts
+        expired = serve_path(arrivals, C)[:, 0]
+        assert not expired[:T].any()
+        assert (expired[T:] > 0).tolist() == lost[: len(counts) - T]
+
+    # 50-digit mpmath solves of the same chain, at the float rates used;
+    # the fig4a (linear 0.8) and fig4b (poly 0.8) points reach 7.2e-50
+    @pytest.mark.parametrize("regime, gamma, C, T, ref", [
+        ("linear", 0.5, 2, 1, 0.0073333182743957611297283784454142675424861234982915),
+        ("linear", 0.8, 8, 1, 0.0062588425517336528818488919867844906555933907098845),
+        ("linear", 0.8, 20, 5, 3.5990023790629801802781649700303485813635529105752e-20),
+        ("poly", 0.8, 20, 2, 3.0746203095566490084419521609324533004913662939514e-21),
+        ("poly", 0.8, 12, 5, 7.2025424648185155833025346591711722080510038439947e-26),
+        ("poly", 0.8, 20, 5, 7.232316830670407104070434876021578639843807597149e-50),
+    ])
+    def test_matches_high_precision_references(self, regime, gamma, C, T, ref):
+        cfg = SimConfig(
+            C=C, policy="edf", slots=1000, seed=0, regime=Regime(regime, gamma),
+            law=LookaheadLaw.deterministic(T),
+        )
+        res = exact_outage_stationary(cfg)
+        assert res.value == pytest.approx(ref, rel=1e-10, abs=0)
+        assert res.truncation_mass == 0.0
+        assert res.n_states == C * T + 1
 
 
 class TestStationaryOutage:
