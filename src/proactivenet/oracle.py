@@ -20,6 +20,7 @@ arrival pmf), so importing this module loads no scipy module.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,10 +164,17 @@ def exact_outage_stationary(cfg: SimConfig, cap: int | None = None) -> Stationar
         return StationaryResult(0.0, 0.0, 1)
     T = cfg.tmax
     if T == 0:
-        return StationaryResult(poisson_tail(lam, cfg.C), 0.0, 1)
-    chain = build_edf_chain(cfg.C, lam, T, cfg.C * (T + 1) + 1 if cap is None else cap)
-    value = float(chain.stationary() @ chain.outage_prob)
-    return StationaryResult(value, chain.truncation_mass, len(chain.states))
+        res = StationaryResult(poisson_tail(lam, cfg.C), 0.0, 1)
+    else:
+        chain = build_edf_chain(cfg.C, lam, T, cfg.C * (T + 1) + 1 if cap is None else cap)
+        value = float(chain.stationary() @ chain.outage_prob)
+        res = StationaryResult(value, chain.truncation_mass, len(chain.states))
+    if res.value == 0.0:  # the rate is positive, and so is the outage
+        warnings.warn(
+            "the exact outage is below the smallest positive double (~1e-308) "
+            "and is printed as 0.0"
+        )
+    return res
 
 
 # --- exact event bounds ---

@@ -1,8 +1,8 @@
 """Monte Carlo engine: sample paths and outage estimation.
 
 A path draws the arrivals of all its slots up front and hands them to the
-one service kernel, `sched.serve_path`, which settles the slots that an
-empty system clears in one vectorized step and loops only through busy periods.
+one service kernel, `sched.serve_path`, whose compiled slot loop runs every
+slot of the path.
 A slot is an outage for a class iff at least one request of that class
 expires in it; the per-path outage ratio divides by all post-warmup slots.
 Estimates average path ratios and report the standard error across paths.

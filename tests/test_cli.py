@@ -230,6 +230,25 @@ class TestCommands:
         assert row[3] == "exact_outage"
         assert 0.0 < float(row[4]) < poisson_tail(1.0, 2)
 
+    @pytest.mark.parametrize("argv, warned", [
+        (["--C", "60", "--gamma", "0.1", "--policy", "edf", "--T", "5"], True),  # the chain
+        (["--C", "5000", "--gamma", "0.1", "--policy", "reactive"], True),  # the T = 0 tail
+        (["--C", "2", "--gamma", "0.5", "--policy", "edf", "--T", "1"], False),
+    ])
+    def test_oracle_check_warns_when_the_outage_underflows(self, capsys, argv, warned):
+        # a positive outage below the smallest double reads 0.0: say so
+        assert main(["oracle-check", *argv]) == 0
+        out, err = capsys.readouterr()
+        value = float(out.splitlines()[1].split(",")[4])
+        if warned:
+            assert value == 0.0
+            assert err.splitlines() == [
+                "warning: the exact outage is below the smallest positive double (~1e-308) "
+                "and is printed as 0.0"
+            ]
+        else:
+            assert value > 0.0 and err == ""
+
     @pytest.mark.parametrize("argv, reason", [
         (["--C", "4", "--policy", "multicast", "--gamma-m", "0.9", "--theta", "3", "--T", "1"],
          "no exact chain for policy 'multicast'"),

@@ -1,8 +1,10 @@
 """Importing the package and running the simulation commands loads no scipy
-module; `analytic` and `oracle` load it when first called.
+module; `analytic` and `oracle` load it when first called.  Likewise the
+compiled slot loop is built and loaded by the first simulation, not by an
+import, `oracle-check` or `analytic`.
 
 The checks run in a fresh interpreter, because the other test modules
-import scipy themselves.
+import scipy and load the kernel themselves.
 """
 
 import json
@@ -30,7 +32,11 @@ def scipy_modules():
 import proactivenet
 from proactivenet import analytic, cli, oracle, sched, sim, traffic
 
-report = {"import": [0, scipy_modules()]}
+def state(code):
+    return [code, scipy_modules(), sched._slot_loop is not None]
+
+
+report = {"import": state(0)}
 out = sys.argv[1]
 RUNS = {
     "simulate": ["simulate", "--C", "4", "--gamma", "0.5", "--paths", "2", "--slots", "300"],
@@ -50,30 +56,46 @@ RUNS = {
         "--gamma-m", "0.9", "--theta", "0.7", "--T", "1",
     ],
 }
-for name, argv in RUNS.items():
+for name in sys.argv[2].split(","):
     with contextlib.redirect_stdout(io.StringIO()):
-        report[name] = [cli.main(argv), scipy_modules()]
+        report[name] = state(cli.main(RUNS[name]))
 print(json.dumps(report))
 """
 
 
-@pytest.fixture(scope="module")
-def report(tmp_path_factory):
+def run_script(tmp_path_factory, stages):
+    """Per stage, run in this order in one fresh interpreter: the exit code,
+    the scipy modules loaded and whether the slot loop is loaded."""
     src = str(Path(proactivenet.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(tmp_path_factory.mktemp("imports"))],
+        [sys.executable, "-c", SCRIPT, str(tmp_path_factory.mktemp("imports")),
+         ",".join(stages)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
+    # the simulation commands first: the later ones load scipy
+    return run_script(tmp_path_factory, [
+        "simulate", "sweep-pi2", "reproduce-figure", "oracle-check", "analytic",
+    ])
+
+
+@pytest.fixture(scope="module")
+def kernel_report(tmp_path_factory):
+    # the scipy commands first: a simulation loads the kernel
+    return run_script(tmp_path_factory, ["oracle-check", "analytic", "simulate"])
+
+
 @pytest.mark.parametrize("stage", ["import", "simulate", "sweep-pi2", "reproduce-figure"])
 def test_no_scipy_module_is_loaded(report, stage):
-    code, loaded = report[stage]
+    code, loaded, _ = report[stage]
     assert code == 0
     assert loaded == []
 
@@ -91,3 +113,16 @@ def test_oracle_loads_scipy_on_first_use(report):
 def test_oracle_check_loads_no_sparse_module(report):
     # the chain is solved densely, by GTH
     assert [m for m in report["oracle-check"][1] if m.startswith("scipy.sparse")] == []
+
+
+@pytest.mark.parametrize("stage", ["import", "oracle-check", "analytic"])
+def test_no_kernel_is_loaded(kernel_report, stage):
+    code, _, loaded = kernel_report[stage]
+    assert code == 0
+    assert not loaded
+
+
+def test_simulation_loads_the_kernel(kernel_report):
+    # and so the checks above are not an artefact of the check
+    code, _, loaded = kernel_report["simulate"]
+    assert code == 0 and loaded

@@ -1,11 +1,14 @@
 import math
+import os
+import subprocess
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from proactivenet import sched
+from proactivenet import cli, sched
 from proactivenet.sched import BACKLOG_OVERFLOW, PathOverflowError, serve_path
 
 # a backlog c[0..T]: pending requests per residual deadline
@@ -327,7 +330,8 @@ def _options(data, slots, opts):
 
 
 class TestSettledSlots:
-    """The busy-period kernel against the reference slot loop."""
+    """The C kernel against the reference slot loop, on paths that mix slots an
+    empty system clears with busy periods."""
 
     @given(st.integers(0, 4), st.integers(1, 40), st.integers(0, 8), kernel_options,
            st.data())
@@ -398,3 +402,128 @@ class TestOverflowSlot:
         for fn in (serve_path, serve_path_by_slot):
             with pytest.raises(PathOverflowError, match="at slot 3$"):
                 fn(arr, 0)
+
+
+class TestKernelInputs:
+    """Whatever layout the caller hands in, the kernel reads what the reference
+    reads: serve_path passes it C-ordered arrays of its own dtypes only."""
+
+    rng = np.random.default_rng(5)
+    counts = rng.poisson(1.5, (30, 3))
+    presence = rng.random((30, 21)) < 0.3  # wider than one 8-byte word
+    q = rng.poisson(0.8, 30)
+
+    def test_fortran_order(self):
+        assert_matches_slot_loop(np.asfortranarray(self.counts), 2, secondary=self.q)
+        pres = np.asfortranarray(self.presence)
+        assert_matches_slot_loop(pres, 2, multicast_T=1, f=0.0, secondary=self.q, refill=True)
+
+    def test_non_contiguous_views(self):
+        assert_matches_slot_loop(self.counts[::2], 2, secondary=self.q[::2])
+        assert_matches_slot_loop(self.counts[:, 1:], 1, f=0.5, secondary=self.q)
+        assert_matches_slot_loop(self.presence[::3, ::2], 1, multicast_T=2)
+
+    def test_int32_counts(self):
+        arr = self.counts.astype(np.int32)
+        assert_matches_slot_loop(arr, 2, f=0.5, secondary=self.q.astype(np.int32))
+
+    def test_lists(self):
+        assert_matches_slot_loop(self.counts.tolist(), 2, secondary=self.q.tolist(),
+                                 refill=True)
+        assert_matches_slot_loop(self.presence.tolist(), 2, multicast_T=1,
+                                 secondary=self.q.tolist())
+
+    def test_zero_capacity(self):
+        assert_matches_slot_loop(self.counts, 0, secondary=self.q, refill=True)
+        assert_matches_slot_loop(self.presence, 0, multicast_T=2, f=0.0)
+
+    def test_interleaved_calls_leave_no_state(self):
+        # each call gets its own workspace: a path left busy at its last slot
+        # does not leak into the next call
+        busy = serve_path(self.counts, 1)
+        idle = serve_path(np.zeros((5, 3), dtype=np.int64), 1)
+        assert np.array_equal(serve_path(self.counts, 1), busy)
+        assert not idle.any()
+        assert np.array_equal(busy, serve_path_by_slot(self.counts, 1))
+
+    def test_malformed_inputs_are_refused(self):
+        with pytest.raises(ValueError, match="matrix"):
+            serve_path([1, 2, 3], 1)
+        with pytest.raises(ValueError, match="secondary"):
+            serve_path(self.counts, 1, secondary=self.q[:-1])
+        with pytest.raises(ValueError, match="f >= 0"):
+            serve_path(self.counts, 1, f=-0.5)
+        with pytest.raises(ValueError, match="capacity"):
+            serve_path(self.counts, 2**63)
+
+
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty kernel cache, and no kernel loaded yet."""
+    cache = tmp_path / "__pycache__"
+    monkeypatch.setattr(sched, "_CACHE", cache)
+    monkeypatch.setattr(sched, "_slot_loop", None)
+    return cache
+
+
+class TestKernelBuild:
+    arr = [[0, 3], [1, 1], [2, 0]]
+
+    def test_second_load_reuses_the_cached_library(self, fresh_cache, monkeypatch):
+        first = serve_path(self.arr, 1)
+        built = list(fresh_cache.iterdir())
+        assert [p.name.startswith("_kernel-") and p.suffix == ".so" for p in built] == [True]
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("compiled again")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        monkeypatch.setattr(sched, "_slot_loop", None)
+        assert np.array_equal(serve_path(self.arr, 1), first)
+        assert list(fresh_cache.iterdir()) == built
+
+    def test_edited_source_builds_a_new_library(self, tmp_path):
+        edited = tmp_path / "_kernel.c"
+        edited.write_bytes(sched._SOURCE.read_bytes() + b"/* edited */\n")
+        cache = tmp_path / "cache"
+        libs = {sched._build(sched._SOURCE, cache), sched._build(edited, cache)}
+        assert len(libs) == 2
+        assert set(cache.iterdir()) == libs
+
+    def test_library_mode_follows_the_umask(self, tmp_path):
+        # as for any file cc creates: readable by all under umask 022, so a
+        # shared checkout's cache serves every user
+        old = os.umask(0o022)
+        try:
+            lib = sched._build(sched._SOURCE, tmp_path / "cache")
+        finally:
+            os.umask(old)
+        assert lib.stat().st_mode & 0o777 == 0o755
+        assert list(lib.parent.iterdir()) == [lib]
+
+    def test_unwritable_cache_builds_in_a_temporary_directory(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(sched, "_CACHE", blocker / "__pycache__")
+        monkeypatch.setattr(sched, "_slot_loop", None)
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        assert_matches_slot_loop(self.arr, 1)
+        assert list(scratch.iterdir()) == []  # removed once loaded
+
+    def test_compile_error_names_the_compiler(self, tmp_path):
+        broken = tmp_path / "_kernel.c"
+        broken.write_text("int serve_path(void) { return }\n")
+        with pytest.raises(RuntimeError, match="'cc' failed on _kernel.c"):
+            sched._build(broken, tmp_path / "cache")
+        assert list((tmp_path / "cache").iterdir()) == []
+
+    def test_missing_compiler_is_a_runtime_failure(self, fresh_cache, monkeypatch, capsys):
+        monkeypatch.setenv("PATH", str(fresh_cache.parent))  # no cc on it
+        argv = ["simulate", "--C", "4", "--gamma", "0.5", "--paths", "2", "--slots", "300"]
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("failure: ") and "'cc' not found" in err
+        assert list(fresh_cache.iterdir()) == []
