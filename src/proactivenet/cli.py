@@ -8,12 +8,18 @@ Subcommands:
   reproduce-figure    canned parameter sets emitting plot-ready curves
   rerun-from-manifest re-execute a previous run bit-identically
 
-A run is its manifest, the dict {command, params, out}: `COMMANDS` maps
-the command to a function of the flat parameter dict.  A canned figure is
-a capacity grid plus one such parameter dict per curve, run as a sweep;
-an analytic quantity is one `ANALYTIC` entry (its required parameters,
-CSV class and rows), and an exact value is one row.  `--lookahead`
+Each command declares only the flags it reads (see `build_parser`): the
+model flags, the run flags (--paths --slots --warmup --seed) of the two
+simulating commands, and its own; any other flag exits 2.  `--seed`
+defaults to 0, and nothing is read from the environment.  `--lookahead`
 defaults to `det`, so `--T` alone sets a deterministic window.
+
+A run is its manifest, the dict {command, params, out}: the parameters
+are the parsed flags that have a value, and `COMMANDS` maps the command
+to a function of that flat dict.  A canned figure is a capacity grid plus
+one such parameter dict per curve, run as a sweep; an analytic quantity
+is one `ANALYTIC` entry (its required parameters, CSV class and rows),
+and an exact value is one row.
 
 Every run writes a CSV with the fixed header
 `experiment,C,class,metric,value,stderr,seed` plus a JSON manifest holding
@@ -120,22 +126,11 @@ def _parse_lookahead(text: str, T: int) -> LookaheadLaw:
 
 
 def _parse_policy(text: str) -> tuple[str, float]:
-    if text.startswith("dynamic:"):
-        return DYNAMIC, float(text.split(":", 1)[1])
-    if text == "dynamic":
-        return DYNAMIC, 0.5
-    if text in POLICIES:
-        return text, 0.5
-    raise ConfigError(f"policy: unknown value {text!r}")
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("PROACTIVE_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    """(policy, dynamic share f): `dynamic:<f>` sets f, else SimConfig's default."""
+    name, colon, f = text.partition(":")
+    if name not in POLICIES or (colon and name != DYNAMIC):
+        raise ConfigError(f"policy: unknown value {text!r}")
+    return name, float(f) if colon else SimConfig.f
 
 
 def _bounds(*bounds) -> list[tuple[str, float]]:
@@ -292,7 +287,7 @@ def _sim_config(p: dict) -> SimConfig:
         secondary=secondary,
         pred_error=pred_error,
         multicast=multicast,
-        f=p.get("f", 0.5),
+        f=p.get("f", SimConfig.f),
     )
 
 
@@ -314,7 +309,8 @@ def cmd_analytic(p: dict) -> list[tuple]:
 
 
 def cmd_oracle_check(p: dict) -> list[tuple]:
-    sim_cfg = _sim_config({**p, "slots": 1000, "seed": 0, "paths": 0})
+    # the chain runs no path: a one-slot config with no warm-up
+    sim_cfg = _sim_config({**p, "slots": 1, "seed": 0, "warmup": 0})
     res = oracle.exact_outage_stationary(sim_cfg)
     return [
         ("oracle-check", p["C"], "default", "exact_outage", _fmt(res.value),
@@ -343,78 +339,61 @@ COMMANDS = {
 }
 
 
-def _add_common_sim_flags(sp) -> None:
-    sp.add_argument("--C", type=int)
-    sp.add_argument("--gamma", type=float)
-    sp.add_argument("--regime", choices=["linear", "poly"], default="linear")
-    sp.add_argument("--T", type=int, default=0)
-    sp.add_argument("--lookahead", type=str, default=None)
-    sp.add_argument("--policy", type=str, default="reactive")
-    sp.add_argument("--gp", type=float, default=None)
-    sp.add_argument("--gs", type=float, default=None)
-    sp.add_argument("--gamma-m", dest="gamma_m", type=float, default=None)
-    sp.add_argument("--gamma-u", dest="gamma_u", type=float, default=None)
-    sp.add_argument("--theta", type=float, default=None)
-    sp.add_argument("--alpha-pred", dest="alpha_pred", type=float, default=None)
-    sp.add_argument("--alpha-miss", dest="alpha_miss", type=float, default=None)
-    sp.add_argument("--paths", type=int, default=100)
-    sp.add_argument("--slots", type=int, default=1000)
-    sp.add_argument("--warmup", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", type=str, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """Each command declares the flags it reads, and no other: the model
+    flags, the run flags and its own."""
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--gamma", type=float)
+    model.add_argument("--regime", choices=["linear", "poly"], default="linear")
+    model.add_argument("--T", type=int, default=0)
+    model.add_argument("--lookahead")
+    model.add_argument("--gp", type=float)
+    model.add_argument("--gs", type=float)
+    model.add_argument("--gamma-m", type=float)
+    model.add_argument("--gamma-u", type=float)
+    model.add_argument("--theta", type=float)
+    model.add_argument("--alpha-pred", type=float)
+    model.add_argument("--alpha-miss", type=float)
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--paths", type=int, default=100)
+    runs.add_argument("--slots", type=int, default=1000)
+    runs.add_argument("--warmup", type=int)
+    runs.add_argument("--seed", type=int, default=0)
+    C = argparse.ArgumentParser(add_help=False)
+    C.add_argument("--C", type=int)
+    policy = argparse.ArgumentParser(add_help=False)
+    policy.add_argument("--policy", default="reactive")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+
     ap = argparse.ArgumentParser(prog="proactivenet")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("simulate", help="one Monte Carlo estimate")
-    _add_common_sim_flags(sp)
+    def command(name: str, summary: str, *parents) -> argparse.ArgumentParser:
+        # no abbreviations: `sweep --C 4` must not stand for --C-grid
+        return sub.add_parser(name, help=summary, parents=[*parents, out], allow_abbrev=False)
 
-    sp = sub.add_parser("sweep", help="estimates over a capacity grid")
-    _add_common_sim_flags(sp)
-    sp.add_argument("--C-grid", dest="C_grid", type=str, required=True,
-                    help="comma-separated ascending capacities")
-
-    sp = sub.add_parser("analytic", help="closed-form bounds")
+    command("simulate", "one Monte Carlo estimate", C, policy, model, runs)
+    sp = command("sweep", "estimates over a capacity grid", policy, model, runs)
+    sp.add_argument("--C-grid", required=True, help="comma-separated ascending capacities")
+    sp = command("analytic", "closed-form bounds", model)
     sp.add_argument("--quantity", choices=ANALYTIC, required=True)
-    sp.add_argument("--scenario", type=int, default=None)
-    _add_common_sim_flags(sp)
-
-    sp = sub.add_parser("oracle-check", help="exact stationary outage")
-    _add_common_sim_flags(sp)
-
-    sp = sub.add_parser("reproduce-figure", help="canned figure data")
+    sp.add_argument("--scenario", type=int)
+    command("oracle-check", "exact stationary outage", C, policy, model)
+    sp = command("reproduce-figure", "canned figure data")
     sp.add_argument("figure_id", choices=sorted(FIGURES))
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", type=str, default=None)
-
-    sp = sub.add_parser("rerun-from-manifest", help="bit-identical re-run")
-    sp.add_argument("manifest", type=str)
-    sp.add_argument("--out", type=str, default=None)
+    sp.add_argument("--seed", type=int, default=0)
+    command("rerun-from-manifest", "bit-identical re-run").add_argument("manifest")
     return ap
 
 
 def _params_from_args(args) -> dict:
-    p = {}
-    for key in (
-        "C", "gamma", "regime", "T", "lookahead", "gp", "gs", "gamma_m",
-        "gamma_u", "theta", "alpha_pred", "alpha_miss", "paths", "slots",
-        "warmup", "scenario", "quantity",
-    ):
-        v = getattr(args, key, None)
-        if v is not None:
-            p[key] = v
-    if hasattr(args, "policy") and args.policy is not None:
-        policy, f = _parse_policy(args.policy)
-        p["policy"] = policy
-        p["f"] = f
-    if getattr(args, "C_grid", None) is not None:
-        p["C_grid"] = [int(x) for x in args.C_grid.split(",")]
-    if getattr(args, "figure_id", None) is not None:
-        p["figure_id"] = args.figure_id
-    if args.command not in ("analytic",):
-        p["seed"] = _resolve_seed(args)
+    """The run's parameters: every flag of its command that has a value."""
+    p = {k: v for k, v in vars(args).items() if v is not None and k not in ("command", "out")}
+    if "policy" in p:
+        p["policy"], p["f"] = _parse_policy(p["policy"])
+    if "C_grid" in p:
+        p["C_grid"] = [int(x) for x in p["C_grid"].split(",")]
     return p
 
 
@@ -458,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run({"command": args.command, "params": params, "out": getattr(args, "out", None)})
+    return run({"command": args.command, "params": params, "out": args.out})
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ import numpy as np
 from proactivenet import analytic
 from proactivenet.analytic import Constant, poisson_tail
 from proactivenet.sim import EDF, REACTIVE, SimConfig
+from proactivenet.traffic import LookaheadLaw
 
 
 class OracleError(ValueError):
@@ -96,15 +97,19 @@ class TruncatedChain:
     def stationary(self) -> np.ndarray:
         """pi P = pi by GTH (Grassmann, Taksar & Heyman 1985): state
         reduction from the last state down, with no subtraction, so every
-        entry of pi keeps a small relative error."""
+        entry of pi keeps a small relative error.  Eliminating state k
+        changes only the columns from row k's first nonzero entry on; a
+        chain that steps down by at most C keeps that band: O(n^2 C)."""
         P = self.matrix()
         n = len(P)
         for k in range(n - 1, 0, -1):
-            leave = P[k, :k].sum()  # 1 - P[k, k] of the reduced chain, uncancelled
+            row = P[k, :k]
+            leave = row.sum()  # 1 - P[k, k] of the reduced chain, uncancelled
             if not leave > 0.0:
                 raise OracleError(f"GTH pivot {leave!r} at state {k}: chain is reducible")
+            lo = int(np.argmax(row > 0.0))
             P[:k, k] /= leave
-            P[:k, :k] += np.outer(P[:k, k], P[k, :k])
+            P[:k, lo:k] += np.outer(P[:k, k], row[lo:])
         pi = np.ones(n)
         for k in range(1, n):
             pi[k] = pi[:k] @ P[:k, k]
@@ -144,20 +149,27 @@ class StationaryResult:
     n_states: int
 
 
-def exact_outage_stationary(cfg: SimConfig, cap: int | None = None) -> StationaryResult:
-    """Stationary outage probability of a small single-class config.
-
-    Supports the reactive policy (any law; outage is iid per slot) and the
-    EDF policy with a deterministic look-ahead law.  Other policies and
-    prediction-error traffic need state the chain does not model and
-    raise OracleError.  `cap` defaults to C(T+1) + 1, where the chain is
-    exact.
-    """
+def _random_law(cfg: SimConfig) -> LookaheadLaw | None:
+    """The random look-ahead law of `cfg`, None for a deterministic window
+    (reactive serves at window 0).  The oracle models reactive and EDF
+    without prediction error; any other config raises OracleError."""
     if cfg.policy not in (REACTIVE, EDF):
         raise OracleError(f"no exact chain for policy {cfg.policy!r}")
     if cfg.pred_error is not None:
         raise OracleError("no exact chain for prediction-error traffic")
-    if cfg.policy == EDF and cfg.law is not None and not cfg.law.is_deterministic:
+    law = cfg.law
+    return law if cfg.policy == EDF and law is not None and not law.is_deterministic else None
+
+
+def exact_outage_stationary(cfg: SimConfig, cap: int | None = None) -> StationaryResult:
+    """Stationary outage probability of a small single-class config.
+
+    Supports the reactive policy (any law; outage is iid per slot) and the
+    EDF policy with a deterministic look-ahead law; any other config
+    raises OracleError (see `_random_law`).  `cap` defaults to C(T+1) + 1,
+    where the chain is exact.
+    """
+    if _random_law(cfg) is not None:
         raise OracleError("exact chain supports deterministic look-ahead only")
     lam = cfg.primary_rate
     if not lam:  # no primary stream, or rate 0
@@ -205,14 +217,15 @@ def exact_event_bounds(cfg: SimConfig) -> tuple[float, float]:
     C(T+1)).  Random window: P_L is the exact union over k of {sum of the
     k-earliest window arrivals > C(k+1)}; P_U adds the exact probability of
     the busy-history event to P_L's companion union (a union bound over the
-    two dependent events, capped at 1).
+    two dependent events, capped at 1).  A reactive config has window 0,
+    and a config the oracle does not model raises OracleError.
     """
+    law = _random_law(cfg)
     lam = cfg.primary_rate
-    if lam is None:
+    if lam is None:  # no primary stream, so no outage
         return 0.0, 0.0
     C = cfg.C
-    law = cfg.law
-    if law is None or law.is_deterministic:
+    if law is None:
         T = cfg.tmax
         return (
             poisson_tail(lam, C * (T + 1)),

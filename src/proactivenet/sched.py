@@ -21,6 +21,7 @@ Policies differ only in
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
 import shutil
@@ -48,7 +49,8 @@ def _build(source: Path, cache: Path) -> Path:
     """Compile `source` into `cache` once per (source, command); return the library.
 
     The file name hashes the source and the command, so an edited source
-    builds a new file, and os.replace lets racing processes both succeed.
+    builds a new file and removes the older ones, and os.replace lets
+    racing processes both succeed.
     The cache ignores sys.dont_write_bytecode: honouring it would recompile
     in every process.  If `cache` cannot be written, the library goes to a
     fresh temporary directory.
@@ -78,6 +80,10 @@ def _build(source: Path, cache: Path) -> Path:
         raise RuntimeError(f"{_CC[0]!r} failed on {source.name}: {exc.stderr.strip()}") from None
     finally:
         shutil.rmtree(work, ignore_errors=True)
+    for stale in lib.parent.glob("_kernel-*.so"):  # builds of earlier sources
+        if stale != lib:
+            with contextlib.suppress(OSError):
+                stale.unlink()
     return lib
 
 

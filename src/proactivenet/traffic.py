@@ -201,14 +201,11 @@ def unicast_counts(
 
     The split over look-ahead values is drawn as independent
     Poisson(p_k * lam) columns, distributionally identical to a multinomial
-    thinning of the total.  Deterministic laws draw a single Poisson stream
-    placed at column T so that paths with different T but the same seed see
-    identical arrival totals (paired-seed comparisons).
+    thinning of the total.  A deterministic law draws one Poisson(lam)
+    stream, placed at column T, so that paths with different T but the same
+    seed see identical arrival totals (paired-seed comparisons).
     """
     out = np.zeros((slots, law.tmax + 1), dtype=np.int64)
-    if law.is_deterministic:
-        out[:, law.tmax] = rng.poisson(lam, slots)
-        return out
     for k in range(law.tmin, law.tmax + 1):
         p = law.pmf(k)
         if p > 0.0:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -420,16 +421,18 @@ class TestExitCodes:
 
 
 class TestSeedResolution:
-    def test_env_fallback(self, tmp_path, monkeypatch):
+    def test_environment_is_not_read(self, tmp_path, monkeypatch):
+        # a run is its command line: without --seed the seed is 0
         out = tmp_path / "a.csv"
         monkeypatch.setenv("PROACTIVE_SEED", "99")
-        main(
+        assert main(
             [
                 "simulate", "--C", "3", "--gamma", "0.5", "--paths", "3",
                 "--slots", "300", "--warmup", "50", "--out", str(out),
             ]
-        )
-        assert read_csv(str(out))[0]["seed"] == "99"
+        ) == 0
+        assert read_csv(str(out))[0]["seed"] == "0"
+        assert json.loads((tmp_path / "a.csv.manifest.json").read_text())["params"]["seed"] == 0
 
     def test_flag_beats_env(self, tmp_path, monkeypatch):
         out = tmp_path / "b.csv"
@@ -442,6 +445,67 @@ class TestSeedResolution:
             ]
         )
         assert read_csv(str(out))[0]["seed"] == "5"
+
+
+MODEL_FLAGS = {"--gamma", "--regime", "--T", "--lookahead", "--gp", "--gs", "--gamma-m",
+               "--gamma-u", "--theta", "--alpha-pred", "--alpha-miss"}
+RUN_FLAGS = {"--paths", "--slots", "--warmup", "--seed"}
+COMMAND_FLAGS = {
+    "simulate": {"--C", "--policy", *MODEL_FLAGS, *RUN_FLAGS, "--out"},
+    "sweep": {"--C-grid", "--policy", *MODEL_FLAGS, *RUN_FLAGS, "--out"},
+    "analytic": {"--quantity", "--scenario", *MODEL_FLAGS, "--out"},
+    "oracle-check": {"--C", "--policy", *MODEL_FLAGS, "--out"},
+    "reproduce-figure": {"figure_id", "--seed", "--out"},
+    "rerun-from-manifest": {"manifest", "--out"},
+}
+
+
+class TestFlags:
+    def test_each_command_declares_exactly_its_flags(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {
+            name: {(a.option_strings or [a.dest])[-1] for a in sp._actions if a.dest != "help"}
+            for name, sp in sub.choices.items()
+        }
+        assert got == COMMAND_FLAGS
+        assert {name: len(flags) for name, flags in got.items()} == {
+            "simulate": 18, "sweep": 18, "analytic": 14, "oracle-check": 14,
+            "reproduce-figure": 3, "rerun-from-manifest": 2,
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["analytic", "--quantity", "nonpred", "--gamma", "0.8", "--seed", "1"],
+        ["analytic", "--quantity", "nonpred", "--gamma", "0.8", "--C", "4"],
+        ["oracle-check", "--C", "2", "--gamma", "0.5", "--paths", "3"],
+        ["oracle-check", "--C", "2", "--gamma", "0.5", "--warmup", "5000"],
+        # not an abbreviation of --C-grid
+        ["sweep", "--C-grid", "2,4", "--gamma", "0.5", "--paths", "2", "--C", "4"],
+    ])
+    def test_a_flag_the_command_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["analytic", "--quantity", "nonpred", "--gamma", "0.8"],
+         {"C": 7, "paths": 100, "slots": 1000, "policy": "reactive", "f": 0.5}),
+        (["oracle-check", "--C", "2", "--gamma", "0.5", "--policy", "edf", "--T", "1"],
+         {"seed": 0, "paths": 100, "slots": 1000}),
+    ])
+    def test_older_manifests_still_rerun(self, tmp_path, argv, unread):
+        # manifests written while every command took every flag carry
+        # parameters the command never reads; they re-run to the same bytes
+        out = tmp_path / "run.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert not unread.keys() & manifest["params"].keys()
+        manifest["params"].update(unread)
+        old = tmp_path / "old.manifest.json"
+        old.write_text(json.dumps(manifest))
+        assert main(["rerun-from-manifest", str(old), "--out", str(tmp_path / "again.csv")]) == 0
+        assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
 
 
 class TestManifestRoundTrip:

@@ -18,7 +18,7 @@ from proactivenet.oracle import (
 )
 from proactivenet.sched import serve_path
 from proactivenet.sim import SimConfig, estimate_outage
-from proactivenet.traffic import LookaheadLaw, Regime
+from proactivenet.traffic import LookaheadLaw, MulticastSpec, PredictionErrorSpec, Regime
 
 
 def reference_edf_chain(C, lam, T, cap):
@@ -156,6 +156,21 @@ class TestEdfChain:
         ch = build_edf_chain(*chain)
         assert np.abs(ch.stationary() - dense_stationary(ch.matrix())).max() <= 1e-13
 
+    @pytest.mark.parametrize("C, lam, T", [(8, 6.4, 6), (40, 38.0, 3), (25, 12.5, 2)])
+    def test_banded_elimination_matches_full_gth(self, C, lam, T):
+        # the reference eliminates each state over all columns; the band
+        # skips only products with an exact zero, so pi is bit-identical
+        ch = build_edf_chain(C, lam, T, C * (T + 1) + 1)
+        P = ch.matrix()
+        n = len(P)
+        for k in range(n - 1, 0, -1):
+            P[:k, k] /= P[k, :k].sum()
+            P[:k, :k] += np.outer(P[:k, k], P[k, :k])
+        pi = np.ones(n)
+        for k in range(1, n):
+            pi[k] = pi[:k] @ P[:k, k]
+        assert np.array_equal(ch.stationary(), pi / pi.sum())
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(0, 5),
@@ -254,7 +269,38 @@ class TestStationaryOutage:
             exact_outage_stationary(cfg)
 
 
+REFUSED = [
+    (SimConfig(C=4, policy="multicast", slots=100, warmup=10, seed=0,
+               multicast=MulticastSpec(0.9, 15.0), law=LookaheadLaw.deterministic(1)),
+     "no exact chain for policy 'multicast'"),
+    (SimConfig(C=4, policy="selfish", slots=100, warmup=10, seed=0, regime=Regime("linear", 0.6),
+               secondary=Regime("linear", 0.1), law=LookaheadLaw.deterministic(1)),
+     "no exact chain for policy 'selfish'"),
+    (SimConfig(C=8, policy="edf", slots=100, warmup=10, seed=0, pred_error=PredictionErrorSpec(
+        alpha_pred=0.9, alpha_miss=0.3, T=2, regime=Regime("linear", 0.6))),
+     "no exact chain for prediction-error traffic"),
+]
+
+
 class TestEventBounds:
+    @pytest.mark.parametrize("cfg, reason", REFUSED)
+    def test_refuses_what_the_oracle_does_not_model(self, cfg, reason):
+        # as the stationary outage does: (0.0, 0.0) would be a wrong answer
+        with pytest.raises(OracleError, match=reason):
+            exact_event_bounds(cfg)
+        with pytest.raises(OracleError, match=reason):
+            exact_outage_stationary(cfg)
+
+    def test_reactive_is_window_zero_whatever_its_law(self):
+        # reactive serves every request at window 0: both bounds are the
+        # exact tail, not the EDF random-window bounds of its law
+        cfg = SimConfig(C=4, policy="reactive", slots=100, warmup=10, seed=0,
+                        regime=Regime("linear", 0.8), law=LookaheadLaw.binomial(5, 0.5))
+        lo, up = exact_event_bounds(cfg)
+        assert lo == up == exact_outage_stationary(cfg).value
+        assert lo == pytest.approx(poisson_tail(3.2, 4), rel=1e-12, abs=0)
+        assert lo == pytest.approx(0.219, abs=5e-4)
+
     def test_deterministic_window(self):
         lo, up = exact_event_bounds(edf_cfg(C=2, rate=1.0, T=1))
         assert lo == pytest.approx(poisson_tail(1.0, 4), rel=1e-12, abs=0)

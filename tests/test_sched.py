@@ -483,12 +483,14 @@ class TestKernelBuild:
         assert list(fresh_cache.iterdir()) == built
 
     def test_edited_source_builds_a_new_library(self, tmp_path):
+        # and removes the stale one: the cache holds the newest build only
         edited = tmp_path / "_kernel.c"
         edited.write_bytes(sched._SOURCE.read_bytes() + b"/* edited */\n")
         cache = tmp_path / "cache"
-        libs = {sched._build(sched._SOURCE, cache), sched._build(edited, cache)}
-        assert len(libs) == 2
-        assert set(cache.iterdir()) == libs
+        first = sched._build(sched._SOURCE, cache)
+        newest = sched._build(edited, cache)
+        assert newest != first
+        assert list(cache.iterdir()) == [newest]
 
     def test_library_mode_follows_the_umask(self, tmp_path):
         # as for any file cc creates: readable by all under umask 022, so a
