@@ -339,6 +339,17 @@ COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: a flag it does not read exits 2 under the
+    command's own usage line, not handed back to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Each command declares the flags it reads, and no other: the model
     flags, the run flags and its own."""
@@ -367,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out")
 
     ap = argparse.ArgumentParser(prog="proactivenet")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def command(name: str, summary: str, *parents) -> argparse.ArgumentParser:
         # no abbreviations: `sweep --C 4` must not stand for --C-grid

@@ -4,8 +4,9 @@ Every policy keeps the same state: the vector c of pending requests per
 residual deadline, c[i] = requests with i slots left (i = 0 is due this
 slot).  Each slot, arrivals land, service is applied, requests still at
 residual 0 expire, and residual deadlines drop by one.  The slot loop is a
-small C function, `_kernel.c`, compiled with `cc` on the first call and
-cached next to this module; every slot of the path runs through it.
+small C function of `_kernel.c`, compiled with `cc` on the first call and
+cached next to this module; every slot of the path runs through it.  The
+same library holds `traffic.poisson`'s sampler, so `_kernel` loads both.
 
 Policies differ only in
   - the arrival source: a count matrix of new requests per look-ahead, or
@@ -38,7 +39,7 @@ _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 # fixed flags: no -march=native or -ffast-math, so results match across machines
 _CC = ("cc", "-O2", "-shared", "-fPIC")
-_slot_loop = None  # the compiled kernel, loaded by the first serve_path call
+_lib = None  # the compiled kernels, loaded by the first simulation
 
 
 class PathOverflowError(RuntimeError):
@@ -75,7 +76,7 @@ def _build(source: Path, cache: Path) -> Path:
         subprocess.run([*_CC, "-o", tmp, str(source)], check=True, capture_output=True, text=True)
         os.replace(tmp, lib)
     except FileNotFoundError:
-        raise RuntimeError(f"the slot loop needs a C compiler: {_CC[0]!r} not found") from None
+        raise RuntimeError(f"the kernels need a C compiler: {_CC[0]!r} not found") from None
     except subprocess.CalledProcessError as exc:
         raise RuntimeError(f"{_CC[0]!r} failed on {source.name}: {exc.stderr.strip()}") from None
     finally:
@@ -87,20 +88,24 @@ def _build(source: Path, cache: Path) -> Path:
     return lib
 
 
-def _kernel():
-    """The C slot loop, built and loaded on first use."""
-    global _slot_loop
-    if _slot_loop is None:
-        lib = _build(_SOURCE, _CACHE)
-        fn = ctypes.CDLL(str(lib)).serve_path
-        if lib.parent != _CACHE:  # a temporary build: loaded, it is no longer needed
-            shutil.rmtree(lib.parent, ignore_errors=True)
-        i64, ptr = ctypes.c_int64, ctypes.c_void_p
-        fn.argtypes = [ptr, ptr, i64, i64, i64, i64, ctypes.c_double, ptr, ctypes.c_int,
-                       i64, ptr, ptr]
-        fn.restype = i64
-        _slot_loop = fn
-    return _slot_loop
+def _kernel() -> ctypes.CDLL:
+    """The C kernels (the slot loop and the Poisson sampler), built and loaded on first use."""
+    global _lib
+    if _lib is None:
+        path = _build(_SOURCE, _CACHE)
+        lib = ctypes.CDLL(str(path))
+        if path.parent != _CACHE:  # a temporary build: loaded, it is no longer needed
+            shutil.rmtree(path.parent, ignore_errors=True)
+        i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+        lib.serve_path.argtypes = [ptr, ptr, i64, i64, i64, i64, dbl, ptr, ctypes.c_int,
+                                   i64, ptr, ptr]
+        lib.serve_path.restype = i64
+        lib.poisson_cdf.argtypes = [dbl, i64, i64, ptr]
+        lib.poisson_cdf.restype = None
+        lib.poisson_invert.argtypes = [ptr, i64, ptr, i64, i64, ptr]
+        lib.poisson_invert.restype = ctypes.c_int
+        _lib = lib
+    return _lib
 
 
 def serve_path(
@@ -151,7 +156,7 @@ def serve_path(
             raise ValueError(f"secondary must hold {slots} slot counts, got {secondary.shape}")
     c = np.zeros(T + 1, dtype=np.int64)
     expired = np.zeros((slots, 1 if secondary is None else 2), dtype=np.int64)
-    tripped = _kernel()(
+    tripped = _kernel().serve_path(
         grid.ctypes.data if unicast else None,
         None if unicast else grid.ctypes.data,
         slots, width, int(T), int(C), float(f),

@@ -8,11 +8,16 @@ expires in it; the per-path outage ratio divides by all post-warmup slots.
 Estimates average path ratios and report the standard error across paths.
 
 Seeding uses a counter-based split of the master seed so that path i sees
-the same randomness regardless of how many paths are run, and so that two
-configs sharing (seed, path index) and the same draw layout see identical
-arrivals (paired comparisons across policies and look-ahead windows):
-unicast through the Poisson totals of a deterministic window, multicast
-through the source-presence matrix, whose draws do not depend on T.
+the same randomness regardless of how many paths are run.  A path draws in
+a fixed order: the primary arrivals (the multicast presence matrix, or the
+unicast Poisson columns by look-ahead, predicted before missed), then the
+secondary; each Poisson count takes exactly one uniform of the stream
+(`traffic.poisson`).  So two configs sharing (seed, path index) and the
+same draw layout see identical arrivals (paired comparisons across policies
+and look-ahead windows): reactive and every deterministic window see the
+same per-slot totals, the curves of one two-class figure the same primary
+and secondary counts, and multicast windows the same presence matrix,
+whose draws do not depend on T.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from proactivenet.traffic import (
     TrafficSpecError,
     mean_rate,
     multicast_presence,
+    poisson,
     prediction_error_counts,
     unicast_counts,
 )
@@ -228,9 +234,9 @@ def run_path(cfg: SimConfig, seed_index: int = 0) -> PathResult:
     else:
         arrivals = _unicast_arrivals(cfg, rng)
     if cfg.policy in (SELFISH, DYNAMIC):
-        secondary = rng.poisson(mean_rate(cfg.secondary, cfg.C), cfg.slots)
+        secondary = poisson(rng, mean_rate(cfg.secondary, cfg.C), cfg.slots)
     elif cfg.policy == PI2:
-        secondary = rng.poisson(cfg.primary_rate or 0.0, cfg.slots)
+        secondary = poisson(rng, cfg.primary_rate or 0.0, cfg.slots)
     expired = sched.serve_path(
         arrivals,
         cfg.C,

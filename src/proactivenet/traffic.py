@@ -6,8 +6,14 @@ requests that become known to the scheduler, keyed by their look-ahead time
 data-source level: per slot, the set of distinct sources demanded.
 
 Two capacity-scaling regimes are supported: linear (mean gamma*C) and
-polynomial (mean C**gamma).  Sampling is exact Poisson / Bernoulli -- never
-normal-approximate -- because the tail events are the quantity under study.
+polynomial (mean C**gamma).  The tail events are the quantity under study,
+so no law is normal-approximated.  A source-presence indicator is one
+uniform against its probability.  A Poisson count is one uniform u of the
+path's stream, inverted through the Poisson cdf F: count = min{k : F(k) > u}
+(`poisson`, compiled in `_kernel.c`).  The inversion is exact up to the
+2**-53 resolution of u: F is summed over a window of about 24 sqrt(mu) + 60
+counts around the mean, and the mass it leaves out, below 1e-30, is far
+under that resolution.
 """
 
 from __future__ import annotations
@@ -16,6 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from proactivenet import sched
+from proactivenet.sched import BACKLOG_OVERFLOW, PathOverflowError
 
 LINEAR = "linear"
 POLY = "poly"
@@ -193,6 +202,44 @@ class MulticastSpec:
         return -math.expm1(-self.gamma_m / self.theta)
 
 
+def poisson(rng: np.random.Generator, mu: float, n: int) -> np.ndarray:
+    """n Poisson(mu) counts, each min{k : F(k) > u} for one uniform u of `rng`.
+
+    Every call consumes exactly n uniforms of the stream, also at mu = 0.
+    Raises ValueError for a negative or non-finite mu, and PathOverflowError
+    for mu above BACKLOG_OVERFLOW, whose path would overflow at its first
+    slot.
+    """
+    mu = float(mu)
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"Poisson mean must be finite and >= 0, got {mu}")
+    if mu > BACKLOG_OVERFLOW:
+        raise PathOverflowError(f"Poisson mean {mu:.6g} exceeds the backlog guard")
+    u = rng.random(n)
+    out = np.zeros(n, dtype=np.int64)
+    if mu > 0.0:
+        lo, F = _cdf_window(mu)
+        if sched._kernel().poisson_invert(
+            u.ctypes.data, n, F.ctypes.data, lo, F.size, out.ctypes.data
+        ):
+            raise MemoryError(f"no memory for a guide table of {F.size} entries")
+    return out
+
+
+def _cdf_window(mu: float) -> tuple[int, np.ndarray]:
+    """(lo, F): F[j] = P(X <= lo + j) for X ~ Poisson(mu), mu > 0, over the
+    counts within 12 sqrt(mu) + 30 of mu, normalised to end at 1.
+
+    The mass outside the window is below 1e-30 at every mu: it lies beyond
+    12 standard deviations, and beyond 30 counts from the mean.
+    """
+    half = 12.0 * math.sqrt(mu) + 30.0
+    lo = max(0, math.floor(mu - half))
+    F = np.empty(math.floor(mu + half) + 1 - lo)
+    sched._kernel().poisson_cdf(mu, lo, F.size, F.ctypes.data)
+    return lo, F
+
+
 def unicast_counts(
     lam: float, law: LookaheadLaw, rng: np.random.Generator, slots: int
 ) -> np.ndarray:
@@ -200,27 +247,29 @@ def unicast_counts(
     column k = look-ahead-k count per slot.
 
     The split over look-ahead values is drawn as independent
-    Poisson(p_k * lam) columns, distributionally identical to a multinomial
-    thinning of the total.  A deterministic law draws one Poisson(lam)
-    stream, placed at column T, so that paths with different T but the same
-    seed see identical arrival totals (paired-seed comparisons).
+    Poisson(p_k * lam) columns, in order of k, distributionally identical to
+    a multinomial thinning of the total.  A deterministic law draws one
+    Poisson(lam) stream, placed at column T, so that paths with different T
+    but the same seed see identical arrival totals (paired-seed
+    comparisons).
     """
     out = np.zeros((slots, law.tmax + 1), dtype=np.int64)
     for k in range(law.tmin, law.tmax + 1):
         p = law.pmf(k)
         if p > 0.0:
-            out[:, k] = rng.poisson(p * lam, slots)
+            out[:, k] = poisson(rng, p * lam, slots)
     return out
 
 
 def prediction_error_counts(
     spec: PredictionErrorSpec, C: int, rng: np.random.Generator, slots: int
 ) -> np.ndarray:
-    """(slots, T+1) arrival matrix: column 0 = missed, column T = predicted."""
+    """(slots, T+1) arrival matrix: column 0 = missed, column T = predicted;
+    the predicted stream is drawn first."""
     lam_pred, lam_miss = spec.rates(C)
     out = np.zeros((slots, spec.T + 1), dtype=np.int64)
-    pred = rng.poisson(lam_pred, slots)
-    miss = rng.poisson(lam_miss, slots)
+    pred = poisson(rng, lam_pred, slots)
+    miss = poisson(rng, lam_miss, slots)
     out[:, spec.T] += pred
     out[:, 0] += miss
     return out

@@ -320,15 +320,15 @@ class TestCommands:
 # they come from; a change to the random-draw layout must update them
 CANNED_NUMPY = "2.4.6"
 CANNED_SHA256 = {
-    "fig4a": "9deed3ff5a083532a508519a975c223a0d48b921c19e2ffcf2ff06eb1e6019c2",
-    "fig4b": "e868cc1d8f593e1d9d6eb8b3802dc58e7204885f3c9960216b93f1bd7ec4996d",
-    "fig5a": "009ae705d31beb6f50adc256b6de8195326815ff5bb0878137a31a4273a2befa",
-    "fig5b": "8a75bdc546694db97f2f0372cd3ecb087bea1d02cfc23d7d980bdb02c7e86254",
-    "fig6a": "313664fc49aab9103af9af932a621d86c382a85d393e3996828a32ddabfb79c4",
-    "fig6b": "cd17025025aae317521b888c3b05812756ff7b1e535c816853b806f67ce3f38b",
-    "fig-dyn": "13b89db8046e600bc8321c811f3e10da9405e21be1e5f5bbb5aa527311354d20",
+    "fig4a": "395b4f4563721ef1d5d4880ab037c3651fe9f9f51862faf19552c3777cb65327",
+    "fig4b": "8d22955db5cae0671b491e0a7cfee5a6030cee8bc3d0d7ae40210cbd85ada202",
+    "fig5a": "7b4a232877b5e622d8ab7a3b2ab1982b992be03de3e47b853bad527d6ea61ef0",
+    "fig5b": "0612a95410e3623565ec73d1353184dd365cb5b0ec7e7b173505021afa742f28",
+    "fig6a": "29ebf34f7beb7bfa1989333b9cbcc46694ad93714cd6c4cb4e34f14cc3b39942",
+    "fig6b": "1444092260a47e87aa85ac14562b34af31b52d9149840d4239d35f866ca17669",
+    "fig-dyn": "fc6f56b1c2b6f32541268b63117f5349adeaee6e0a52fc929d5a05aba9b96082",
     "fig-multicast": "57b28fbdcf0241099100a414fea4c638ec740b412b4f1a416ed77c35cb66a509",
-    "sweep-pi2": "4d51c0d4b6b31fbf96dcb7dba23c16b3e4f947c27ae9d88da169fde781848f92",
+    "sweep-pi2": "d131a70f6565354a378d7616e5dcf8baac0729030123d2eee1b3e590d735d95d",
 }
 CANNED_ARGV = {
     **{fig: ["reproduce-figure", fig] for fig in CANNED_SHA256 if fig.startswith("fig")},
@@ -487,6 +487,15 @@ class TestFlags:
             main(argv)
         assert exc.value.code == 2
         assert "error: unrecognized arguments: " in capsys.readouterr().err
+
+    def test_an_unread_flag_is_reported_under_the_command_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--C-grid", "2,4", "--gamma", "0.5", "--C", "4"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: proactivenet sweep ")
+        assert "--C-grid C_GRID" in err
+        assert err.endswith("proactivenet sweep: error: unrecognized arguments: --C 4\n")
 
     @pytest.mark.parametrize("argv, unread", [
         (["analytic", "--quantity", "nonpred", "--gamma", "0.8"],

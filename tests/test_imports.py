@@ -1,7 +1,7 @@
 """Importing the package and running the simulation commands loads no scipy
 module; `analytic` and `oracle` load it when first called.  Likewise the
-compiled slot loop is built and loaded by the first simulation, not by an
-import, `oracle-check` or `analytic`.
+compiled kernels (slot loop and Poisson sampler) are built and loaded by
+the first simulation, not by an import, `oracle-check` or `analytic`.
 
 The checks run in a fresh interpreter, because the other test modules
 import scipy and load the kernel themselves.
@@ -33,7 +33,7 @@ import proactivenet
 from proactivenet import analytic, cli, oracle, sched, sim, traffic
 
 def state(code):
-    return [code, scipy_modules(), sched._slot_loop is not None]
+    return [code, scipy_modules(), sched._lib is not None]
 
 
 report = {"import": state(0)}

@@ -462,7 +462,7 @@ def fresh_cache(tmp_path, monkeypatch):
     """An empty kernel cache, and no kernel loaded yet."""
     cache = tmp_path / "__pycache__"
     monkeypatch.setattr(sched, "_CACHE", cache)
-    monkeypatch.setattr(sched, "_slot_loop", None)
+    monkeypatch.setattr(sched, "_lib", None)
     return cache
 
 
@@ -478,7 +478,7 @@ class TestKernelBuild:
             raise AssertionError("compiled again")
 
         monkeypatch.setattr(subprocess, "run", no_compiler)
-        monkeypatch.setattr(sched, "_slot_loop", None)
+        monkeypatch.setattr(sched, "_lib", None)
         assert np.array_equal(serve_path(self.arr, 1), first)
         assert list(fresh_cache.iterdir()) == built
 
@@ -509,7 +509,7 @@ class TestKernelBuild:
         scratch = tmp_path / "tmp"
         scratch.mkdir()
         monkeypatch.setattr(sched, "_CACHE", blocker / "__pycache__")
-        monkeypatch.setattr(sched, "_slot_loop", None)
+        monkeypatch.setattr(sched, "_lib", None)
         monkeypatch.setattr(tempfile, "tempdir", str(scratch))
         assert_matches_slot_loop(self.arr, 1)
         assert list(scratch.iterdir()) == []  # removed once loaded

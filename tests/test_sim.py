@@ -18,6 +18,7 @@ from proactivenet.traffic import (
     Regime,
     mean_rate,
     multicast_presence,
+    poisson,
     unicast_counts,
 )
 
@@ -42,7 +43,7 @@ class TestRunPath:
         )
         res = run_path(cfg)
         rng = sim.path_rng(cfg.seed, 0)
-        arr = rng.poisson(2.0, 500)
+        arr = poisson(rng, 2.0, 500)
         assert res.outage_slots["default"] == int((arr > 0).sum())
 
     def test_scripted_overflow_trace(self):
@@ -147,6 +148,48 @@ class TestPairing:
         assert selfish[:, 0].any() and selfish[:, 1].any()
         assert np.array_equal(selfish, dynamic)
 
+    @staticmethod
+    def served_draws(cfg, monkeypatch, index=4):
+        """The arrivals and secondary counts run_path hands the kernel."""
+        seen = []
+
+        def record(arrivals, C, **kw):
+            seen.append((arrivals, kw.get("secondary")))
+            return serve(arrivals, C, **kw)
+
+        serve = sched.serve_path
+        with monkeypatch.context() as m:
+            m.setattr(sched, "serve_path", record)
+            run_path(cfg, index)
+        return seen[0]
+
+    def test_reactive_and_edf_windows_see_equal_slot_totals(self, monkeypatch):
+        common = dict(C=4, slots=1500, seed=21, warmup=100, regime=Regime("linear", 0.7))
+        reactive, _ = self.served_draws(SimConfig(policy="reactive", **common), monkeypatch)
+        assert reactive.shape == (1500, 1) and reactive.any()
+        for T in (1, 2, 5):
+            cfg = SimConfig(policy="edf", law=LookaheadLaw.deterministic(T), **common)
+            edf, _ = self.served_draws(cfg, monkeypatch)
+            assert edf.shape == (1500, T + 1)
+            assert np.array_equal(edf.sum(axis=1), reactive[:, 0])
+
+    def test_fig_dyn_curves_see_identical_draws(self, monkeypatch):
+        # the three f curves of fig-dyn: dynamic at f = 0 and 0.5, selfish
+        common = dict(
+            C=8, slots=1200, seed=1, warmup=100, regime=Regime("linear", 0.6),
+            law=LookaheadLaw.deterministic(4), secondary=Regime("linear", 0.1),
+        )
+        draws = [
+            self.served_draws(SimConfig(**common, **kw), monkeypatch)
+            for kw in ({"policy": "dynamic", "f": 0.0}, {"policy": "dynamic", "f": 0.5},
+                       {"policy": "selfish"})
+        ]
+        first_arrivals, first_secondary = draws[0]
+        assert first_arrivals.any() and first_secondary.any()
+        for arrivals, secondary in draws[1:]:
+            assert np.array_equal(arrivals, first_arrivals)
+            assert np.array_equal(secondary, first_secondary)
+
     @pytest.mark.parametrize("f", [-0.1, 1.5])
     def test_dynamic_fraction_out_of_range(self, f):
         with pytest.raises(sim.SimConfigError, match="f must lie"):
@@ -244,7 +287,7 @@ def reference_multicast(cfg: SimConfig, seed_index: int) -> dict[str, int]:
     pres = multicast_presence(cfg.multicast, cfg.C, rng, cfg.slots)
     uni = np.zeros(cfg.slots, dtype=np.int64)
     if cfg.policy == "pi2":
-        uni = rng.poisson(mean_rate(cfg.regime, cfg.C), cfg.slots)
+        uni = poisson(rng, mean_rate(cfg.regime, cfg.C), cfg.slots)
     T, C = cfg.law.tmax, cfg.C
     residual = np.full(pres.shape[1], -1)
     lost_m = np.zeros(cfg.slots, dtype=bool)
@@ -288,7 +331,7 @@ class TestMulticastExactness:
             pres = multicast_presence(cfg.multicast, cfg.C, rng, 1000)
             kw = {}
             if policy == "pi2":
-                kw = dict(f=0.0, secondary=rng.poisson(0.2, 1000), refill=True)
+                kw = dict(f=0.0, secondary=poisson(rng, 0.2, 1000), refill=True)
             outage = sched.serve_path(pres, cfg.C, multicast_T=0, **kw)[:, 0] > 0
             assert np.array_equal(outage, pres.sum(axis=1) > cfg.C)
             assert run_path(cfg, i).outage_slots["multicast"] == outage.sum()

@@ -1,10 +1,12 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from proactivenet import analytic as an
 from proactivenet import traffic as tr
+from proactivenet.sched import BACKLOG_OVERFLOW, PathOverflowError
 
 
 def rng(seed=0):
@@ -147,3 +149,101 @@ def test_superposition_total_is_poisson():
     exp = np.append(exp, 10**5 - exp.sum())
     _, p = chisquare(obs, exp)
     assert p > 0.01
+
+
+PI = "3.14159265358979323846264338327950288419716939937510582097494"
+
+
+def exact_cdf(mu, lo, m):
+    """P(X <= lo + j), j < m, for X ~ Poisson(mu), in 60-digit decimal
+    arithmetic, as floats.  The mass below lo is left out: it is below
+    1e-30 for the windows of `traffic._cdf_window`.
+
+    The reference for large mu: scipy's Poisson cdf is off by 1.3e-6 at
+    mu = 1e8 (against a 40-digit regularized incomplete gamma).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        mu_d = Decimal(mu)
+        if lo < 1000:
+            log_fact = Decimal(math.factorial(lo)).ln()
+        else:  # Stirling's series; the first omitted term is below 1e-30
+            n = Decimal(lo)
+            log_fact = (
+                (n + Decimal("0.5")) * n.ln() - n + (2 * Decimal(PI)).ln() / 2
+                + 1 / (12 * n) - 1 / (360 * n**3) + 1 / (1260 * n**5) - 1 / (1680 * n**7)
+            )
+        p = (lo * mu_d.ln() - mu_d - log_fact).exp()
+        total, out = Decimal(0), []
+        for k in range(lo, lo + m):
+            total += p
+            out.append(float(total))
+            p = p * mu_d / (k + 1)
+    return np.array(out)
+
+
+RATES = [0.05, 1.0, 6.4, 9.99, 10.0, 25.6, 1e4, 1e8]
+
+
+class TestPoissonInversion:
+    @pytest.mark.parametrize("mu", RATES)
+    def test_window_cdf_is_exact(self, mu):
+        lo, F = tr._cdf_window(mu)
+        assert lo <= mu < lo + F.size
+        assert F[-1] == 1.0
+        assert np.abs(F - exact_cdf(mu, lo, F.size)).max() <= 1e-12
+
+    @pytest.mark.parametrize("mu", [0.05, 6.4, 25.6, 1e4])
+    def test_exact_reference_agrees_with_scipy(self, mu):
+        from scipy.stats import poisson
+
+        lo, F = tr._cdf_window(mu)
+        k = np.arange(lo, lo + F.size)
+        assert np.abs(exact_cdf(mu, lo, F.size) - poisson.cdf(k, mu)).max() <= 1e-14
+
+    @pytest.mark.parametrize("mu", RATES)
+    def test_draws_invert_the_exact_cdf(self, mu):
+        # each draw is min{k : F(k) > u} for the next uniform of the stream;
+        # only a u within 1e-12 of a cdf value may go either way
+        n = 10**6
+        u = rng(11).random(n)
+        got = tr.poisson(rng(11), mu, n)
+        lo, F = tr._cdf_window(mu)
+        cdf = exact_cdf(mu, lo, F.size)
+        want = lo + np.searchsorted(cdf, u, side="right")
+        j = np.clip(np.searchsorted(cdf, u), 1, cdf.size - 1)
+        near = np.minimum(np.abs(u - cdf[j - 1]), np.abs(u - cdf[j])) < 1e-12
+        print(f"mu = {mu:g}: {near.sum()} of {n} uniforms within 1e-12 of a cdf value skipped")
+        assert near.sum() <= 10
+        assert np.array_equal(got[~near], want[~near])
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 60.0, 1e6])
+    def test_one_uniform_per_draw(self, mu):
+        a, b = rng(3), rng(3)
+        counts = tr.poisson(a, mu, 777)
+        b.random(777)
+        assert counts.shape == (777,) and counts.dtype == np.int64
+        assert a.random() == b.random()
+
+    def test_zero_mean_is_all_zeros(self):
+        assert not tr.poisson(rng(), 0.0, 500).any()
+
+    @pytest.mark.parametrize("mu", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_bad_mean_is_refused_as_numpy_does(self, mu):
+        with pytest.raises(ValueError):
+            rng().poisson(mu, 3)
+        g = rng()
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            tr.poisson(g, mu, 3)
+        assert g.random() == rng().random()  # nothing drawn
+
+    def test_mean_beyond_the_backlog_guard_overflows(self):
+        with pytest.raises(PathOverflowError):
+            tr.poisson(rng(), math.nextafter(BACKLOG_OVERFLOW, math.inf), 3)
+
+    def test_largest_mean_keeps_a_small_table(self):
+        lo, F = tr._cdf_window(float(BACKLOG_OVERFLOW))
+        assert F.size <= 10**6
+        counts = tr.poisson(rng(), float(BACKLOG_OVERFLOW), 10**4)
+        z = (counts.mean() - BACKLOG_OVERFLOW) / math.sqrt(BACKLOG_OVERFLOW / 10**4)
+        assert abs(z) < 4
