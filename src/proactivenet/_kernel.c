@@ -1,16 +1,22 @@
 /* The compiled kernels of proactivenet:
  *
- * serve_path: the slot loop of proactivenet.sched.serve_path, earliest-
- *   deadline-first service of one sample path over the vector c of pending
- *   requests per residual deadline.  sched.serve_path documents the model
- *   and checks every argument.  The arithmetic is the reference slot loop's
- *   (serve_path_by_slot in tests/test_sched.py), with the dynamic cap
+ * serve_slot: one slot of earliest-deadline-first service over the vector c
+ *   of pending requests per residual deadline, the model of
+ *   proactivenet.sched.serve_path.  The arithmetic is the reference slot
+ *   loop's (serve_path_by_slot in tests/test_sched.py), with the dynamic cap
  *   computed in double as Python does, so that outputs are bit-identical
- *   to it.
+ *   to it.  Two slot loops feed it a path's arrivals:
+ *
+ * serve_path: arrivals given as count or presence matrices, for
+ *   sched.serve_path, which checks every argument;
+ *
+ * path_outages: arrivals drawn from the path's uniforms, for
+ *   sim.estimate_outage: one call takes a path from its uniforms to its
+ *   post-warm-up outage counts.
  *
  * poisson_cdf, poisson_invert: Poisson counts by inversion of the cdf, one
- *   uniform per count, for proactivenet.traffic.poisson, which checks every
- *   argument.
+ *   uniform per count, for proactivenet.traffic, which checks every
+ *   argument; path_outages inverts its streams the same way.
  *
  * sched compiles this file with `cc -O2 -shared -fPIC` on first use and
  * loads it through ctypes.
@@ -18,7 +24,6 @@
 
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 /* Serve up to cap requests of c[0..T] in deadline order; return the count. */
@@ -36,24 +41,101 @@ static int64_t edf(int64_t *c, int64_t T, int64_t cap)
     return cap - left;
 }
 
+/* One slot, once its arrivals are in c[0..T] (total pending in all): the
+ * primary is served, then *q secondary requests (q NULL: no secondary
+ * class) from the capacity it leaves, refill hands what is left back to the
+ * primary, c[0] expires and c shifts by one slot.  The dynamic primary
+ * (f < 1) serves at most urgent + ceil(f * non-urgent), capped at C.
+ * Sets e[0], e[1] to the expired primary and secondary requests; returns
+ * the pending total after the slot. */
+static int64_t serve_slot(int64_t *c, int64_t T, int64_t total, int64_t C, double f,
+                          const int64_t *q, int refill, int64_t *e)
+{
+    int64_t cap = C;
+    if (f < 1.0) {
+        int64_t want = c[0] + (int64_t)ceil(f * (double)(total - c[0]));
+        if (want < C)
+            cap = want;
+    }
+    int64_t served;
+    if (total <= cap) {
+        served = total;
+        memset(c, 0, (size_t)(T + 1) * sizeof *c);
+    } else {
+        served = edf(c, T, cap);
+    }
+    total -= served;
+    e[0] = e[1] = 0;
+    if (q) {
+        int64_t spare = C - served;
+        if (*q > spare)
+            e[1] = *q - spare;
+        else if (refill && total && *q < spare)
+            total -= edf(c, T, spare - *q);
+    }
+    if (!total)
+        return 0;  /* c is all zero: nothing expires or shifts */
+    e[0] = c[0];
+    total -= c[0];
+    memmove(c, c + 1, (size_t)T * sizeof *c);
+    c[T] = 0;
+    return total;
+}
+
+/* Multicast fresh demand: the sources present (uniform below A) among the
+ * idle ones, read as the first `idle` of the row's uniforms.  The counts are
+ * kept in four doubles, exact far beyond any row width, which lets the
+ * compiler compare two uniforms per instruction. */
+static int64_t present(const double *u, int64_t idle, double A)
+{
+    double m[4] = {0.0, 0.0, 0.0, 0.0};
+    int64_t j = 0;
+    for (; j + 4 <= idle; j += 4)
+        for (int k = 0; k < 4; k++)
+            m[k] += u[j + k] < A ? 1.0 : 0.0;
+    int64_t a = (int64_t)(m[0] + m[1] + m[2] + m[3]);
+    for (; j < idle; j++)
+        a += u[j] < A;
+    return a;
+}
+
+/* lo + min{j : F[j] > x} for a uniform x in [0, 1), with F and its guide
+ * table g from poisson_cdf (F non-decreasing, F[m - 1] = 1). */
+static int64_t invert(double x, const double *F, const int64_t *g, int64_t lo, int64_t m)
+{
+    int64_t b = (int64_t)(x * (double)m);
+    if (b >= m)  /* x * m rounded up to m */
+        b = m - 1;
+    int64_t j = g[b];
+    while (F[j] <= x)
+        j++;
+    return lo + j;
+}
+
+/* invert for the stream row r = (column, lo, m, F, g) of path_outages. */
+static int64_t draw(double x, const int64_t *r)
+{
+    return invert(x, (const double *)(uintptr_t)r[3], (const int64_t *)(uintptr_t)r[4], r[1],
+                  r[2]);
+}
+
 /* counts:    (slots, T+1) non-negative arrival counts per look-ahead, or NULL
  *            for multicast;
- * presence:  with counts NULL, a (slots, width) 0/1 source-presence matrix;
- *            the fresh demand of a slot is the present sources among the
- *            first width - pending columns of its row;
- * f:         the dynamic primary serves at most urgent + ceil(f * non-urgent),
- *            capped at C, when f < 1;
+ * presence:  with counts NULL, (slots, width) source uniforms, a source
+ *            present iff its uniform is below A; the fresh demand of a
+ *            slot is the present ones among the first width - pending of
+ *            its row;
  * secondary: per-slot counts of the all-urgent class, or NULL;
  * c:         T+1 zeroed int64 entries of workspace;
- * expired:   (slots, secondary ? 2 : 1) zeroed output, C order.
+ * expired:   (slots, secondary ? 2 : 1) output, C order.
  * Returns 0, or the 1-based slot whose pending backlog exceeded limit. */
-int64_t serve_path(const int64_t *counts, const uint8_t *presence, int64_t slots,
+int64_t serve_path(const int64_t *counts, const double *presence, double A, int64_t slots,
                    int64_t width, int64_t T, int64_t C, double f,
                    const int64_t *secondary, int refill, int64_t limit,
                    int64_t *c, int64_t *expired)
 {
-    const int dynamic = f < 1.0, ncol = secondary ? 2 : 1;
-    int64_t total = 0;
+    const int64_t ncol = secondary ? 2 : 1;
+    int64_t total = 0, e[2];
     for (int64_t n = 0; n < slots; n++) {
         if (counts) {
             const int64_t *row = counts + n * (T + 1);
@@ -64,62 +146,82 @@ int64_t serve_path(const int64_t *counts, const uint8_t *presence, int64_t slots
                 total += row[k];
             }
         } else {
-            const uint8_t *row = presence + n * width;
-            int64_t a = 0, j = 0, idle = width - total;
-            for (; j + 8 <= idle; j += 8) {
-                /* 8 bytes at a time: each is 0 or 1, so the product's top
-                 * byte is their sum */
-                uint64_t w;
-                memcpy(&w, row + j, 8);
-                a += (int64_t)((w * 0x0101010101010101u) >> 56);
-            }
-            for (; j < idle; j++)
-                a += row[j];
+            int64_t a = present(presence + n * width, width - total, A);
             c[T] += a;
             total += a;
             if (total > limit)
                 return n + 1;
         }
-        int64_t cap = C;
-        if (dynamic) {
-            int64_t want = c[0] + (int64_t)ceil(f * (double)(total - c[0]));
-            if (want < C)
-                cap = want;
-        }
-        int64_t served;
-        if (total <= cap) {
-            served = total;
-            memset(c, 0, (size_t)(T + 1) * sizeof *c);
-        } else {
-            served = edf(c, T, cap);
-        }
-        total -= served;
-        if (secondary) {
-            int64_t q = secondary[n], spare = C - served;
-            if (q > spare)
-                expired[n * ncol + 1] = q - spare;
-            else if (refill && total && q < spare)
-                total -= edf(c, T, spare - q);
-        }
-        if (!total)
-            continue;  /* c is all zero: nothing expires or shifts */
-        if (c[0]) {
-            expired[n * ncol] = c[0];
-            total -= c[0];
-        }
-        memmove(c, c + 1, (size_t)T * sizeof *c);
-        c[T] = 0;
+        total = serve_slot(c, T, total, C, f, secondary ? secondary + n : NULL, refill, e);
+        expired[n * ncol] = e[0];
+        if (secondary)
+            expired[n * ncol + 1] = e[1];
     }
     return 0;
 }
 
-/* F[j] = P(X <= lo + j), j < m, for X ~ Poisson(mu), mu > 0, over a window
- * [lo, lo + m) that holds floor(mu).  The pmf is 1 at floor(mu) and is
- * extended outward by p(k + 1) = p(k) mu / (k + 1), then summed and divided
- * by the window's total: no exp(-mu) is formed, so nothing underflows at
- * large mu, and F[m - 1] = 1 exactly.  The mass outside the window is
- * dropped; the caller makes it negligible. */
-void poisson_cdf(double mu, int64_t lo, int64_t m, double *F)
+/* One sample path of sim.estimate_outage, from its uniforms to its outage
+ * counts.
+ * u:         the path's uniforms in draw order: with width > 0, the
+ *            (slots, width) source uniforms of multicast presence (a source
+ *            is present iff its uniform is below A); then slots uniforms per
+ *            Poisson stream, one per count;
+ * stream:    a row (column, lo, m, F, g) per Poisson stream, in draw order,
+ *            F and g the addresses of its cdf window and guide table:
+ *            nprimary primary streams, whose count invert(u, F, g, lo, m)
+ *            lands at look-ahead `column`, then the secondary's if
+ *            `secondary`;
+ * c:         T+1 int64 entries of workspace;
+ * outages:   3 int64 counters, incremented by the slots from `warmup` on in
+ *            which a primary, a secondary, or any request expired.
+ * Returns 0, or the 1-based slot whose pending backlog exceeded limit.  The
+ * backlog is checked once per slot: with the means traffic.poisson_table
+ * admits, no count exceeds ~1e9, so total cannot overflow before it. */
+int64_t path_outages(const double *u, int64_t slots, int64_t width, double A,
+                     const int64_t *stream, int64_t nprimary, int secondary, int64_t T,
+                     int64_t C, double f, int refill, int64_t limit, int64_t warmup,
+                     int64_t *c, int64_t *outages)
+{
+    const double *draws = u + slots * width;
+    int64_t total = 0, q = 0, e[2];
+    memset(c, 0, (size_t)(T + 1) * sizeof *c);
+    for (int64_t n = 0; n < slots; n++) {
+        if (width) {
+            int64_t a = present(u + n * width, width - total, A);
+            c[T] += a;
+            total += a;
+        }
+        for (int64_t s = 0; s < nprimary; s++) {
+            const int64_t *r = stream + 5 * s;
+            int64_t a = draw(draws[s * slots + n], r);
+            c[r[0]] += a;
+            total += a;
+        }
+        if (total > limit)
+            return n + 1;
+        if (secondary)
+            q = draw(draws[nprimary * slots + n], stream + 5 * nprimary);
+        total = serve_slot(c, T, total, C, f, secondary ? &q : NULL, refill, e);
+        if (n >= warmup) {
+            outages[0] += e[0] > 0;
+            outages[1] += e[1] > 0;
+            outages[2] += e[0] > 0 || e[1] > 0;
+        }
+    }
+    return 0;
+}
+
+/* F[j] = P(X <= lo + j), j < m, for X ~ Poisson(mu), mu >= 0, over a window
+ * [lo, lo + m) that holds floor(mu), and g, its Chen-Asau guide table.
+ * The pmf is 1 at floor(mu) and is extended outward by
+ * p(k + 1) = p(k) mu / (k + 1), then summed and divided by the window's
+ * total: no exp(-mu) is formed, so nothing underflows at large mu, and
+ * F[m - 1] = 1 exactly.  The mass outside the window is dropped; the caller
+ * makes it negligible.
+ * g[b] = min{j : bucket(F[j]) >= b}, bucket(x) = floor(x m), starts each
+ * search of invert at or below its answer, since bucket is monotone and
+ * bucket(F[answer]) >= bucket(u); a search then takes about one comparison. */
+void poisson_cdf(double mu, int64_t lo, int64_t m, double *F, int64_t *g)
 {
     int64_t mode = (int64_t)mu - lo;
     F[mode] = 1.0;
@@ -134,36 +236,18 @@ void poisson_cdf(double mu, int64_t lo, int64_t m, double *F)
     }
     for (int64_t j = 0; j < m; j++)
         F[j] /= s;
-}
-
-/* out[i] = lo + min{j : F[j] > u[i]} for n uniforms u[i] in [0, 1), with F
- * from poisson_cdf (non-decreasing, F[m - 1] = 1).  A Chen-Asau guide table
- * g[b] = min{j : bucket(F[j]) >= b}, bucket(x) = floor(x m), starts each
- * search at or below its answer, since bucket is monotone and
- * bucket(F[answer]) >= bucket(u); a search then takes about one comparison.
- * Returns 0, or -1 when the guide table cannot be allocated. */
-int poisson_invert(const double *u, int64_t n, const double *F, int64_t lo, int64_t m,
-                   int64_t *out)
-{
-    int64_t *g = malloc((size_t)m * sizeof *g);
-    if (!g)
-        return -1;
     const double scale = (double)m;
     for (int64_t b = 0, j = 0; b < m; b++) {
         while ((int64_t)(F[j] * scale) < b)
             j++;
         g[b] = j;
     }
-    for (int64_t i = 0; i < n; i++) {
-        const double x = u[i];
-        int64_t b = (int64_t)(x * scale);
-        if (b >= m)  /* x * m rounded up to m */
-            b = m - 1;
-        int64_t j = g[b];
-        while (F[j] <= x)
-            j++;
-        out[i] = lo + j;
-    }
-    free(g);
-    return 0;
+}
+
+/* out[i] = invert(u[i], F, g, lo, m) for n uniforms u[i] in [0, 1). */
+void poisson_invert(const double *u, int64_t n, const double *F, const int64_t *g,
+                    int64_t lo, int64_t m, int64_t *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = invert(u[i], F, g, lo, m);
 }

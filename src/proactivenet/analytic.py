@@ -67,9 +67,10 @@ def poisson_tail(lam: float, k: int) -> float:
     Relative error <= 1e-11 against 50-digit arithmetic for lam in
     [1e-3, 2e4] and every k up to lam + 40 sqrt(lam) + 50 (worst seen
     9.2e-12, at a tail of 2.5e-219); <= 3e-13 down to 1e-278 for lam <= 100.
+    Beyond lam = 2e4 it can be far off (38 % at 1e8): a larger lam raises.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam <= 2e4:
+        raise ValueError(f"poisson_tail is verified for 0 <= lam <= 2e4 only, got lam={lam:.6g}")
     if k < 0:
         raise ValueError("k must be nonnegative")
     from scipy.special import pdtrc

@@ -3,10 +3,10 @@
 Every policy keeps the same state: the vector c of pending requests per
 residual deadline, c[i] = requests with i slots left (i = 0 is due this
 slot).  Each slot, arrivals land, service is applied, requests still at
-residual 0 expire, and residual deadlines drop by one.  The slot loop is a
-small C function of `_kernel.c`, compiled with `cc` on the first call and
-cached next to this module; every slot of the path runs through it.  The
-same library holds `traffic.poisson`'s sampler, so `_kernel` loads both.
+residual 0 expire, and residual deadlines drop by one.  The slot is one C
+function of `_kernel.c`, compiled with `cc` on first use and cached next to
+this module: `serve_path` runs it over arrival matrices, `sim` over arrivals
+drawn from a path's uniforms; the library also samples `traffic.poisson`.
 
 Policies differ only in
   - the arrival source: a count matrix of new requests per look-ahead, or
@@ -89,21 +89,21 @@ def _build(source: Path, cache: Path) -> Path:
 
 
 def _kernel() -> ctypes.CDLL:
-    """The C kernels (the slot loop and the Poisson sampler), built and loaded on first use."""
+    """The C kernels (the slot loops and the Poisson sampler), built and loaded on first use."""
     global _lib
     if _lib is None:
         path = _build(_SOURCE, _CACHE)
         lib = ctypes.CDLL(str(path))
         if path.parent != _CACHE:  # a temporary build: loaded, it is no longer needed
             shutil.rmtree(path.parent, ignore_errors=True)
-        i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        lib.serve_path.argtypes = [ptr, ptr, i64, i64, i64, i64, dbl, ptr, ctypes.c_int,
-                                   i64, ptr, ptr]
-        lib.serve_path.restype = i64
-        lib.poisson_cdf.argtypes = [dbl, i64, i64, ptr]
-        lib.poisson_cdf.restype = None
-        lib.poisson_invert.argtypes = [ptr, i64, ptr, i64, i64, ptr]
-        lib.poisson_invert.restype = ctypes.c_int
+        i64, dbl, ptr, flag = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int
+        lib.serve_path.argtypes = [ptr, ptr, dbl, i64, i64, i64, i64, dbl, ptr, flag, i64, ptr, ptr]
+        lib.path_outages.argtypes = [ptr, i64, i64, dbl, ptr, i64, flag, i64, i64, dbl, flag,
+                                     i64, i64, ptr, ptr]
+        lib.poisson_cdf.argtypes = [dbl, i64, i64, ptr, ptr]
+        lib.poisson_invert.argtypes = [ptr, i64, ptr, ptr, i64, i64, ptr]
+        lib.serve_path.restype = lib.path_outages.restype = i64
+        lib.poisson_cdf.restype = lib.poisson_invert.restype = None
         _lib = lib
     return _lib
 
@@ -139,7 +139,7 @@ def serve_path(
     is an outage for a class iff its entry is positive.
     """
     # the kernel reads raw pointers: hand it C-ordered arrays of its dtypes
-    # only, and presence as 0/1 bytes, so that at most L sources are pending
+    # only, and presence as booleans, so that at most L sources are pending
     unicast = multicast_T is None
     grid = np.ascontiguousarray(arrivals, dtype=np.int64 if unicast else np.bool_)
     if grid.ndim != 2:
@@ -154,11 +154,12 @@ def serve_path(
         secondary = np.ascontiguousarray(secondary, dtype=np.int64)
         if secondary.shape != (slots,):
             raise ValueError(f"secondary must hold {slots} slot counts, got {secondary.shape}")
+    presence = None if unicast else np.where(grid, 0.0, 1.0)  # uniforms below 1/2
     c = np.zeros(T + 1, dtype=np.int64)
-    expired = np.zeros((slots, 1 if secondary is None else 2), dtype=np.int64)
+    expired = np.empty((slots, 1 if secondary is None else 2), dtype=np.int64)
     tripped = _kernel().serve_path(
         grid.ctypes.data if unicast else None,
-        None if unicast else grid.ctypes.data,
+        None if unicast else presence.ctypes.data, 0.5,
         slots, width, int(T), int(C), float(f),
         None if secondary is None else secondary.ctypes.data,
         int(refill), BACKLOG_OVERFLOW, c.ctypes.data, expired.ctypes.data,

@@ -1,23 +1,22 @@
 """Monte Carlo engine: sample paths and outage estimation.
 
-A path draws the arrivals of all its slots up front and hands them to the
-one service kernel, `sched.serve_path`, whose compiled slot loop runs every
-slot of the path.
-A slot is an outage for a class iff at least one request of that class
+A path is one call of the compiled `path_outages` (`_kernel.c`), from the
+uniforms of the path's random stream to its outage counts: it draws each
+slot's arrivals and serves them by the rules of `sched.serve_path`.  A
+slot is an outage for a class iff at least one request of that class
 expires in it; the per-path outage ratio divides by all post-warmup slots.
 Estimates average path ratios and report the standard error across paths.
 
 Seeding uses a counter-based split of the master seed so that path i sees
 the same randomness regardless of how many paths are run.  A path draws in
-a fixed order: the primary arrivals (the multicast presence matrix, or the
-unicast Poisson columns by look-ahead, predicted before missed), then the
-secondary; each Poisson count takes exactly one uniform of the stream
-(`traffic.poisson`).  So two configs sharing (seed, path index) and the
+a fixed order (`_streams`): the multicast presence uniforms, or one Poisson
+stream per unicast look-ahead column (predicted before missed), then the
+secondary; each Poisson count takes exactly one uniform (`traffic.poisson`
+draws the same counts).  So two configs sharing (seed, path index) and the
 same draw layout see identical arrivals (paired comparisons across policies
 and look-ahead windows): reactive and every deterministic window see the
 same per-slot totals, the curves of one two-class figure the same primary
-and secondary counts, and multicast windows the same presence matrix,
-whose draws do not depend on T.
+and secondary counts, and multicast windows the same presence uniforms.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from proactivenet import sched
-from proactivenet.sched import PathOverflowError  # noqa: F401  (raised by run_path)
+from proactivenet.sched import PathOverflowError
 from proactivenet.traffic import (
     LookaheadLaw,
     MulticastSpec,
@@ -37,10 +36,7 @@ from proactivenet.traffic import (
     Regime,
     TrafficSpecError,
     mean_rate,
-    multicast_presence,
-    poisson,
-    prediction_error_counts,
-    unicast_counts,
+    poisson_table,
 )
 
 REACTIVE = "reactive"
@@ -176,9 +172,6 @@ class PathResult:
             if not 0 <= cnt <= self.total_counted_slots:
                 raise ValueError(f"outage count for {cls!r} out of range")
 
-    def ratio(self, cls: str) -> float:
-        return self.outage_slots[cls] / self.total_counted_slots
-
 
 @dataclass(frozen=True)
 class OutageEstimate:
@@ -208,14 +201,14 @@ def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((master_seed, path_index)))
 
 
-# outage classes of the kernel's expired columns, per policy
+# outage classes per policy, in the order of path_outages' three counters
 _CLASSES = {
     REACTIVE: ("default",),
     EDF: ("default",),
     SELFISH: ("primary", "secondary"),
     DYNAMIC: ("primary", "secondary"),
     MULTICAST: ("multicast",),
-    PI2: ("multicast", "unicast"),
+    PI2: ("multicast", "unicast", "combined"),
 }
 
 
@@ -225,63 +218,69 @@ def run_path(cfg: SimConfig, seed_index: int = 0) -> PathResult:
     Deterministic given (cfg.seed, seed_index).  Raises PathOverflowError if
     the pending backlog exceeds the overflow guard.
     """
-    rng = path_rng(cfg.seed, seed_index)
-    multicast_T = None
-    secondary = None
-    if cfg.policy in (MULTICAST, PI2):
-        arrivals = multicast_presence(cfg.multicast, cfg.C, rng, cfg.slots)
-        multicast_T = cfg.tmax
-    else:
-        arrivals = _unicast_arrivals(cfg, rng)
-    if cfg.policy in (SELFISH, DYNAMIC):
-        secondary = poisson(rng, mean_rate(cfg.secondary, cfg.C), cfg.slots)
-    elif cfg.policy == PI2:
-        secondary = poisson(rng, cfg.primary_rate or 0.0, cfg.slots)
-    expired = sched.serve_path(
-        arrivals,
-        cfg.C,
-        multicast_T=multicast_T,
-        f={DYNAMIC: cfg.f, PI2: 0.0}.get(cfg.policy, 1.0),
-        secondary=secondary,
-        refill=cfg.policy == PI2,
-    )
-    w = cfg.effective_warmup
-    flags = dict(zip(_CLASSES[cfg.policy], (expired[w:] > 0).T))
-    if cfg.policy == PI2:
-        flags["combined"] = flags["multicast"] | flags["unicast"]
-    return PathResult(
-        outage_slots={cls: int(v.sum()) for cls, v in flags.items()},
-        total_counted_slots=cfg.slots - w,
-    )
-
-
-def _unicast_arrivals(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """(slots, T+1) primary arrival counts; a reactive run sees every
-    request as urgent."""
-    if cfg.pred_error is not None:
-        out = prediction_error_counts(cfg.pred_error, cfg.C, rng, cfg.slots)
-    elif cfg.primary_rate is None:
-        out = np.zeros((cfg.slots, 1), dtype=np.int64)
-    else:
-        law = cfg.law
-        if law is None or cfg.policy == REACTIVE:
-            law = LookaheadLaw.deterministic(0)
-        out = unicast_counts(cfg.primary_rate, law, rng, cfg.slots)
-    if cfg.policy == REACTIVE:
-        return out.sum(axis=1, keepdims=True)
-    return out
+    counts = map(int, _outage_counts(cfg, [seed_index])[0])
+    return PathResult(dict(zip(_CLASSES[cfg.policy], counts)), cfg.slots - cfg.effective_warmup)
 
 
 def estimate_outage(cfg: SimConfig, n_paths: int) -> dict[str, OutageEstimate]:
     """Average per-path outage ratios over independent sub-seeded paths."""
     if n_paths < 2:
         raise SimConfigError("n_paths must be >= 2")
-    values: dict[str, list[float]] = {}
-    for i in range(n_paths):
-        res = run_path(cfg, i)
-        for cls in res.outage_slots:
-            values.setdefault(cls, []).append(res.ratio(cls))
-    return {cls: OutageEstimate.from_values(v) for cls, v in values.items()}
+    ratios = _outage_counts(cfg, range(n_paths)).T / (cfg.slots - cfg.effective_warmup)
+    return {cls: OutageEstimate.from_values(r) for cls, r in zip(_CLASSES[cfg.policy], ratios)}
+
+
+def _outage_counts(cfg: SimConfig, paths) -> np.ndarray:
+    """(len(paths), 3) post-warmup outage slots of the given path indices:
+    the primary's, the secondary's, and those with either.
+
+    A path is one call of the compiled `path_outages`, from the uniforms
+    that `path_rng` fills into one reused buffer to the path's counters.
+    """
+    T, streams = _streams(cfg)
+    tables = [poisson_table(mu) for _, mu in streams]  # alive: rows hold their addresses
+    rows = np.array([(k, lo, F.size, F.ctypes.data, g.ctypes.data)
+                     for (k, _), (lo, F, g) in zip(streams, tables)], dtype=np.int64)
+    L = cfg.multicast.num_sources(cfg.C) if cfg.policy in (MULTICAST, PI2) else 0
+    u, c = np.empty(cfg.slots * (L + len(streams))), np.empty(T + 1, dtype=np.int64)
+    counts = np.zeros((len(paths), 3), dtype=np.int64)
+    secondary = cfg.policy in (SELFISH, DYNAMIC, PI2)
+    args = (u.ctypes.data, cfg.slots, L, cfg.multicast.source_prob() if L else 0.0,
+            rows.ctypes.data, len(streams) - secondary, secondary, T, cfg.C,
+            {DYNAMIC: cfg.f, PI2: 0.0}.get(cfg.policy, 1.0), cfg.policy == PI2,
+            sched.BACKLOG_OVERFLOW, cfg.effective_warmup, c.ctypes.data)
+    kernel, out = sched._kernel().path_outages, counts.ctypes.data
+    for row, i in enumerate(paths):
+        path_rng(cfg.seed, i).random(out=u)
+        tripped = kernel(*args, out + counts.strides[0] * row)
+        if tripped:
+            raise PathOverflowError(f"backlog overflow at slot {tripped}")
+    return counts
+
+
+def _streams(cfg: SimConfig) -> tuple[int, list[tuple[int, float]]]:
+    """(T, streams): the window of the path's pending-count vector, and the
+    (look-ahead column, mean) of each Poisson stream the path draws.
+
+    A path draws in a fixed order: the (slots, L) multicast presence
+    uniforms, or one stream per primary column (by look-ahead, predicted
+    before missed); then the secondary's, column -1.  A reactive path sees
+    every request as urgent: T = 0.
+    """
+    T, streams = (0 if cfg.policy == REACTIVE else cfg.tmax), []
+    unicast = cfg.policy not in (MULTICAST, PI2)
+    if unicast and cfg.pred_error is not None:
+        lam_pred, lam_miss = cfg.pred_error.rates(cfg.C)
+        streams = [(T, lam_pred), (0, lam_miss)]
+    elif unicast and cfg.primary_rate is not None:
+        law = cfg.law if cfg.law and cfg.policy != REACTIVE else LookaheadLaw.deterministic(0)
+        ks = [k for k in range(law.tmin, law.tmax + 1) if law.pmf(k) > 0.0]
+        streams = [(k, law.pmf(k) * cfg.primary_rate) for k in ks]
+    if cfg.policy in (SELFISH, DYNAMIC):
+        streams.append((-1, mean_rate(cfg.secondary, cfg.C)))
+    elif cfg.policy == PI2:
+        streams.append((-1, cfg.primary_rate or 0.0))
+    return T, streams
 
 
 def sweep_capacity(
@@ -290,10 +289,7 @@ def sweep_capacity(
     """One outage estimate per capacity, with common sub-seeding across the grid."""
     if any(b <= a for a, b in zip(C_grid, C_grid[1:])):
         raise SimConfigError("capacity grid must be strictly ascending")
-    out = []
-    for C in C_grid:
-        out.append((C, estimate_outage(replace(cfg, C=C), n_paths)))
-    return out
+    return [(C, estimate_outage(replace(cfg, C=C), n_paths)) for C in C_grid]
 
 
 def estimate_diversity(curve: list[tuple[int, float]], regime: Regime) -> float:

@@ -10,10 +10,11 @@ polynomial (mean C**gamma).  The tail events are the quantity under study,
 so no law is normal-approximated.  A source-presence indicator is one
 uniform against its probability.  A Poisson count is one uniform u of the
 path's stream, inverted through the Poisson cdf F: count = min{k : F(k) > u}
-(`poisson`, compiled in `_kernel.c`).  The inversion is exact up to the
-2**-53 resolution of u: F is summed over a window of about 24 sqrt(mu) + 60
-counts around the mean, and the mass it leaves out, below 1e-30, is far
-under that resolution.
+(`poisson_table`, inverted by `poisson` and by the path kernel of `sim`).
+The inversion is exact up to the 2**-53 resolution of u: F is summed over a
+window of about 24 sqrt(mu) + 60 counts around the mean, and the mass it
+leaves out, below 1e-30, is far under that resolution.  These generators
+are the reference the simulator's compiled paths are tested against.
 """
 
 from __future__ import annotations
@@ -206,38 +207,38 @@ def poisson(rng: np.random.Generator, mu: float, n: int) -> np.ndarray:
     """n Poisson(mu) counts, each min{k : F(k) > u} for one uniform u of `rng`.
 
     Every call consumes exactly n uniforms of the stream, also at mu = 0.
-    Raises ValueError for a negative or non-finite mu, and PathOverflowError
-    for mu above BACKLOG_OVERFLOW, whose path would overflow at its first
-    slot.
+    Raises as `poisson_table` does, before drawing.
+    """
+    lo, F, g = poisson_table(mu)
+    u = rng.random(n)
+    out = np.empty(n, dtype=np.int64)
+    sched._kernel().poisson_invert(
+        u.ctypes.data, n, F.ctypes.data, g.ctypes.data, lo, F.size, out.ctypes.data
+    )
+    return out
+
+
+def poisson_table(mu: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """(lo, F, g): F[j] = P(X <= lo + j) for X ~ Poisson(mu), mu >= 0, over
+    the counts within 12 sqrt(mu) + 30 of mu, normalised to end at 1, and g
+    its guide table, through which the kernels invert a uniform.
+
+    The mass outside the window is below 1e-30 at every mu: it lies beyond
+    12 standard deviations, and beyond 30 counts from the mean.  Raises
+    ValueError for a negative or non-finite mu, and PathOverflowError for mu
+    above BACKLOG_OVERFLOW, whose path would overflow at its first slot.
     """
     mu = float(mu)
     if not 0.0 <= mu < math.inf:
         raise ValueError(f"Poisson mean must be finite and >= 0, got {mu}")
     if mu > BACKLOG_OVERFLOW:
         raise PathOverflowError(f"Poisson mean {mu:.6g} exceeds the backlog guard")
-    u = rng.random(n)
-    out = np.zeros(n, dtype=np.int64)
-    if mu > 0.0:
-        lo, F = _cdf_window(mu)
-        if sched._kernel().poisson_invert(
-            u.ctypes.data, n, F.ctypes.data, lo, F.size, out.ctypes.data
-        ):
-            raise MemoryError(f"no memory for a guide table of {F.size} entries")
-    return out
-
-
-def _cdf_window(mu: float) -> tuple[int, np.ndarray]:
-    """(lo, F): F[j] = P(X <= lo + j) for X ~ Poisson(mu), mu > 0, over the
-    counts within 12 sqrt(mu) + 30 of mu, normalised to end at 1.
-
-    The mass outside the window is below 1e-30 at every mu: it lies beyond
-    12 standard deviations, and beyond 30 counts from the mean.
-    """
     half = 12.0 * math.sqrt(mu) + 30.0
     lo = max(0, math.floor(mu - half))
     F = np.empty(math.floor(mu + half) + 1 - lo)
-    sched._kernel().poisson_cdf(mu, lo, F.size, F.ctypes.data)
-    return lo, F
+    g = np.empty(F.size, dtype=np.int64)
+    sched._kernel().poisson_cdf(mu, lo, F.size, F.ctypes.data, g.ctypes.data)
+    return lo, F, g
 
 
 def unicast_counts(

@@ -76,6 +76,11 @@ class TestPoissonTail:
         # a log-space series from the (k+1)-term missed (5000, 5600) by 3.1e-12
         assert poisson_tail(lam, k) == pytest.approx(self.REFERENCES[lam, k], rel=1e-12, abs=0)
 
+    def test_refuses_a_rate_beyond_the_verified_range(self):
+        assert poisson_tail(2e4, 20500) > 0.0
+        with pytest.raises(ValueError, match=r"verified for 0 <= lam <= 2e4 only"):
+            poisson_tail(math.nextafter(2e4, math.inf), 20500)
+
     def test_deep_tail_positive(self):
         p = poisson_tail(1.0, 150)
         assert 0.0 < p < 1e-200

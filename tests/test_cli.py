@@ -265,6 +265,15 @@ class TestCommands:
         assert out == ""
         assert err.strip() == f"error: {reason}"
 
+    def test_oracle_check_refuses_a_rate_beyond_the_verified_tail(self, capsys):
+        # scipy's tail read 2.090e-06 here, against 3.386e-06 in 60-digit
+        # arithmetic: a Poisson rate above 2e4 is refused, and the range named
+        argv = ["oracle-check", "--C", "100000000", "--gamma", "0.99955", "--policy", "reactive"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: poisson_tail is verified for 0 <= lam <= 2e4 only, got lam=9.9955e+07\n"
+
     def test_reproduce_figure_labels(self, tmp_path, monkeypatch):
         out = tmp_path / "fig.csv"
         _, curves = cli.FIGURES["fig4a"]

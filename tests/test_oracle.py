@@ -355,11 +355,12 @@ class TestEventBounds:
         assert got == pytest.approx(scipy.stats.poisson.sf(1700, 1600), rel=1e-8, abs=0)
 
     def test_binomial_window_bounds_at_a_window_rate_above_745(self):
-        # per-window rates 800 * cdf(j) reach 775
-        cfg = SimConfig(
-            C=800, policy="edf", rate=800.0, law=LookaheadLaw.binomial(5, 0.5),
-            slots=100, warmup=10, seed=0,
-        )
+        # per-window rates 800 * cdf(j) reach 775; the load equals C
+        with pytest.warns(UserWarning, match="offered load"):
+            cfg = SimConfig(
+                C=800, policy="edf", rate=800.0, law=LookaheadLaw.binomial(5, 0.5),
+                slots=100, warmup=10, seed=0,
+            )
         lo, up = exact_event_bounds(cfg)
         assert 0.0 <= lo <= up <= 1.0
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from proactivenet import sched, sim
 from proactivenet.analytic import poisson_tail
@@ -16,9 +18,11 @@ from proactivenet.traffic import (
     MulticastSpec,
     PredictionErrorSpec,
     Regime,
+    TrafficSpecError,
     mean_rate,
     multicast_presence,
     poisson,
+    prediction_error_counts,
     unicast_counts,
 )
 
@@ -149,38 +153,39 @@ class TestPairing:
         assert np.array_equal(selfish, dynamic)
 
     @staticmethod
-    def served_draws(cfg, monkeypatch, index=4):
-        """The arrivals and secondary counts run_path hands the kernel."""
-        seen = []
+    def planned_draws(cfg, index=4):
+        """The arrivals and secondary counts path `index` of cfg draws: the
+        Poisson streams of its plan, each inverted from the next block of
+        the path's uniforms (`traffic.poisson` inverts as the kernel does)."""
+        T, streams = sim._streams(cfg)
+        rng = sim.path_rng(cfg.seed, index)
+        arrivals, secondary = np.zeros((cfg.slots, T + 1), dtype=np.int64), None
+        for column, mu in streams:
+            counts = poisson(rng, mu, cfg.slots)
+            if column < 0:
+                secondary = counts
+            else:
+                arrivals[:, column] += counts
+        return arrivals, secondary
 
-        def record(arrivals, C, **kw):
-            seen.append((arrivals, kw.get("secondary")))
-            return serve(arrivals, C, **kw)
-
-        serve = sched.serve_path
-        with monkeypatch.context() as m:
-            m.setattr(sched, "serve_path", record)
-            run_path(cfg, index)
-        return seen[0]
-
-    def test_reactive_and_edf_windows_see_equal_slot_totals(self, monkeypatch):
+    def test_reactive_and_edf_windows_see_equal_slot_totals(self):
         common = dict(C=4, slots=1500, seed=21, warmup=100, regime=Regime("linear", 0.7))
-        reactive, _ = self.served_draws(SimConfig(policy="reactive", **common), monkeypatch)
+        reactive, _ = self.planned_draws(SimConfig(policy="reactive", **common))
         assert reactive.shape == (1500, 1) and reactive.any()
         for T in (1, 2, 5):
             cfg = SimConfig(policy="edf", law=LookaheadLaw.deterministic(T), **common)
-            edf, _ = self.served_draws(cfg, monkeypatch)
+            edf, _ = self.planned_draws(cfg)
             assert edf.shape == (1500, T + 1)
             assert np.array_equal(edf.sum(axis=1), reactive[:, 0])
 
-    def test_fig_dyn_curves_see_identical_draws(self, monkeypatch):
+    def test_fig_dyn_curves_see_identical_draws(self):
         # the three f curves of fig-dyn: dynamic at f = 0 and 0.5, selfish
         common = dict(
             C=8, slots=1200, seed=1, warmup=100, regime=Regime("linear", 0.6),
             law=LookaheadLaw.deterministic(4), secondary=Regime("linear", 0.1),
         )
         draws = [
-            self.served_draws(SimConfig(**common, **kw), monkeypatch)
+            self.planned_draws(SimConfig(**common, **kw))
             for kw in ({"policy": "dynamic", "f": 0.0}, {"policy": "dynamic", "f": 0.5},
                        {"policy": "selfish"})
         ]
@@ -385,3 +390,124 @@ def test_overflow_guard_covers_every_policy(policy, monkeypatch):
 def test_unstable_config_warns_not_raises():
     with pytest.warns(UserWarning, match="unstable"):
         SimConfig(C=2, policy="reactive", slots=500, seed=0, warmup=10, rate=2.0)
+
+
+class TestDrawLayout:
+    """The fast path fills one buffer with a path's uniforms where the
+    traffic generators draw them in consecutive calls: PCG64 fills in
+    sequence, so both see the same numbers."""
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 3000), st.integers(0, 3000))
+    def test_one_fill_equals_consecutive_calls(self, seed, n1, n2):
+        one = np.random.default_rng(seed).random(n1 + n2)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(one, np.concatenate([rng.random(n1), rng.random(n2)]))
+
+    @given(st.integers(0, 2**32), st.integers(0, 50), st.integers(1, 40), st.integers(0, 3))
+    def test_path_fill_equals_the_generators_draws(self, seed, index, slots, L):
+        # a presence matrix in row order, then two Poisson streams
+        rng = sim.path_rng(seed, index)
+        parts = [rng.random((slots, L)).ravel(), rng.random(slots), rng.random(slots)]
+        u = np.empty(slots * (L + 2))
+        sim.path_rng(seed, index).random(out=u)
+        assert np.array_equal(u, np.concatenate(parts))
+
+
+REFERENCE_CLASSES = {
+    "reactive": ("default",), "edf": ("default",), "selfish": ("primary", "secondary"),
+    "dynamic": ("primary", "secondary"), "multicast": ("multicast",),
+    "pi2": ("multicast", "unicast"),
+}
+
+
+def reference_counts(cfg: SimConfig, index: int) -> dict[str, int]:
+    """Post-warmup outage slots per class of path `index`: its arrivals
+    drawn by the traffic generators from `path_rng`, in the documented
+    order, and served by `sched.serve_path`.  It shares no code with the
+    fast path's plan, draws and counters; the slot rule both run is checked
+    against a Python slot loop in test_sched."""
+    rng = sim.path_rng(cfg.seed, index)
+    kw = {"f": {"dynamic": cfg.f, "pi2": 0.0}.get(cfg.policy, 1.0),
+          "refill": cfg.policy == "pi2"}
+    if cfg.policy in ("multicast", "pi2"):
+        arrivals = multicast_presence(cfg.multicast, cfg.C, rng, cfg.slots)
+        kw["multicast_T"] = cfg.tmax
+    elif cfg.pred_error is not None:
+        arrivals = prediction_error_counts(cfg.pred_error, cfg.C, rng, cfg.slots)
+    elif cfg.primary_rate is None:
+        arrivals = np.zeros((cfg.slots, 1), dtype=np.int64)
+    else:
+        law = cfg.law
+        if law is None or cfg.policy == "reactive":
+            law = LookaheadLaw.deterministic(0)
+        arrivals = unicast_counts(cfg.primary_rate, law, rng, cfg.slots)
+    if cfg.policy == "reactive":  # every request is urgent
+        arrivals = arrivals.sum(axis=1, keepdims=True)
+    if cfg.policy in ("selfish", "dynamic"):
+        kw["secondary"] = poisson(rng, mean_rate(cfg.secondary, cfg.C), cfg.slots)
+    elif cfg.policy == "pi2":
+        kw["secondary"] = poisson(rng, cfg.primary_rate or 0.0, cfg.slots)
+    lost = sched.serve_path(arrivals, cfg.C, **kw)[cfg.effective_warmup :] > 0
+    counts = dict(zip(REFERENCE_CLASSES[cfg.policy], lost.sum(axis=0).tolist()))
+    if cfg.policy == "pi2":
+        counts["combined"] = int(lost.any(axis=1).sum())
+    return counts
+
+
+@st.composite
+def path_configs(draw):
+    """A small config of any policy: no, deterministic, binomial or pmf
+    windows (with zero entries), prediction error, rate overrides, C = 0
+    and zero traffic among them."""
+    policy = draw(st.sampled_from(sim.POLICIES))
+    slots = draw(st.integers(1, 120))
+    T = draw(st.integers(0, 4))
+    weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=T + 1,
+                            max_size=T + 1).filter(any))
+    law = draw(st.sampled_from([
+        None,
+        LookaheadLaw.deterministic(T),
+        LookaheadLaw.binomial(T, draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))),
+        LookaheadLaw.finite({k: w / sum(weights) for k, w in enumerate(weights)}),
+    ]))
+    kind = draw(st.sampled_from(["linear", "poly"]))
+    gamma = draw(st.floats(0.2, 0.9))
+    cfg = dict(
+        C=draw(st.integers(0, 6)), policy=policy, slots=slots, seed=draw(st.integers(0, 2**32)),
+        warmup=draw(st.integers(0, slots - 1)), law=law, f=draw(st.sampled_from([0.0, 0.5, 1.0])),
+    )
+    traffic = draw(st.sampled_from(["regime", "rate", "none", "pred_error"]))
+    if traffic == "regime":
+        cfg["regime"] = Regime(kind, gamma)
+    elif traffic == "rate":
+        cfg["rate"] = draw(st.sampled_from([0.0, 0.4, 2.5, 9.0]))
+    elif traffic == "pred_error":
+        miss = draw(st.floats(0.0, 0.5))
+        pred = 1.0 - miss + draw(st.floats(0.0, 0.9)) * (1.0 / gamma - 1.0)
+        cfg["pred_error"] = PredictionErrorSpec(pred, miss, T, Regime("linear", gamma))
+    if policy in ("selfish", "dynamic"):
+        cfg["secondary"] = Regime(kind, gamma * draw(st.floats(0.05, 0.9)))
+    if policy in ("multicast", "pi2"):
+        cfg["multicast"] = MulticastSpec(draw(st.floats(0.1, 0.95)), draw(st.floats(0.3, 4.0)))
+    try:
+        return SimConfig(**cfg)
+    except (sim.SimConfigError, TrafficSpecError):
+        assume(False)
+
+
+@pytest.mark.filterwarnings("ignore:offered load")
+@settings(max_examples=300, deadline=None)
+@given(path_configs(), st.integers(2, 4))
+def test_fast_path_equals_the_generators_served_by_serve_path(cfg, n_paths):
+    counted = cfg.slots - cfg.effective_warmup
+    try:
+        want = [reference_counts(cfg, i) for i in range(n_paths)]
+    except TrafficSpecError:  # e.g. a secondary class at C = 0
+        with pytest.raises(TrafficSpecError):
+            estimate_outage(cfg, n_paths)
+        return
+    est = estimate_outage(cfg, n_paths)
+    assert set(est) == set(want[0])
+    for cls, e in est.items():
+        assert e.per_path_values == tuple(w[cls] / counted for w in want)
+    assert run_path(cfg, n_paths - 1).outage_slots == want[-1]

@@ -157,7 +157,7 @@ PI = "3.14159265358979323846264338327950288419716939937510582097494"
 def exact_cdf(mu, lo, m):
     """P(X <= lo + j), j < m, for X ~ Poisson(mu), in 60-digit decimal
     arithmetic, as floats.  The mass below lo is left out: it is below
-    1e-30 for the windows of `traffic._cdf_window`.
+    1e-30 for the windows of `traffic.poisson_table`.
 
     The reference for large mu: scipy's Poisson cdf is off by 1.3e-6 at
     mu = 1e8 (against a 40-digit regularized incomplete gamma).
@@ -188,7 +188,7 @@ RATES = [0.05, 1.0, 6.4, 9.99, 10.0, 25.6, 1e4, 1e8]
 class TestPoissonInversion:
     @pytest.mark.parametrize("mu", RATES)
     def test_window_cdf_is_exact(self, mu):
-        lo, F = tr._cdf_window(mu)
+        lo, F, _ = tr.poisson_table(mu)
         assert lo <= mu < lo + F.size
         assert F[-1] == 1.0
         assert np.abs(F - exact_cdf(mu, lo, F.size)).max() <= 1e-12
@@ -197,7 +197,7 @@ class TestPoissonInversion:
     def test_exact_reference_agrees_with_scipy(self, mu):
         from scipy.stats import poisson
 
-        lo, F = tr._cdf_window(mu)
+        lo, F, _ = tr.poisson_table(mu)
         k = np.arange(lo, lo + F.size)
         assert np.abs(exact_cdf(mu, lo, F.size) - poisson.cdf(k, mu)).max() <= 1e-14
 
@@ -208,7 +208,7 @@ class TestPoissonInversion:
         n = 10**6
         u = rng(11).random(n)
         got = tr.poisson(rng(11), mu, n)
-        lo, F = tr._cdf_window(mu)
+        lo, F, _ = tr.poisson_table(mu)
         cdf = exact_cdf(mu, lo, F.size)
         want = lo + np.searchsorted(cdf, u, side="right")
         j = np.clip(np.searchsorted(cdf, u), 1, cdf.size - 1)
@@ -242,7 +242,7 @@ class TestPoissonInversion:
             tr.poisson(rng(), math.nextafter(BACKLOG_OVERFLOW, math.inf), 3)
 
     def test_largest_mean_keeps_a_small_table(self):
-        lo, F = tr._cdf_window(float(BACKLOG_OVERFLOW))
+        lo, F, _ = tr.poisson_table(float(BACKLOG_OVERFLOW))
         assert F.size <= 10**6
         counts = tr.poisson(rng(), float(BACKLOG_OVERFLOW), 10**4)
         z = (counts.mean() - BACKLOG_OVERFLOW) / math.sqrt(BACKLOG_OVERFLOW / 10**4)
