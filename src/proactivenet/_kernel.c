@@ -14,9 +14,9 @@
  *   sim.estimate_outage: one call takes a path from its uniforms to its
  *   post-warm-up outage counts.
  *
- * poisson_cdf, poisson_invert: Poisson counts by inversion of the cdf, one
- *   uniform per count, for proactivenet.traffic, which checks every
- *   argument; path_outages inverts its streams the same way.
+ * poisson_cdf: the Poisson cdf window and guide table through which
+ *   path_outages inverts each count, for proactivenet.traffic, which checks
+ *   every argument; binomial_invert: path_outages' multicast fresh demand.
  *
  * sched compiles this file with `cc -O2 -shared -fPIC` on first use and
  * loads it through ctypes.
@@ -99,6 +99,40 @@ static int64_t present(const double *u, int64_t idle, double A)
     return a;
 }
 
+/* min{k : P(X <= k) > x} for X ~ Binomial(n, A), r = A / (1 - A) and
+ * lq = log(1 - A): a walk up the pmf from p(0) = (1 - A)^n or, where that
+ * nears underflow, from where the pmf falls below 1e-40 of the mode's, p
+ * there normalised as in poisson_cdf.  The walk ends where p no longer
+ * moves F: the mass left out is far under the 2**-53 resolution of x. */
+static int64_t binomial(double x, int64_t n, double A, double r, double lq)
+{
+    if (A >= 1.0)
+        return n;
+    int64_t k = 0;
+    double p = exp((double)n * lq);
+    if (p < 1e-300) {
+        int64_t m = (int64_t)((double)(n + 1) * A);  /* a mode, at most n */
+        double s = 1.0, t = 1.0, v = 1.0;
+        for (k = m; k > 0 && t > 1e-40; k--)
+            s += t *= (double)k / (r * (double)(n - k + 1));
+        for (int64_t j = m; j < n && v > 1e-40; j++)
+            s += v *= r * (double)(n - j) / (double)(j + 1);
+        p = t / s;
+    }
+    for (double F = p; x >= F && k < n && F + p > F; F += p) {
+        p *= r * (double)(n - k) / (double)(k + 1);
+        k++;
+    }
+    return k;
+}
+
+/* out[i] = binomial(u[i], ...) for count uniforms u[i] and 0 <= A <= 1. */
+void binomial_invert(const double *u, int64_t count, int64_t n, double A, int64_t *out)
+{
+    for (int64_t i = 0; i < count; i++)
+        out[i] = binomial(u[i], n, A, A / (1.0 - A), log1p(-A));
+}
+
 /* lo + min{j : F[j] > x} for a uniform x in [0, 1), with F and its guide
  * table g from poisson_cdf (F non-decreasing, F[m - 1] = 1). */
 static int64_t invert(double x, const double *F, const int64_t *g, int64_t lo, int64_t m)
@@ -162,10 +196,10 @@ int64_t serve_path(const int64_t *counts, const double *presence, double A, int6
 
 /* One sample path of sim.estimate_outage, from its uniforms to its outage
  * counts.
- * u:         the path's uniforms in draw order: with width > 0, the
- *            (slots, width) source uniforms of multicast presence (a source
- *            is present iff its uniform is below A); then slots uniforms per
- *            Poisson stream, one per count;
+ * u:         the path's uniforms in draw order: with L > 0 sources, one per
+ *            slot for its multicast fresh demand, the Binomial(idle, A)
+ *            count of binomial over the idle = L - pending sources; then
+ *            slots uniforms per Poisson stream, one per count;
  * stream:    a row (column, lo, m, F, g) per Poisson stream, in draw order,
  *            F and g the addresses of its cdf window and guide table:
  *            nprimary primary streams, whose count invert(u, F, g, lo, m)
@@ -177,17 +211,18 @@ int64_t serve_path(const int64_t *counts, const double *presence, double A, int6
  * Returns 0, or the 1-based slot whose pending backlog exceeded limit.  The
  * backlog is checked once per slot: with the means traffic.poisson_table
  * admits, no count exceeds ~1e9, so total cannot overflow before it. */
-int64_t path_outages(const double *u, int64_t slots, int64_t width, double A,
+int64_t path_outages(const double *u, int64_t slots, int64_t L, double A,
                      const int64_t *stream, int64_t nprimary, int secondary, int64_t T,
                      int64_t C, double f, int refill, int64_t limit, int64_t warmup,
                      int64_t *c, int64_t *outages)
 {
-    const double *draws = u + slots * width;
+    const double *draws = L ? u + slots : u;
+    const double r = A / (1.0 - A), lq = log1p(-A);
     int64_t total = 0, q = 0, e[2];
     memset(c, 0, (size_t)(T + 1) * sizeof *c);
     for (int64_t n = 0; n < slots; n++) {
-        if (width) {
-            int64_t a = present(u + n * width, width - total, A);
+        if (L) {
+            int64_t a = binomial(u[n], L - total, A, r, lq);
             c[T] += a;
             total += a;
         }
@@ -242,12 +277,4 @@ void poisson_cdf(double mu, int64_t lo, int64_t m, double *F, int64_t *g)
             j++;
         g[b] = j;
     }
-}
-
-/* out[i] = invert(u[i], F, g, lo, m) for n uniforms u[i] in [0, 1). */
-void poisson_invert(const double *u, int64_t n, const double *F, const int64_t *g,
-                    int64_t lo, int64_t m, int64_t *out)
-{
-    for (int64_t i = 0; i < n; i++)
-        out[i] = invert(u[i], F, g, lo, m);
 }

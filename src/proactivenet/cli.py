@@ -23,8 +23,9 @@ and an exact value is one row.
 
 Every run writes a CSV with the fixed header
 `experiment,C,class,metric,value,stderr,seed` plus a JSON manifest holding
-the complete parameter set; re-running from the manifest reproduces the
-CSV byte for byte.  Exit codes: 0 ok, 1 runtime failure, 2 config error.
+the complete parameter set and its `draw_layout`; re-running from it
+reproduces the CSV byte for byte.  One of another draw layout (2 if it has
+none) exits 2.  Exit codes: 0 ok, 1 runtime failure, 2 config error.
 
 `validate` checks only the command, the required parameters, the figure
 id and the analytic quantity.  Every other configuration rule belongs to
@@ -47,6 +48,7 @@ import warnings
 
 from proactivenet import analytic, oracle
 from proactivenet.sim import (
+    DRAW_LAYOUT,
     DYNAMIC,
     EDF,
     MULTICAST,
@@ -413,8 +415,11 @@ def _print_warning(message, *_) -> None:
 
 
 def run(manifest: dict) -> int:
-    """Execute one run, given as its manifest {command, params, out}."""
+    """Execute one run, given as its manifest {command, params, out, draw_layout}."""
     errors = validate(manifest["params"], manifest["command"])
+    if not errors and manifest["draw_layout"] != DRAW_LAYOUT:
+        errors = [f"draw_layout: the manifest is of draw layout {manifest['draw_layout']}, "
+                  f"this version draws layout {DRAW_LAYOUT}: its rerun would differ"]
     for m in errors:
         print(f"error: {m}", file=sys.stderr)
     if errors:
@@ -442,13 +447,14 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.manifest) as fh:
             m = json.load(fh)
         return run({"command": m["command"], "params": m["params"],
-                    "out": args.out or m["out"]})
+                    "out": args.out or m["out"], "draw_layout": m.get("draw_layout", 2)})
     try:
         params = _params_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run({"command": args.command, "params": params, "out": args.out})
+    return run({"command": args.command, "params": params, "out": args.out,
+                "draw_layout": DRAW_LAYOUT})
 
 
 if __name__ == "__main__":

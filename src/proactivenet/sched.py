@@ -6,7 +6,7 @@ slot).  Each slot, arrivals land, service is applied, requests still at
 residual 0 expire, and residual deadlines drop by one.  The slot is one C
 function of `_kernel.c`, compiled with `cc` on first use and cached next to
 this module: `serve_path` runs it over arrival matrices, `sim` over arrivals
-drawn from a path's uniforms; the library also samples `traffic.poisson`.
+drawn from a path's uniforms; the library also fills `traffic.poisson_table`.
 
 Policies differ only in
   - the arrival source: a count matrix of new requests per look-ahead, or
@@ -89,7 +89,7 @@ def _build(source: Path, cache: Path) -> Path:
 
 
 def _kernel() -> ctypes.CDLL:
-    """The C kernels (the slot loops and the Poisson sampler), built and loaded on first use."""
+    """The C kernels (the slot loops and the samplers), built and loaded on first use."""
     global _lib
     if _lib is None:
         path = _build(_SOURCE, _CACHE)
@@ -101,9 +101,9 @@ def _kernel() -> ctypes.CDLL:
         lib.path_outages.argtypes = [ptr, i64, i64, dbl, ptr, i64, flag, i64, i64, dbl, flag,
                                      i64, i64, ptr, ptr]
         lib.poisson_cdf.argtypes = [dbl, i64, i64, ptr, ptr]
-        lib.poisson_invert.argtypes = [ptr, i64, ptr, ptr, i64, i64, ptr]
+        lib.binomial_invert.argtypes = [ptr, i64, i64, dbl, ptr]
         lib.serve_path.restype = lib.path_outages.restype = i64
-        lib.poisson_cdf.restype = lib.poisson_invert.restype = None
+        lib.poisson_cdf.restype = lib.binomial_invert.restype = None
         _lib = lib
     return _lib
 

@@ -7,16 +7,16 @@ slot is an outage for a class iff at least one request of that class
 expires in it; the per-path outage ratio divides by all post-warmup slots.
 Estimates average path ratios and report the standard error across paths.
 
-Seeding uses a counter-based split of the master seed so that path i sees
-the same randomness regardless of how many paths are run.  A path draws in
-a fixed order (`_streams`): the multicast presence uniforms, or one Poisson
-stream per unicast look-ahead column (predicted before missed), then the
-secondary; each Poisson count takes exactly one uniform (`traffic.poisson`
-draws the same counts).  So two configs sharing (seed, path index) and the
-same draw layout see identical arrivals (paired comparisons across policies
-and look-ahead windows): reactive and every deterministic window see the
-same per-slot totals, the curves of one two-class figure the same primary
-and secondary counts, and multicast windows the same presence uniforms.
+Path i of a seed is the i-th block of 2**64 draws of the seed's one PCG64
+stream (`path_rng`), so it sees the same randomness however many paths run.
+A path draws in a fixed order (`_streams`, layout `DRAW_LAYOUT`): for the
+multicast policies one uniform per slot, its fresh demand Binomial(idle, A)
+by inversion; then one Poisson stream per unicast look-ahead column
+(predicted before missed), then the secondary, one uniform per count.  So
+two configs sharing (seed, path index) see identical arrivals (paired
+comparisons across policies and look-ahead windows): reactive and every
+deterministic window the same per-slot totals, the curves of one two-class
+figure the same counts, and multicast windows and pi2 the same uniforms.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ MULTICAST = "multicast"
 PI2 = "pi2"
 
 POLICIES = (REACTIVE, EDF, SELFISH, DYNAMIC, MULTICAST, PI2)
+
+DRAW_LAYOUT = 3  # the order of a path's draws (module docstring), as manifests record it
 
 
 class SimConfigError(ValueError):
@@ -197,8 +199,8 @@ class OutageEstimate:
 
 
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
-    """Counter-split RNG: adding paths never perturbs earlier paths."""
-    return np.random.default_rng(np.random.SeedSequence((master_seed, path_index)))
+    """The seed's PCG64 stream at path `path_index`'s block of 2**64 draws."""
+    return np.random.Generator(np.random.PCG64(master_seed).advance(int(path_index) << 64))
 
 
 # outage classes per policy, in the order of path_outages' three counters
@@ -234,15 +236,16 @@ def _outage_counts(cfg: SimConfig, paths) -> np.ndarray:
     """(len(paths), 3) post-warmup outage slots of the given path indices:
     the primary's, the secondary's, and those with either.
 
-    A path is one call of the compiled `path_outages`, from the uniforms
-    that `path_rng` fills into one reused buffer to the path's counters.
+    A path is one call of the compiled `path_outages`, from its block's
+    uniforms in one reused buffer to its counters; one PCG64 advances from
+    path to path, modulo its period, so paths may come in any order.
     """
     T, streams = _streams(cfg)
     tables = [poisson_table(mu) for _, mu in streams]  # alive: rows hold their addresses
     rows = np.array([(k, lo, F.size, F.ctypes.data, g.ctypes.data)
                      for (k, _), (lo, F, g) in zip(streams, tables)], dtype=np.int64)
     L = cfg.multicast.num_sources(cfg.C) if cfg.policy in (MULTICAST, PI2) else 0
-    u, c = np.empty(cfg.slots * (L + len(streams))), np.empty(T + 1, dtype=np.int64)
+    u, c = np.empty(cfg.slots * ((L > 0) + len(streams))), np.empty(T + 1, dtype=np.int64)
     counts = np.zeros((len(paths), 3), dtype=np.int64)
     secondary = cfg.policy in (SELFISH, DYNAMIC, PI2)
     args = (u.ctypes.data, cfg.slots, L, cfg.multicast.source_prob() if L else 0.0,
@@ -250,8 +253,12 @@ def _outage_counts(cfg: SimConfig, paths) -> np.ndarray:
             {DYNAMIC: cfg.f, PI2: 0.0}.get(cfg.policy, 1.0), cfg.policy == PI2,
             sched.BACKLOG_OVERFLOW, cfg.effective_warmup, c.ctypes.data)
     kernel, out = sched._kernel().path_outages, counts.ctypes.data
+    bits, drawn = np.random.PCG64(cfg.seed), 0  # drawn: the stream's position
+    fill = np.random.Generator(bits).random
     for row, i in enumerate(paths):
-        path_rng(cfg.seed, i).random(out=u)
+        bits.advance(((int(i) << 64) - drawn) % (1 << 128))
+        fill(out=u)
+        drawn = (int(i) << 64) + u.size
         tripped = kernel(*args, out + counts.strides[0] * row)
         if tripped:
             raise PathOverflowError(f"backlog overflow at slot {tripped}")
@@ -262,10 +269,10 @@ def _streams(cfg: SimConfig) -> tuple[int, list[tuple[int, float]]]:
     """(T, streams): the window of the path's pending-count vector, and the
     (look-ahead column, mean) of each Poisson stream the path draws.
 
-    A path draws in a fixed order: the (slots, L) multicast presence
-    uniforms, or one stream per primary column (by look-ahead, predicted
-    before missed); then the secondary's, column -1.  A reactive path sees
-    every request as urgent: T = 0.
+    A path draws in a fixed order: one multicast uniform per slot, or one
+    stream per primary column (by look-ahead, predicted before missed);
+    then the secondary's, column -1.  A reactive path sees every request
+    as urgent: T = 0.
     """
     T, streams = (0 if cfg.policy == REACTIVE else cfg.tmax), []
     unicast = cfg.policy not in (MULTICAST, PI2)

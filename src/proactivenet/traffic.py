@@ -3,18 +3,20 @@
 All traffic is slot-batched: a generator produces, per slot, the number of
 requests that become known to the scheduler, keyed by their look-ahead time
 (slots until the request's deadline).  Multicast traffic is generated at the
-data-source level: per slot, the set of distinct sources demanded.
+data-source level, each source demanded with probability A per slot
+(`multicast_presence`); a simulated path draws only a slot's fresh demand,
+Binomial(idle, A) over its idle sources, from one uniform (see `sim`).
 
 Two capacity-scaling regimes are supported: linear (mean gamma*C) and
 polynomial (mean C**gamma).  The tail events are the quantity under study,
-so no law is normal-approximated.  A source-presence indicator is one
-uniform against its probability.  A Poisson count is one uniform u of the
+so no law is normal-approximated.  A Poisson count is one uniform u of the
 path's stream, inverted through the Poisson cdf F: count = min{k : F(k) > u}
 (`poisson_table`, inverted by `poisson` and by the path kernel of `sim`).
 The inversion is exact up to the 2**-53 resolution of u: F is summed over a
 window of about 24 sqrt(mu) + 60 counts around the mean, and the mass it
-leaves out, below 1e-30, is far under that resolution.  These generators
-are the reference the simulator's compiled paths are tested against.
+leaves out, below 1e-30, is far under that resolution.  From the same
+uniforms, `unicast_counts` and `prediction_error_counts` draw the counts of
+a path's Poisson streams.
 """
 
 from __future__ import annotations
@@ -204,18 +206,14 @@ class MulticastSpec:
 
 
 def poisson(rng: np.random.Generator, mu: float, n: int) -> np.ndarray:
-    """n Poisson(mu) counts, each min{k : F(k) > u} for one uniform u of `rng`.
+    """n Poisson(mu) counts, each min{k : F(k) > u} for one uniform u of `rng`,
+    found by numpy's search of F, independently of the kernel's guide table.
 
     Every call consumes exactly n uniforms of the stream, also at mu = 0.
     Raises as `poisson_table` does, before drawing.
     """
-    lo, F, g = poisson_table(mu)
-    u = rng.random(n)
-    out = np.empty(n, dtype=np.int64)
-    sched._kernel().poisson_invert(
-        u.ctypes.data, n, F.ctypes.data, g.ctypes.data, lo, F.size, out.ctypes.data
-    )
-    return out
+    lo, F, _ = poisson_table(mu)
+    return lo + np.searchsorted(F, rng.random(n), side="right")
 
 
 def poisson_table(mu: float) -> tuple[int, np.ndarray, np.ndarray]:
@@ -282,7 +280,8 @@ def multicast_presence(
     """(slots, L) boolean matrix of per-slot source demand indicators.
 
     Each of the L = round(theta*C) sources is independently present with
-    probability 1 - exp(-gamma_m/theta), so a row sums to Binomial(L, A).
+    probability A = 1 - exp(-gamma_m/theta), so a row sums to Binomial(L, A),
+    the fresh demand a path draws from one uniform when no source is pending.
     """
     L = spec.num_sources(C)
     return rng.random((slots, L)) < spec.source_prob()

@@ -325,19 +325,20 @@ class TestCommands:
         assert capsys.readouterr().out != without
 
 
-# sha256 of each canned CSV at seed 1, and the numpy whose random streams
-# they come from; a change to the random-draw layout must update them
+# sha256 of each canned CSV at seed 1 under draw layout 3, and the numpy
+# whose random streams they come from; a change to the random-draw layout
+# must update them
 CANNED_NUMPY = "2.4.6"
 CANNED_SHA256 = {
-    "fig4a": "395b4f4563721ef1d5d4880ab037c3651fe9f9f51862faf19552c3777cb65327",
-    "fig4b": "8d22955db5cae0671b491e0a7cfee5a6030cee8bc3d0d7ae40210cbd85ada202",
-    "fig5a": "7b4a232877b5e622d8ab7a3b2ab1982b992be03de3e47b853bad527d6ea61ef0",
-    "fig5b": "0612a95410e3623565ec73d1353184dd365cb5b0ec7e7b173505021afa742f28",
-    "fig6a": "29ebf34f7beb7bfa1989333b9cbcc46694ad93714cd6c4cb4e34f14cc3b39942",
-    "fig6b": "1444092260a47e87aa85ac14562b34af31b52d9149840d4239d35f866ca17669",
-    "fig-dyn": "fc6f56b1c2b6f32541268b63117f5349adeaee6e0a52fc929d5a05aba9b96082",
-    "fig-multicast": "57b28fbdcf0241099100a414fea4c638ec740b412b4f1a416ed77c35cb66a509",
-    "sweep-pi2": "d131a70f6565354a378d7616e5dcf8baac0729030123d2eee1b3e590d735d95d",
+    "fig4a": "29ecaa614d404be5800a19845cd72c8cf4dcd3298f68f43125e803efe3ea2966",
+    "fig4b": "65e34b84a230034275b5b1b49bb8586e7bb27bf464f8a268348bc18da6fe86bc",
+    "fig5a": "b37cd3392e00d9193a225bf6e3dd9e8170b124d81638d7634d06e6038f1ef1e9",
+    "fig5b": "d6469bc2640c960e686738138311e6b352cda25c51e43789ada10ea8ac47a1ce",
+    "fig6a": "5990dfdc6e837f52d8cee8a219f6bd166a980c157ec6df854d5124e86b068816",
+    "fig6b": "b2b314a0d888a4060c1310959274148fc0434ba20781bdfaf4cf4ae87e8b218a",
+    "fig-dyn": "9134014e737f5fe61f64e9924db44d953cc4b1f8578fa7ca964c9d7a72ff30fb",
+    "fig-multicast": "26cbc0929dac0e67c48c8cea59f70055da74e517eed4c9352cdc8abc0f9b45f3",
+    "sweep-pi2": "acc631d3db09d421041dd1344a29f29f1715f6b5e6cec98aa88daa958075c258",
 }
 CANNED_ARGV = {
     **{fig: ["reproduce-figure", fig] for fig in CANNED_SHA256 if fig.startswith("fig")},
@@ -527,6 +528,26 @@ class TestFlags:
 
 
 class TestManifestRoundTrip:
+    @pytest.mark.parametrize("layout", [None, 2, 4])
+    def test_a_manifest_of_another_draw_layout_is_refused(self, tmp_path, capsys, layout):
+        # a manifest without the field was written by draw layout 2
+        out, again = tmp_path / "run.csv", tmp_path / "again.csv"
+        assert main(["simulate", "--C", "4", "--gamma", "0.5", "--paths", "2",
+                     "--slots", "300", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert manifest["draw_layout"] == 3
+        del manifest["draw_layout"]
+        if layout is not None:
+            manifest["draw_layout"] = layout
+        old = tmp_path / "old.manifest.json"
+        old.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun-from-manifest", str(old), "--out", str(again)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: draw_layout: the manifest is of draw layout {layout or 2}, "
+            "this version draws layout 3: its rerun would differ\n")
+        assert not again.exists()
+
     def test_bit_identical_rerun(self, tmp_path):
         out1 = tmp_path / "run.csv"
         out2 = tmp_path / "rerun.csv"

@@ -1,7 +1,11 @@
+import ctypes
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_sched import serve_path_by_slot
 
 from proactivenet import sched, sim
 from proactivenet.analytic import poisson_tail
@@ -20,13 +24,47 @@ from proactivenet.traffic import (
     Regime,
     TrafficSpecError,
     mean_rate,
-    multicast_presence,
     poisson,
-    prediction_error_counts,
     unicast_counts,
 )
 
 LIN05 = Regime("linear", 0.5)
+
+
+def binomial_quantiles(u, L, A):
+    """Q[n, i] = min{k : P(Binomial(i, A) <= k) > u[n]} for i = 0..L: each
+    cdf summed from math.comb terms and searched by numpy, apart from the
+    kernel's pmf walk.  Q[n, i] is slot n's fresh demand with i idle
+    sources; it grows by 0 or 1 with i, so np.diff(Q) is a presence matrix
+    whose first i columns hold Q[n, i] present sources."""
+    Q = np.empty((len(u), L + 1), dtype=np.int64)
+    for i in range(L + 1):
+        F = np.cumsum([math.comb(i, k) * A**k * (1 - A) ** (i - k) for k in range(i + 1)])
+        Q[:, i] = np.minimum(np.searchsorted(F, u, side="right"), i)
+    assert np.isin(np.diff(Q), (0, 1)).all()
+    return Q
+
+
+def fresh_demand_uniforms(cfg, paths):
+    """The first cfg.slots uniforms of each path's buffer, read where the
+    kernel is handed them."""
+    lib, seen = sched._kernel(), []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        @staticmethod
+        def path_outages(u, slots, *rest):
+            seen.append(np.array((ctypes.c_double * slots).from_address(u)))
+            return lib.path_outages(u, slots, *rest)
+
+    real, sched._kernel = sched._kernel, Spy
+    try:
+        sim._outage_counts(cfg, paths)
+    finally:
+        sched._kernel = real
+    return np.array(seen)
 
 
 def reactive_cfg(C=4, slots=1100, **kw):
@@ -49,6 +87,16 @@ class TestRunPath:
         rng = sim.path_rng(cfg.seed, 0)
         arr = poisson(rng, 2.0, 500)
         assert res.outage_slots["default"] == int((arr > 0).sum())
+
+    @pytest.mark.filterwarnings("ignore:offered load")
+    @pytest.mark.parametrize("mu", [25.6, 1e4, 1e8])
+    def test_large_rates_cross_each_capacity_as_poisson_draws(self, mu):
+        # a reactive slot is an outage iff its count exceeds C: the kernel's
+        # guide-table inversion against numpy's search, around the mean
+        arr = poisson(sim.path_rng(4, 0), mu, 2000)
+        for C in (int(mu - mu**0.5), int(mu), int(mu + mu**0.5)):
+            cfg = SimConfig(C=C, policy="reactive", slots=2000, seed=4, warmup=0, rate=mu)
+            assert run_path(cfg).outage_slots["default"] == int((arr > C).sum())
 
     def test_scripted_overflow_trace(self):
         # 5 arrivals with a 1-slot window into C=2: 4 servable over two
@@ -156,7 +204,7 @@ class TestPairing:
     def planned_draws(cfg, index=4):
         """The arrivals and secondary counts path `index` of cfg draws: the
         Poisson streams of its plan, each inverted from the next block of
-        the path's uniforms (`traffic.poisson` inverts as the kernel does)."""
+        the path's uniforms (`traffic.poisson` inverts the kernel's cdf window)."""
         T, streams = sim._streams(cfg)
         rng = sim.path_rng(cfg.seed, index)
         arrivals, secondary = np.zeros((cfg.slots, T + 1), dtype=np.int64), None
@@ -285,20 +333,26 @@ def reference_multicast(cfg: SimConfig, seed_index: int) -> dict[str, int]:
     """Outage slots of one path, tracking each source's residual deadline
     (-1 when idle); written independently of the counts-vector kernel.
 
-    Multicast serves pending sources by EDF, ties by source id.  pi2 serves
-    urgent sources, then the urgent unicast stream, then later sources.
+    Each slot's fresh demand is the path's uniform for it, inverted by
+    `binomial_quantiles` at the slot's idle count; which idle sources are
+    fresh is picked by a separate generator.  Multicast serves pending
+    sources by EDF, ties by source id.  pi2 serves urgent sources, then
+    the urgent unicast stream, then later sources.
     """
     rng = sim.path_rng(cfg.seed, seed_index)
-    pres = multicast_presence(cfg.multicast, cfg.C, rng, cfg.slots)
+    L = cfg.multicast.num_sources(cfg.C)
+    fresh = binomial_quantiles(rng.random(cfg.slots), L, cfg.multicast.source_prob())
+    pick = np.random.default_rng([cfg.seed, seed_index])
     uni = np.zeros(cfg.slots, dtype=np.int64)
     if cfg.policy == "pi2":
         uni = poisson(rng, mean_rate(cfg.regime, cfg.C), cfg.slots)
     T, C = cfg.law.tmax, cfg.C
-    residual = np.full(pres.shape[1], -1)
+    residual = np.full(L, -1)
     lost_m = np.zeros(cfg.slots, dtype=bool)
     lost_u = np.zeros(cfg.slots, dtype=bool)
     for n in range(cfg.slots):
-        residual[pres[n] & (residual < 0)] = T
+        idle = np.flatnonzero(residual < 0)
+        residual[pick.choice(idle, fresh[n, idle.size], replace=False)] = T
         if cfg.policy == "multicast":
             pending = np.flatnonzero(residual >= 0)
             order = pending[np.argsort(residual[pending], kind="stable")]
@@ -331,9 +385,11 @@ class TestMulticastExactness:
             multicast=MulticastSpec(0.9, 15.0), law=LookaheadLaw.deterministic(0),
             regime=Regime("linear", 0.05) if policy == "pi2" else None,
         )
+        L, A = cfg.multicast.num_sources(cfg.C), cfg.multicast.source_prob()
         for i in range(3):
+            # nothing is pending at window 0: every slot sees all L sources idle
             rng = sim.path_rng(cfg.seed, i)
-            pres = multicast_presence(cfg.multicast, cfg.C, rng, 1000)
+            pres = np.diff(binomial_quantiles(rng.random(1000), L, A))
             kw = {}
             if policy == "pi2":
                 kw = dict(f=0.0, secondary=poisson(rng, 0.2, 1000), refill=True)
@@ -404,11 +460,11 @@ class TestDrawLayout:
         assert np.array_equal(one, np.concatenate([rng.random(n1), rng.random(n2)]))
 
     @given(st.integers(0, 2**32), st.integers(0, 50), st.integers(1, 40), st.integers(0, 3))
-    def test_path_fill_equals_the_generators_draws(self, seed, index, slots, L):
-        # a presence matrix in row order, then two Poisson streams
+    def test_path_fill_equals_the_generators_draws(self, seed, index, slots, streams):
+        # the multicast fresh-demand uniforms, then `streams` Poisson streams
         rng = sim.path_rng(seed, index)
-        parts = [rng.random((slots, L)).ravel(), rng.random(slots), rng.random(slots)]
-        u = np.empty(slots * (L + 2))
+        parts = [rng.random(slots) for _ in range(1 + streams)]
+        u = np.empty(slots * (1 + streams))
         sim.path_rng(seed, index).random(out=u)
         assert np.array_equal(u, np.concatenate(parts))
 
@@ -421,33 +477,41 @@ REFERENCE_CLASSES = {
 
 
 def reference_counts(cfg: SimConfig, index: int) -> dict[str, int]:
-    """Post-warmup outage slots per class of path `index`: its arrivals
-    drawn by the traffic generators from `path_rng`, in the documented
-    order, and served by `sched.serve_path`.  It shares no code with the
-    fast path's plan, draws and counters; the slot rule both run is checked
-    against a Python slot loop in test_sched."""
+    """Post-warmup outage slots per class of path `index`, from the Python
+    slot loop `serve_path_by_slot` of test_sched fed the uniforms of
+    `path_rng` in the documented order: the multicast fresh demand by
+    `binomial_quantiles`, each Poisson stream by `traffic.poisson` (numpy's
+    search of the cdf window).  It shares no code with the fast path's
+    plan, draws, counters or slot loop."""
     rng = sim.path_rng(cfg.seed, index)
     kw = {"f": {"dynamic": cfg.f, "pi2": 0.0}.get(cfg.policy, 1.0),
           "refill": cfg.policy == "pi2"}
     if cfg.policy in ("multicast", "pi2"):
-        arrivals = multicast_presence(cfg.multicast, cfg.C, rng, cfg.slots)
+        L, A = cfg.multicast.num_sources(cfg.C), cfg.multicast.source_prob()
+        arrivals = np.diff(binomial_quantiles(rng.random(cfg.slots), L, A))
         kw["multicast_T"] = cfg.tmax
     elif cfg.pred_error is not None:
-        arrivals = prediction_error_counts(cfg.pred_error, cfg.C, rng, cfg.slots)
+        lam_pred, lam_miss = cfg.pred_error.rates(cfg.C)
+        arrivals = np.zeros((cfg.slots, cfg.pred_error.T + 1), dtype=np.int64)
+        arrivals[:, -1] = poisson(rng, lam_pred, cfg.slots)
+        arrivals[:, 0] += poisson(rng, lam_miss, cfg.slots)
     elif cfg.primary_rate is None:
         arrivals = np.zeros((cfg.slots, 1), dtype=np.int64)
     else:
         law = cfg.law
         if law is None or cfg.policy == "reactive":
             law = LookaheadLaw.deterministic(0)
-        arrivals = unicast_counts(cfg.primary_rate, law, rng, cfg.slots)
+        arrivals = np.zeros((cfg.slots, law.tmax + 1), dtype=np.int64)
+        for k in range(law.tmin, law.tmax + 1):
+            if law.pmf(k) > 0.0:
+                arrivals[:, k] = poisson(rng, law.pmf(k) * cfg.primary_rate, cfg.slots)
     if cfg.policy == "reactive":  # every request is urgent
         arrivals = arrivals.sum(axis=1, keepdims=True)
     if cfg.policy in ("selfish", "dynamic"):
         kw["secondary"] = poisson(rng, mean_rate(cfg.secondary, cfg.C), cfg.slots)
     elif cfg.policy == "pi2":
         kw["secondary"] = poisson(rng, cfg.primary_rate or 0.0, cfg.slots)
-    lost = sched.serve_path(arrivals, cfg.C, **kw)[cfg.effective_warmup :] > 0
+    lost = serve_path_by_slot(arrivals, cfg.C, **kw)[cfg.effective_warmup :] > 0
     counts = dict(zip(REFERENCE_CLASSES[cfg.policy], lost.sum(axis=0).tolist()))
     if cfg.policy == "pi2":
         counts["combined"] = int(lost.any(axis=1).sum())
@@ -511,3 +575,60 @@ def test_fast_path_equals_the_generators_served_by_serve_path(cfg, n_paths):
     for cls, e in est.items():
         assert e.per_path_values == tuple(w[cls] / counted for w in want)
     assert run_path(cfg, n_paths - 1).outage_slots == want[-1]
+
+
+class TestSeeding:
+    """Path i of a seed is the i-th block of 2**64 draws of the seed's one
+    PCG64 stream, whichever paths an estimate runs and in what order."""
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 10**6))
+    def test_path_is_a_block_of_the_seed_stream(self, seed, index):
+        bits = np.random.PCG64(np.random.SeedSequence(seed))
+        bits.advance(index * 2**64)
+        assert np.array_equal(sim.path_rng(seed, index).random(5),
+                              np.random.Generator(bits).random(5))
+
+    @pytest.mark.filterwarnings("ignore:offered load")
+    @settings(max_examples=60, deadline=None)
+    @given(path_configs(), st.integers(2, 4), st.integers(1, 3))
+    def test_more_paths_extend_the_estimate(self, cfg, n, k):
+        try:
+            few, more = estimate_outage(cfg, n), estimate_outage(cfg, n + k)
+        except TrafficSpecError:
+            return
+        for cls, e in few.items():
+            assert more[cls].per_path_values[:n] == e.per_path_values
+
+    @pytest.mark.filterwarnings("ignore:offered load")
+    @settings(max_examples=60, deadline=None)
+    @given(path_configs(), st.integers(0, 5))
+    def test_run_path_is_the_estimates_path(self, cfg, index):
+        try:
+            est = estimate_outage(cfg, index + 2)
+        except TrafficSpecError:
+            return
+        counted = cfg.slots - cfg.effective_warmup
+        got = run_path(cfg, index).outage_slots
+        assert {cls: e.per_path_values[index] for cls, e in est.items()} == {
+            cls: v / counted for cls, v in got.items()}
+
+    def test_paths_in_any_order_read_their_own_blocks(self):
+        cfg = reactive_cfg(C=2, rate=1.5, regime=None)
+        rows = sim._outage_counts(cfg, range(6))
+        assert rows[:, 0].any()
+        for order in ([5, 0, 3], [2, 2, 1], [4]):
+            assert np.array_equal(sim._outage_counts(cfg, order), rows[order])
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_multicast_windows_and_pi2_see_the_same_fresh_demand_uniforms(self, seed):
+        common = dict(C=4, slots=300, seed=seed, warmup=50, multicast=MulticastSpec(0.9, 15.0))
+        seen = [
+            fresh_demand_uniforms(SimConfig(**common, **kw), range(3))
+            for kw in ({"policy": "multicast", "law": LookaheadLaw.deterministic(T)}
+                       for T in (0, 1, 2))
+        ] + [fresh_demand_uniforms(SimConfig(
+            **common, policy="pi2", regime=Regime("linear", 0.05),
+            law=LookaheadLaw.deterministic(1)), range(3))]
+        want = [sim.path_rng(seed, i).random(300) for i in range(3)]
+        for uniforms in seen:
+            assert np.array_equal(uniforms, want)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from proactivenet import analytic as an
+from proactivenet import sched
 from proactivenet import traffic as tr
 from proactivenet.sched import BACKLOG_OVERFLOW, PathOverflowError
 
@@ -193,6 +194,13 @@ class TestPoissonInversion:
         assert F[-1] == 1.0
         assert np.abs(F - exact_cdf(mu, lo, F.size)).max() <= 1e-12
 
+    @pytest.mark.parametrize("mu", RATES)
+    def test_guide_table_starts_each_search_at_or_below_its_answer(self, mu):
+        # g[b] = min{j : floor(F[j] m) >= b}: the kernel's search for a u in
+        # bucket b = floor(u m) starts at g[b] and steps up to its answer
+        _, F, g = tr.poisson_table(mu)
+        assert np.array_equal(g, np.searchsorted(np.floor(F * F.size), np.arange(F.size)))
+
     @pytest.mark.parametrize("mu", [0.05, 6.4, 25.6, 1e4])
     def test_exact_reference_agrees_with_scipy(self, mu):
         from scipy.stats import poisson
@@ -247,3 +255,65 @@ class TestPoissonInversion:
         counts = tr.poisson(rng(), float(BACKLOG_OVERFLOW), 10**4)
         z = (counts.mean() - BACKLOG_OVERFLOW) / math.sqrt(BACKLOG_OVERFLOW / 10**4)
         assert abs(z) < 4
+
+
+def binomial_draws(u, n, A):
+    """The kernel's Binomial(n, A) count of each uniform, as a multicast
+    path draws its fresh demand from n idle sources."""
+    u = np.ascontiguousarray(u, dtype=float)
+    out = np.empty(u.size, dtype=np.int64)
+    sched._kernel().binomial_invert(u.ctypes.data, u.size, n, A, out.ctypes.data)
+    return out
+
+
+def exact_binomial_cdf(n, A, top):
+    """P(X <= k), k <= top, for X ~ Binomial(n, A), in 60-digit decimal
+    arithmetic from (1 - A)^n, as floats."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a = Decimal(A)
+        p, total, out = (1 - a) ** n, Decimal(0), []
+        for k in range(top + 1):
+            total += p
+            out.append(float(total))
+            p = p * (n - k) / (k + 1) * a / (1 - a) if k < n else Decimal(0)
+    return np.array(out)
+
+
+# (idle sources, source probability): no idle source, the fig-multicast
+# regime, A near 0 and near 1, both sides of the switch to the window start
+# at (1 - A)^n = 1e-300, and n A well beyond 745
+BINOMIALS = [
+    (0, 0.3), (1, 0.5), (3, 0.5), (120, tr.MulticastSpec(0.9, 15.0).source_prob()),
+    (40, 1e-12), (5, 1 - 1e-12), (40, 1 - 1e-12), (1020, 0.49), (1040, 0.49),
+    (2000, 0.5), (10**5, 0.01),
+]
+
+
+class TestBinomialInversion:
+    @pytest.mark.parametrize("n, A", BINOMIALS)
+    def test_draws_invert_the_exact_cdf(self, n, A):
+        # each draw is min{k : F(k) > u}; only a u within 1e-12 of a cdf
+        # value may go either way
+        u = rng(12).random(10**5)
+        got = binomial_draws(u, n, A)
+        cdf = exact_binomial_cdf(n, A, min(n, int(got.max()) + 1))
+        want = np.searchsorted(cdf, u, side="right")
+        edges = np.concatenate([[-np.inf], cdf, [np.inf]])
+        j = np.searchsorted(cdf, u)
+        near = np.minimum(u - edges[j], edges[j + 1] - u) < 1e-12
+        print(f"n = {n}, A = {A!r}: {near.sum()} of {u.size} uniforms within 1e-12 of a cdf value")
+        assert near.sum() <= 10
+        assert np.array_equal(got[~near], want[~near])
+
+    def test_a_uniform_on_a_cdf_value_draws_the_next_count(self):
+        # min{k : F(k) > u}, at the cdf values of Binomial(1, 1/2) and
+        # Binomial(2, 1/2), which the kernel computes exactly
+        assert binomial_draws([0.5, np.nextafter(0.5, 0)], 1, 0.5).tolist() == [1, 0]
+        assert binomial_draws([0.0, 0.25, 0.75, 0.7499], 2, 0.5).tolist() == [0, 1, 2, 1]
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 5000])
+    def test_certain_and_impossible_sources(self, n):
+        u = rng(13).random(1000)
+        assert (binomial_draws(u, n, 1.0) == n).all()
+        assert (binomial_draws(u, n, 0.0) == 0).all()
