@@ -11,10 +11,8 @@ Three facilities:
     equation.
 
 These are the anti-regression backstop for both the simulator and the
-closed forms: they share no code path with either.
-
-scipy is imported only inside the functions that call it (here the lumped
-arrival pmf), so importing this module loads no scipy module.
+closed forms: they share no code path with either.  The Poisson pmf and
+tail are `analytic`'s, which needs no scipy.
 """
 
 from __future__ import annotations
@@ -43,7 +41,12 @@ def _check_size(n_states: int, levels: int) -> None:
     """Refuse, before allocating anything, a chain whose build and solve
     need over MAX_BYTES: _PEAK_BYTES per entry of the (n, levels) successor
     table and of the dense n x n P that GTH eliminates.  Measured: <= 18
-    bytes per entry from 25 000 entries up; below, a fixed ~0.2 MB."""
+    bytes per entry from 25 000 entries up; below, a fixed ~0.2 MB.
+
+    It bounds bytes, not time: the banded solve is O(n^2 C).  On a 2-core
+    Xeon, `oracle-check --C 600 --gamma 0.5 --policy edf --T 2` (1201
+    states) takes 1.7-1.8 s, and the largest chains admitted, C = 2228 at
+    T = 1 and C = 1220 at T = 2, take 22 s and 12 s."""
     need = _PEAK_BYTES * n_states * (n_states + levels)
     if need > MAX_BYTES:
         raise OracleError(
@@ -53,16 +56,30 @@ def _check_size(n_states: int, levels: int) -> None:
 
 
 def _poisson_pmf_lumped(lam: float, cap: int) -> np.ndarray:
-    """pmf on {0..cap} with all tail mass P(X >= cap) lumped at cap."""
-    from scipy.special import pdtr
+    """pmf on {0..cap} with all tail mass P(X >= cap) lumped at cap.
 
-    p = np.zeros(cap + 1)
-    log_lam = math.log(lam) if lam else -math.inf
-    for q in range(cap):  # in log space: exp(-lam) alone underflows above lam ~ 745
-        p[q] = math.exp((q * log_lam if q else 0.0) - lam - math.lgamma(q + 1))
-    p[cap] = poisson_tail(lam, cap - 1) if cap else 1.0
-    # rescale to P(X < cap) (1 - tail unless it cancels): log rounding ~1e-11 at lam = 5000
-    p[:cap] *= (1.0 - p[cap] if p[cap] <= 0.5 else pdtr(cap - 1, lam)) / (p[:cap].sum() or 1.0)
+    Out from the mode the pmf falls.  Each entry is its neighbour nearer
+    the mode times lam/q (upward) or (q+1)/lam (downward), or exp of
+    `analytic`'s log-pmf at every 64th entry and below 1e-290, so each is
+    <= 63 roundings from an exact one and none underflows early.
+    """
+    if not cap:
+        return np.ones(1)
+    body = [0.0] * cap
+    mode = min(int(lam), cap - 1)
+    for first, stop, step in ((mode, cap, 1), (mode - 1, -1, -1)):
+        p_q = 0.0
+        for q in range(first, stop, step):
+            if (q - first) % 64 and p_q > 1e-290:
+                p_q *= lam / q if step > 0 else (q + 1) / lam
+            else:
+                p_q = math.exp(analytic._poisson_logpmf(lam, q))
+                if not p_q:
+                    break  # and so does every entry further out
+            body[q] = p_q
+    below, tail = analytic._poisson_sides(lam, cap - 1)
+    p = np.array(body + [tail])
+    p[:cap] *= below / (p[:cap].sum() or 1.0)  # the body to P(X < cap)
     return p
 
 

@@ -56,7 +56,7 @@ def _build(source: Path, cache: Path) -> Path:
     in every process.  If `cache` cannot be written, the library goes to a
     fresh temporary directory.
     """
-    import hashlib  # imported here, like scipy: commands that never simulate
+    import hashlib  # imported here: commands that never simulate
     import subprocess  # pay for neither
 
     key = hashlib.sha256(source.read_bytes() + " ".join(_CC).encode()).hexdigest()[:16]

@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.stats import poisson as sp_poisson
 
 from proactivenet import analytic as an
@@ -38,6 +40,26 @@ LIN = lambda g: Regime("linear", g)
 POLY = lambda g: Regime("poly", g)
 
 
+def tail_50_digits(lam: float, k: int) -> float:
+    """P(Poisson(lam) > k) in 50-digit arithmetic: the pmf summed from
+    j = k + 1 upward, or below the mean 1 minus the pmf summed from j = k
+    downward, until a term is below 1e-30 of the sum."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(lam)
+        j = k + 1 if k + 1 >= lam else k
+        term = mpmath.exp(j * mpmath.log(x) - x - mpmath.loggamma(j + 1))
+        total = mpmath.mpf(0)
+        while term >= total * mpmath.mpf("1e-30") and j >= 0:
+            total += term
+            if k + 1 >= lam:
+                j += 1
+                term *= x / j
+            else:
+                term *= j / x
+                j -= 1
+        return float(total if k + 1 >= lam else 1 - total)
+
+
 class TestPoissonTail:
     def test_frozen(self):
         assert poisson_tail(2.0, 4) == pytest.approx(0.052653017343711125, rel=1e-12, abs=0)
@@ -62,6 +84,23 @@ class TestPoissonTail:
         sf = sp_poisson.sf(k, lam)
         if sf >= 1e-300:
             assert poisson_tail(lam, k) == pytest.approx(sf, rel=1e-9, abs=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-3.0, math.log10(2e4)), st.floats(0.0, 1.0))
+    def test_matches_50_digit_tail_everywhere(self, log_lam, u):
+        lam = min(10.0**log_lam, 2e4)
+        k = int(u * (lam + 40 * math.sqrt(lam) + 50))
+        ref = tail_50_digits(lam, k)
+        if ref >= 1e-300:
+            assert poisson_tail(lam, k) == pytest.approx(ref, rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("k", [1, 2, 15, 16, 17, 100, 1000, 20000])
+    def test_stirling_error(self, k):
+        # an absolute error in log k! is the pmf's relative error
+        with mpmath.workdps(50):
+            ref = (mpmath.loggamma(k + 1) - (k + mpmath.mpf(0.5)) * mpmath.log(k) + k
+                   - mpmath.log(2 * mpmath.pi) / 2)
+        assert abs(an._stirlerr(k) - float(ref)) <= 2e-16
 
     # P(Poisson(lam) > k) to 25 digits, from 60-digit sums of the pmf
     REFERENCES = {
@@ -115,6 +154,47 @@ class TestChernoff:
         assert chernoff_exponent([poisson_term(0.5)], 1.0, scale=4.0) == pytest.approx(
             base / 4.0
         )
+
+    @staticmethod
+    def brentq_exponent(terms, threshold):
+        """The optimizer by scipy's brentq on the same bracket."""
+
+        def g(r):
+            return an._log_mgf_deriv(terms, r) - threshold
+
+        hi = 1.0
+        while g(hi) < 0.0:
+            hi *= 2.0
+        r = brentq(g, 0.0, hi, xtol=1e-14, rtol=1e-15)
+        return threshold * r - an._log_mgf(terms, r)
+
+    TERMS = st.lists(
+        st.one_of(
+            st.builds(poisson_term, st.floats(0.01, 100.0), st.floats(0.2, 3.0)),
+            st.builds(binomial_term, st.floats(0.5, 40.0), st.floats(0.01, 0.9),
+                      st.floats(0.2, 3.0)),
+        ),
+        min_size=1, max_size=4,
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(TERMS, st.floats(0.05, 0.95))
+    def test_matches_brentq(self, terms, u):
+        mean = an._log_mgf_deriv(terms, 0.0)
+        sup = sum(math.inf if t[0] == "poisson" else t[1] * t[3] for t in terms)
+        threshold = mean + u * (min(sup, 4.0 * mean + 10.0) - mean)
+        assert chernoff_exponent(terms, threshold) == pytest.approx(
+            self.brentq_exponent(terms, threshold), rel=1e-12, abs=0
+        )
+
+    @given(TERMS, st.floats(0.0, 1.0))
+    def test_no_deviation_and_saturation_are_exact(self, terms, u):
+        mean = an._log_mgf_deriv(terms, 0.0)
+        assert chernoff_exponent(terms, u * mean) == 0.0
+        binomials = [t for t in terms if t[0] == "binomial"]
+        if binomials:
+            sup = sum(t[1] * t[3] for t in binomials)
+            assert chernoff_exponent(binomials, sup * (1.0 + u)) == math.inf
 
     def test_tail_agreement(self):
         # the bound P <= e^{-C e} makes the exact decay rate at least e

@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -19,6 +20,19 @@ from proactivenet.oracle import (
 from proactivenet.sched import serve_path
 from proactivenet.sim import SimConfig, estimate_outage
 from proactivenet.traffic import LookaheadLaw, MulticastSpec, PredictionErrorSpec, Regime
+
+
+def pmf_50_digits(lam, n):
+    """(P(X = q) for q < n as floats, P(X < n)) for X ~ Poisson(lam), in
+    50-digit arithmetic."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(lam)
+        term, below, out = mpmath.exp(-x), mpmath.mpf(0), []
+        for q in range(n):
+            out.append(float(term))
+            below += term
+            term *= x / (q + 1)
+        return np.array(out), below
 
 
 def reference_edf_chain(C, lam, T, cap):
@@ -346,6 +360,20 @@ class TestEventBounds:
         p = oracle._poisson_pmf_lumped(lam, cap)
         ref = scipy.stats.poisson.pmf(np.arange(cap), lam)
         assert np.allclose(p[:cap], ref, rtol=1e-10, atol=0.0)
+        assert abs(p.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "lam, cap", [(800.0, 1083), (5000.0, 5708), (2e4, 21415), (5000.0, 4900)]
+    )
+    def test_lumped_pmf_matches_50_digits(self, lam, cap):
+        # cap = lam + 10 sqrt(lam) lumps a tail of ~1e-23; at (5000, 4900)
+        # the tail is above 1/2, and the body is scaled to the cdf summed
+        # directly
+        p = oracle._poisson_pmf_lumped(lam, cap)
+        ref, below = pmf_50_digits(lam, cap)
+        seen = ref >= 1e-300
+        assert np.max(np.abs(p[:cap][seen] - ref[seen]) / ref[seen]) <= 1e-12
+        assert p[cap] == pytest.approx(float(1 - below), rel=1e-12, abs=0)
         assert abs(p.sum() - 1.0) <= 1e-12
 
     def test_union_of_partial_sums_beyond_the_exp_underflow(self):
