@@ -106,6 +106,17 @@ def test_no_scipy_module_is_loaded(report, stage):
     assert loaded == []
 
 
+@pytest.mark.parametrize("stage", ["oracle-check", "analytic"])
+def test_scipy_commands_still_run(report, stage):
+    # the two commands that loaded scipy before their tail and root were ours
+    assert report[stage][0] == 0
+
+
+def test_oracle_check_loads_no_sparse_module(report):
+    # the chain is solved densely, by GTH
+    assert [m for m in report["oracle-check"][1] if m.startswith("scipy.sparse")] == []
+
+
 def test_report_lists_scipy_loaded_on_purpose(report):
     # and so the empty lists above are not an artefact of the check
     code, loaded, _ = report["control"]
