@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -352,6 +353,7 @@ class _CommandParser(argparse.ArgumentParser):
         return namespace, extra
 
 
+@functools.cache  # built once per process: it costs ~1.5 ms, and parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     """Each command declares the flags it reads, and no other: the model
     flags, the run flags and its own."""

@@ -5,7 +5,8 @@ uniforms of the path's random stream to its outage counts: it draws each
 slot's arrivals and serves them by the rules of `sched.serve_path`.  A
 slot is an outage for a class iff at least one request of that class
 expires in it; the per-path outage ratio divides by all post-warmup slots.
-Estimates average path ratios and report the standard error across paths.
+Estimates average path ratios and report the standard error across paths;
+the paths of a large estimate run on up to min(usable CPUs, paths) threads.
 
 Path i of a seed is the i-th block of 2**64 draws of the seed's one PCG64
 stream (`path_rng`), so it sees the same randomness however many paths run.
@@ -22,6 +23,8 @@ figure the same counts, and multicast windows and pi2 the same uniforms.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -49,6 +52,12 @@ PI2 = "pi2"
 POLICIES = (REACTIVE, EDF, SELFISH, DYNAMIC, MULTICAST, PI2)
 
 DRAW_LAYOUT = 3  # the order of a path's draws (module docstring), as manifests record it
+
+# A thread costs ~70-100 us to start and join; the cheapest path slot
+# (reactive, its uniform's fill included) ~19 ns.  2**16 slots per worker,
+# >= 1.2 ms, keep that cost under ~8 % and every canned-figure estimate
+# (20 paths x 1000 slots) in the calling thread alone.
+_SLOTS_PER_WORKER = 1 << 16
 
 
 class SimConfigError(ValueError):
@@ -237,32 +246,69 @@ def _outage_counts(cfg: SimConfig, paths) -> np.ndarray:
     the primary's, the secondary's, and those with either.
 
     A path is one call of the compiled `path_outages`, from its block's
-    uniforms in one reused buffer to its counters; one PCG64 advances from
-    path to path, modulo its period, so paths may come in any order.
+    uniforms in a reused buffer to its counters.  The paths are split into
+    contiguous chunks, one per worker (`_workers`), the calling thread the
+    first; each worker advances its own PCG64 from path to path, modulo its
+    period, so paths may come in any order and a path's counts depend only
+    on (seed, path index), not on the worker that runs it.
     """
     T, streams = _streams(cfg)
     tables = [poisson_table(mu) for _, mu in streams]  # alive: rows hold their addresses
     rows = np.array([(k, lo, F.size, F.ctypes.data, g.ctypes.data)
                      for (k, _), (lo, F, g) in zip(streams, tables)], dtype=np.int64)
     L = cfg.multicast.num_sources(cfg.C) if cfg.policy in (MULTICAST, PI2) else 0
-    u, c = np.empty(cfg.slots * ((L > 0) + len(streams))), np.empty(T + 1, dtype=np.int64)
-    counts = np.zeros((len(paths), 3), dtype=np.int64)
+    n, W = len(paths), _workers(len(paths), cfg.slots)
+    counts = np.zeros((n, 3), dtype=np.int64)
     secondary = cfg.policy in (SELFISH, DYNAMIC, PI2)
-    args = (u.ctypes.data, cfg.slots, L, cfg.multicast.source_prob() if L else 0.0,
+    args = (cfg.slots, L, cfg.multicast.source_prob() if L else 0.0,
             rows.ctypes.data, len(streams) - secondary, secondary, T, cfg.C,
             {DYNAMIC: cfg.f, PI2: 0.0}.get(cfg.policy, 1.0), cfg.policy == PI2,
-            sched.BACKLOG_OVERFLOW, cfg.effective_warmup, c.ctypes.data)
-    kernel, out = sched._kernel().path_outages, counts.ctypes.data
-    bits, drawn = np.random.PCG64(cfg.seed), 0  # drawn: the stream's position
-    fill = np.random.Generator(bits).random
-    for row, i in enumerate(paths):
-        bits.advance(((int(i) << 64) - drawn) % (1 << 128))
-        fill(out=u)
-        drawn = (int(i) << 64) + u.size
-        tripped = kernel(*args, out + counts.strides[0] * row)
-        if tripped:
-            raise PathOverflowError(f"backlog overflow at slot {tripped}")
+            sched.BACKLOG_OVERFLOW, cfg.effective_warmup)
+    kernel = sched._kernel().path_outages  # built and loaded before any worker starts
+    # per worker, allocated here before any starts: its rows, PCG64, uniforms and workspace
+    jobs = [(range(n * w // W, n * (w + 1) // W), np.random.PCG64(cfg.seed),
+             np.empty(cfg.slots * ((L > 0) + len(streams))), np.empty(T + 1, dtype=np.int64))
+            for w in range(W)]
+    failed = [None] * W  # per worker: the exception of its first failed path
+
+    def work(w: int) -> None:
+        chunk, bits, u, c = jobs[w]
+        fill, drawn = np.random.Generator(bits).random, 0  # drawn: the stream's position
+        try:
+            for row in chunk:
+                i = int(paths[row])
+                bits.advance(((i << 64) - drawn) % (1 << 128))
+                fill(out=u)
+                drawn = (i << 64) + u.size
+                tripped = kernel(u.ctypes.data, *args, c.ctypes.data,
+                                 counts.ctypes.data + counts.strides[0] * row)
+                if tripped:
+                    raise PathOverflowError(f"backlog overflow at slot {tripped}")
+        except Exception as exc:  # re-raised by the caller, in path order
+            failed[w] = exc
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, W)]
+    for t in threads:
+        t.start()
+    try:
+        work(0)
+    finally:
+        for t in threads:
+            t.join()
+    for exc in failed:  # chunks in path order: the first is the serial run's error
+        if exc is not None:
+            raise exc
     return counts
+
+
+def _workers(n_paths: int, slots: int) -> int:
+    """Workers for n_paths paths of `slots` slots: one per usable CPU, at
+    most one per path, each with at least _SLOTS_PER_WORKER path-slots."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # the platform has no CPU affinity (not Linux)
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_paths, n_paths * slots // _SLOTS_PER_WORKER))
 
 
 def _streams(cfg: SimConfig) -> tuple[int, list[tuple[int, float]]]:

@@ -3,6 +3,9 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -506,6 +509,31 @@ class TestFlags:
         assert err.startswith("usage: proactivenet sweep ")
         assert "--C-grid C_GRID" in err
         assert err.endswith("proactivenet sweep: error: unrecognized arguments: --C 4\n")
+
+    def test_one_process_answers_as_fresh_ones(self, tmp_path, capsys, monkeypatch):
+        # the parser is built once per process: a refused call leaves
+        # nothing behind for the next
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap alike in both
+        bad = ["sweep", "--C-grid", "2,4", "--gamma", "0.5", "--C", "4"]
+        good = ["sweep", "--C-grid", "2,4", "--gamma", "0.5", "--paths", "2", "--slots", "300"]
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+        def fresh(argv):
+            return subprocess.run([sys.executable, "-m", "proactivenet.cli", *argv],
+                                  env=env, capture_output=True, text=True, timeout=120)
+
+        fresh_bad, fresh_good = fresh(bad), fresh([*good, "--out", str(tmp_path / "fresh.csv")])
+        assert (fresh_bad.returncode, fresh_good.returncode) == (2, 0)
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == fresh_bad.stderr
+        assert main([*good, "--out", str(tmp_path / "one.csv")]) == 0
+        assert capsys.readouterr().err == fresh_good.stderr
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+        assert cli.build_parser() is cli.build_parser()
 
     @pytest.mark.parametrize("argv, unread", [
         (["analytic", "--quantity", "nonpred", "--gamma", "0.8"],

@@ -1,5 +1,8 @@
 import ctypes
 import math
+import os
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -612,12 +615,21 @@ class TestSeeding:
         assert {cls: e.per_path_values[index] for cls, e in est.items()} == {
             cls: v / counted for cls, v in got.items()}
 
-    def test_paths_in_any_order_read_their_own_blocks(self):
+    def test_paths_in_any_order_read_their_own_blocks(self, monkeypatch):
         cfg = reactive_cfg(C=2, rate=1.5, regime=None)
         rows = sim._outage_counts(cfg, range(6))
         assert rows[:, 0].any()
         for order in ([5, 0, 3], [2, 2, 1], [4]):
             assert np.array_equal(sim._outage_counts(cfg, order), rows[order])
+        # above the floor, each worker's chunk in any order, with repeats
+        # across chunks
+        four_cpus(monkeypatch)
+        cfg = replace(cfg, slots=40000)
+        rows = sim._outage_counts(cfg, range(6))
+        assert rows[:, 0].all()
+        for order in ([5, 4, 3, 2, 1, 0], [3, 3, 0, 0, 5, 5], [2, 2, 1, 1], [5, 0, 3], [4]):
+            assert np.array_equal(sim._outage_counts(cfg, order), rows[order])
+        assert sim._workers(6, cfg.slots) == 3
 
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_multicast_windows_and_pi2_see_the_same_fresh_demand_uniforms(self, seed):
@@ -632,3 +644,68 @@ class TestSeeding:
         want = [sim.path_rng(seed, i).random(300) for i in range(3)]
         for uniforms in seen:
             assert np.array_equal(uniforms, want)
+
+
+def four_cpus(monkeypatch):
+    """Four usable CPUs, whatever the machine has: more workers than cores
+    on a small one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+
+
+class TestWorkers:
+    """An estimate's paths split into contiguous chunks, one per worker
+    thread; a path's counts depend only on (seed, path index)."""
+
+    def test_workers_per_estimate(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert sim._workers(20, 1000) == 1  # a canned-figure estimate stays serial
+        assert sim._workers(8, 20000) == 2
+        assert sim._workers(1, 10**7) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert sim._workers(8, 10**7) == 8  # at most one per path
+        assert sim._workers(8, sim._SLOTS_PER_WORKER) == 8
+        assert sim._workers(8, sim._SLOTS_PER_WORKER - 1) == 7
+
+    @pytest.mark.parametrize("kw", [
+        dict(policy="reactive", regime=Regime("linear", 0.8)),
+        dict(policy="edf", regime=Regime("linear", 0.8), law=LookaheadLaw.binomial(5, 0.5)),
+        dict(policy="dynamic", regime=Regime("linear", 0.6), secondary=Regime("linear", 0.1),
+             law=LookaheadLaw.deterministic(2)),
+        dict(policy="pi2", regime=Regime("linear", 0.05), law=LookaheadLaw.deterministic(1),
+             multicast=MulticastSpec(0.9, 15.0)),
+    ], ids=lambda kw: kw["policy"])
+    def test_threaded_estimate_is_its_paths(self, kw, monkeypatch):
+        four_cpus(monkeypatch)
+        cfg = SimConfig(C=4, slots=60000, seed=3, warmup=100, **kw)
+        assert sim._workers(5, cfg.slots) == 4
+        threads = threading.active_count()
+        est = estimate_outage(cfg, 5)
+        assert threading.active_count() == threads
+        counted = cfg.slots - cfg.effective_warmup
+        for i in range(5):
+            got = run_path(cfg, i).outage_slots
+            assert {cls: e.per_path_values[i] for cls, e in est.items()} == {
+                cls: v / counted for cls, v in got.items()}
+        assert all(e.p_hat > 0 for e in est.values())
+
+    @pytest.mark.parametrize("order", [range(5), [4, 3, 2, 1, 0], [0, 0, 2, 1, 4]])
+    def test_overflow_in_any_worker_raises_the_serial_error(self, order, monkeypatch):
+        # path 0 runs clean; paths 1-4 trip the guard at different slots
+        four_cpus(monkeypatch)
+        monkeypatch.setattr(sched, "BACKLOG_OVERFLOW", 14)
+        cfg = SimConfig(C=5, policy="reactive", slots=60000, seed=7, warmup=100, rate=4.0)
+
+        def serial_error(i):
+            try:
+                run_path(cfg, i)
+            except sim.PathOverflowError as exc:
+                return str(exc)
+
+        errors = [serial_error(i) for i in order]
+        assert [e is None for e in errors] == [i == 0 for i in order]
+        assert len(set(errors) - {None}) == len(set(order) - {0})
+        threads = threading.active_count()
+        with pytest.raises(sim.PathOverflowError) as exc:
+            sim._outage_counts(cfg, order)
+        assert str(exc.value) == next(e for e in errors if e)  # the first in path order
+        assert threading.active_count() == threads
