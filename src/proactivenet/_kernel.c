@@ -10,13 +10,15 @@
  * serve_path: arrivals given as count or presence matrices, for
  *   sched.serve_path, which checks every argument;
  *
- * path_outages: arrivals drawn from the path's uniforms, for
- *   sim.estimate_outage: one call takes a path from its uniforms to its
- *   post-warm-up outage counts.
+ * path_outages: arrivals drawn from the path's uniforms, for sim: one call
+ *   takes a path from its uniforms to its post-warm-up outage counts under
+ *   each config of a group.
  *
  * poisson_cdf: the Poisson cdf window and guide table through which
  *   path_outages inverts each count, for proactivenet.traffic, which checks
- *   every argument; binomial_invert: path_outages' multicast fresh demand.
+ *   every argument; binomial_start: the table of (1 - A)^idle from which
+ *   path_outages starts each multicast fresh-demand draw; binomial_invert:
+ *   that draw, for the tests.
  *
  * sched compiles this file with `cc -O2 -shared -fPIC` on first use and
  * loads it through ctypes.
@@ -48,8 +50,8 @@ static int64_t edf(int64_t *c, int64_t T, int64_t cap)
  * (f < 1) serves at most urgent + ceil(f * non-urgent), capped at C.
  * Sets e[0], e[1] to the expired primary and secondary requests; returns
  * the pending total after the slot. */
-static int64_t serve_slot(int64_t *c, int64_t T, int64_t total, int64_t C, double f,
-                          const int64_t *q, int refill, int64_t *e)
+static inline int64_t serve_slot(int64_t *c, int64_t T, int64_t total, int64_t C, double f,
+                                 const int64_t *q, int refill, int64_t *e)
 {
     int64_t cap = C;
     if (f < 1.0) {
@@ -100,16 +102,16 @@ static int64_t present(const double *u, int64_t idle, double A)
 }
 
 /* min{k : P(X <= k) > x} for X ~ Binomial(n, A), r = A / (1 - A) and
- * lq = log(1 - A): a walk up the pmf from p(0) = (1 - A)^n or, where that
- * nears underflow, from where the pmf falls below 1e-40 of the mode's, p
- * there normalised as in poisson_cdf.  The walk ends where p no longer
- * moves F: the mass left out is far under the 2**-53 resolution of x. */
-static int64_t binomial(double x, int64_t n, double A, double r, double lq)
+ * p0 = (1 - A)^n: a walk up the pmf from p(0) = p0 or, where that nears
+ * underflow, from where the pmf falls below 1e-40 of the mode's, p there
+ * normalised as in poisson_cdf.  The walk ends where p no longer moves F:
+ * the mass left out is far under the 2**-53 resolution of x. */
+static int64_t binomial(double x, int64_t n, double A, double r, double p0)
 {
     if (A >= 1.0)
         return n;
     int64_t k = 0;
-    double p = exp((double)n * lq);
+    double p = p0;
     if (p < 1e-300) {
         int64_t m = (int64_t)((double)(n + 1) * A);  /* a mode, at most n */
         double s = 1.0, t = 1.0, v = 1.0;
@@ -126,11 +128,19 @@ static int64_t binomial(double x, int64_t n, double A, double r, double lq)
     return k;
 }
 
+/* p0[n] = (1 - A)^n for n = 0..L, binomial's p0 at n idle sources. */
+void binomial_start(int64_t L, double A, double *p0)
+{
+    const double lq = log1p(-A);
+    for (int64_t n = 0; n <= L; n++)
+        p0[n] = exp((double)n * lq);
+}
+
 /* out[i] = binomial(u[i], ...) for count uniforms u[i] and 0 <= A <= 1. */
 void binomial_invert(const double *u, int64_t count, int64_t n, double A, int64_t *out)
 {
     for (int64_t i = 0; i < count; i++)
-        out[i] = binomial(u[i], n, A, A / (1.0 - A), log1p(-A));
+        out[i] = binomial(u[i], n, A, A / (1.0 - A), exp((double)n * log1p(-A)));
 }
 
 /* lo + min{j : F[j] > x} for a uniform x in [0, 1), with F and its guide
@@ -194,12 +204,17 @@ int64_t serve_path(const int64_t *counts, const double *presence, double A, int6
     return 0;
 }
 
-/* One sample path of sim.estimate_outage, from its uniforms to its outage
- * counts.
- * u:         the path's uniforms in draw order: with L > 0 sources, one per
- *            slot for its multicast fresh demand, the Binomial(idle, A)
- *            count of binomial over the idle = L - pending sources; then
- *            slots uniforms per Poisson stream, one per count;
+/* The fields of a config's int64 record in path_outages, in order; its
+ * double record is (A, f). */
+enum { SLOTS, SOURCES, STREAMS, NPRIMARY, SECONDARY, WINDOW, CAPACITY, REFILL, LIMIT, WARMUP,
+       IDLE_P0, FIELDS };
+
+/* One sample path under one config, from its uniforms to its outage counts.
+ * u:         the path's uniforms in the config's draw order: with L > 0
+ *            sources, one per slot for its multicast fresh demand, the
+ *            Binomial(idle, A) count of binomial over the idle = L - pending
+ *            sources, started from p0[idle]; then slots uniforms per Poisson
+ *            stream, one per count;
  * stream:    a row (column, lo, m, F, g) per Poisson stream, in draw order,
  *            F and g the addresses of its cdf window and guide table:
  *            nprimary primary streams, whose count invert(u, F, g, lo, m)
@@ -207,29 +222,34 @@ int64_t serve_path(const int64_t *counts, const double *presence, double A, int6
  *            `secondary`;
  * c:         T+1 int64 entries of workspace;
  * outages:   3 int64 counters, incremented by the slots from `warmup` on in
- *            which a primary, a secondary, or any request expired.
+ *            which a primary, a secondary, or any request expired (left as
+ *            they were if the path overflows).
  * Returns 0, or the 1-based slot whose pending backlog exceeded limit.  The
  * backlog is checked once per slot: with the means traffic.poisson_table
  * admits, no count exceeds ~1e9, so total cannot overflow before it. */
-int64_t path_outages(const double *u, int64_t slots, int64_t L, double A,
-                     const int64_t *stream, int64_t nprimary, int secondary, int64_t T,
-                     int64_t C, double f, int refill, int64_t limit, int64_t warmup,
-                     int64_t *c, int64_t *outages)
+static int64_t config_outages(const double *u, const int64_t *cfg, double A, double f,
+                              int64_t *c, int64_t *outages)
 {
+    const int64_t slots = cfg[SLOTS], L = cfg[SOURCES], nprimary = cfg[NPRIMARY];
+    const int64_t T = cfg[WINDOW], C = cfg[CAPACITY], limit = cfg[LIMIT];
+    const int64_t warmup = cfg[WARMUP];
+    const int64_t *stream = (const int64_t *)(uintptr_t)cfg[STREAMS];
+    const double *p0 = (const double *)(uintptr_t)cfg[IDLE_P0];
+    const int secondary = (int)cfg[SECONDARY], refill = (int)cfg[REFILL];
     const double *draws = L ? u + slots : u;
-    const double r = A / (1.0 - A), lq = log1p(-A);
-    int64_t total = 0, q = 0, e[2];
+    const double r = A / (1.0 - A);
+    int64_t total = 0, q = 0, e[2], o[3] = {0, 0, 0};
     memset(c, 0, (size_t)(T + 1) * sizeof *c);
     for (int64_t n = 0; n < slots; n++) {
         if (L) {
-            int64_t a = binomial(u[n], L - total, A, r, lq);
+            int64_t a = binomial(u[n], L - total, A, r, p0[L - total]);
             c[T] += a;
             total += a;
         }
         for (int64_t s = 0; s < nprimary; s++) {
-            const int64_t *r = stream + 5 * s;
-            int64_t a = draw(draws[s * slots + n], r);
-            c[r[0]] += a;
+            const int64_t *row = stream + 5 * s;
+            int64_t a = draw(draws[s * slots + n], row);
+            c[row[0]] += a;
             total += a;
         }
         if (total > limit)
@@ -238,12 +258,31 @@ int64_t path_outages(const double *u, int64_t slots, int64_t L, double A,
             q = draw(draws[nprimary * slots + n], stream + 5 * nprimary);
         total = serve_slot(c, T, total, C, f, secondary ? &q : NULL, refill, e);
         if (n >= warmup) {
-            outages[0] += e[0] > 0;
-            outages[1] += e[1] > 0;
-            outages[2] += e[0] > 0 || e[1] > 0;
+            o[0] += e[0] > 0;
+            o[1] += e[1] > 0;
+            o[2] += e[0] > 0 || e[1] > 0;
         }
     }
+    for (int i = 0; i < 3; i++)
+        outages[i] += o[i];
     return 0;
+}
+
+/* One sample path of sim under each of the K configs of a group, all
+ * reading prefixes of the same uniforms u, each in its own layout.
+ * config:    K int64 records of FIELDS entries, the addresses of the
+ *            config's stream rows and, with L > 0 sources, of its table
+ *            p0[0..L] from binomial_start among them;
+ * rate:      K double records (A, f);
+ * c:         1 + the largest window's T int64 entries of workspace;
+ * outages:   K rows of the 3 counters of config_outages;
+ * tripped:   per config, 0 or the 1-based slot whose backlog overflowed. */
+void path_outages(const double *u, int64_t K, const int64_t *config, const double *rate,
+                  int64_t *c, int64_t *outages, int64_t *tripped)
+{
+    for (int64_t k = 0; k < K; k++)
+        tripped[k] = config_outages(u, config + FIELDS * k, rate[2 * k], rate[2 * k + 1], c,
+                                    outages + 3 * k);
 }
 
 /* F[j] = P(X <= lo + j), j < m, for X ~ Poisson(mu), mu >= 0, over a window

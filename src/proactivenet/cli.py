@@ -17,7 +17,8 @@ defaults to `det`, so `--T` alone sets a deterministic window.
 A run is its manifest, the dict {command, params, out}: the parameters
 are the parsed flags that have a value, and `COMMANDS` maps the command
 to a function of that flat dict.  A canned figure is a capacity grid plus
-one such parameter dict per curve, run as a sweep; an analytic quantity
+one such parameter dict per curve, its curves' sweeps run as one group of
+configs (`sim.estimate_outages`); an analytic quantity
 is one `ANALYTIC` entry (its required parameters, CSV class and rows),
 and an exact value is one row.
 
@@ -57,7 +58,8 @@ from proactivenet.sim import (
     REACTIVE,
     SELFISH,
     SimConfig,
-    sweep_capacity,
+    capacity_configs,
+    estimate_outages,
 )
 from proactivenet.traffic import (
     LookaheadLaw,
@@ -294,12 +296,17 @@ def _sim_config(p: dict) -> SimConfig:
     )
 
 
-def _outage_rows(experiment: str, p: dict, C_grid: list[int], paths: int) -> list[tuple]:
-    """CSV rows of the outage estimate of every capacity and class."""
-    base = _sim_config({**p, "C": C_grid[0]})
+def _outage_rows(curves: dict[str, dict], C_grid: list[int], paths: int) -> list[tuple]:
+    """CSV rows of the outage estimate of every curve {experiment: params},
+    capacity and class, in that order: one group of configs, so each path
+    is drawn once for all of them."""
+    cfgs = [cfg for p in curves.values()
+            for cfg in capacity_configs(_sim_config({**p, "C": C_grid[0]}), C_grid)]
+    estimates = iter(estimate_outages(cfgs, paths))
     return [
         (experiment, C, cls, "outage", _fmt(e.p_hat), _fmt(e.stderr), p["seed"])
-        for C, est in sweep_capacity(base, C_grid, paths)
+        for experiment, p in curves.items()
+        for C, est in zip(C_grid, estimates)
         for cls, e in sorted(est.items())
     ]
 
@@ -325,17 +332,14 @@ def cmd_reproduce_figure(p: dict) -> list[tuple]:
     fig_id = p["figure_id"]
     C_grid, curves = FIGURES[fig_id]
     common = {"slots": SLOTS, "seed": p["seed"], "warmup": WARMUP}
-    return [
-        row
-        for label, curve in curves.items()
-        for row in _outage_rows(f"{fig_id}:{label}", {**common, **curve}, C_grid, PATHS)
-    ]
+    return _outage_rows({f"{fig_id}:{label}": {**common, **curve}
+                         for label, curve in curves.items()}, C_grid, PATHS)
 
 
 # each command maps the run's parameters to its CSV rows
 COMMANDS = {
-    "simulate": lambda p: _outage_rows("simulate", p, [p["C"]], p["paths"]),
-    "sweep": lambda p: _outage_rows("sweep", p, p["C_grid"], p["paths"]),
+    "simulate": lambda p: _outage_rows({"simulate": p}, [p["C"]], p["paths"]),
+    "sweep": lambda p: _outage_rows({"sweep": p}, p["C_grid"], p["paths"]),
     "analytic": cmd_analytic,
     "oracle-check": cmd_oracle_check,
     "reproduce-figure": cmd_reproduce_figure,

@@ -98,12 +98,13 @@ def _kernel() -> ctypes.CDLL:
             shutil.rmtree(path.parent, ignore_errors=True)
         i64, dbl, ptr, flag = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int
         lib.serve_path.argtypes = [ptr, ptr, dbl, i64, i64, i64, i64, dbl, ptr, flag, i64, ptr, ptr]
-        lib.path_outages.argtypes = [ptr, i64, i64, dbl, ptr, i64, flag, i64, i64, dbl, flag,
-                                     i64, i64, ptr, ptr]
+        lib.path_outages.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr]
         lib.poisson_cdf.argtypes = [dbl, i64, i64, ptr, ptr]
+        lib.binomial_start.argtypes = [i64, dbl, ptr]
         lib.binomial_invert.argtypes = [ptr, i64, i64, dbl, ptr]
-        lib.serve_path.restype = lib.path_outages.restype = i64
-        lib.poisson_cdf.restype = lib.binomial_invert.restype = None
+        lib.serve_path.restype = i64
+        for fn in (lib.path_outages, lib.poisson_cdf, lib.binomial_start, lib.binomial_invert):
+            fn.restype = None
         _lib = lib
     return _lib
 

@@ -1,12 +1,14 @@
 """Monte Carlo engine: sample paths and outage estimation.
 
-A path is one call of the compiled `path_outages` (`_kernel.c`), from the
-uniforms of the path's random stream to its outage counts: it draws each
-slot's arrivals and serves them by the rules of `sched.serve_path`.  A
+The unit of simulation is a group of configs of one seed
+(`estimate_outages`): a path is one call of the compiled `path_outages`
+(`_kernel.c`), from the uniforms of the path's random stream, filled once,
+to its outage counts under every config of the group.  Under each it draws
+each slot's arrivals and serves them by the rules of `sched.serve_path`.  A
 slot is an outage for a class iff at least one request of that class
 expires in it; the per-path outage ratio divides by all post-warmup slots.
 Estimates average path ratios and report the standard error across paths;
-the paths of a large estimate run on up to min(usable CPUs, paths) threads.
+the paths of a large group run on up to min(usable CPUs, paths) threads.
 
 Path i of a seed is the i-th block of 2**64 draws of the seed's one PCG64
 stream (`path_rng`), so it sees the same randomness however many paths run.
@@ -18,10 +20,13 @@ two configs sharing (seed, path index) see identical arrivals (paired
 comparisons across policies and look-ahead windows): reactive and every
 deterministic window the same per-slot totals, the curves of one two-class
 figure the same counts, and multicast windows and pi2 the same uniforms.
+Each config reads a prefix of the path's block, so a group fills the path
+once, at its longest layout, and each config reads what it would alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -54,9 +59,10 @@ POLICIES = (REACTIVE, EDF, SELFISH, DYNAMIC, MULTICAST, PI2)
 DRAW_LAYOUT = 3  # the order of a path's draws (module docstring), as manifests record it
 
 # A thread costs ~70-100 us to start and join; the cheapest path slot
-# (reactive, its uniform's fill included) ~19 ns.  2**16 slots per worker,
-# >= 1.2 ms, keep that cost under ~8 % and every canned-figure estimate
-# (20 paths x 1000 slots) in the calling thread alone.
+# (reactive, its uniform's fill included) ~19 ns.  2**16 path-slots per
+# worker, summed over a group's configs (>= 1.2 ms), keep that cost under
+# ~8 %: a canned figure with one curve (5 capacities x 20 paths x 1000
+# slots) runs in the calling thread alone, one of several curves on threads.
 _SLOTS_PER_WORKER = 1 << 16
 
 
@@ -197,15 +203,6 @@ class OutageEstimate:
         if not 0.0 <= self.p_hat <= 1.0:
             raise ValueError("p_hat must lie in [0,1]")
 
-    @classmethod
-    def from_values(cls, values: list[float]) -> "OutageEstimate":
-        arr = np.asarray(values, dtype=float)
-        n = len(arr)
-        se = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return cls(
-            p_hat=float(arr.mean()), stderr=se, n_paths=n, per_path_values=tuple(arr)
-        )
-
 
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     """The seed's PCG64 stream at path `path_index`'s block of 2**64 draws."""
@@ -229,62 +226,125 @@ def run_path(cfg: SimConfig, seed_index: int = 0) -> PathResult:
     Deterministic given (cfg.seed, seed_index).  Raises PathOverflowError if
     the pending backlog exceeds the overflow guard.
     """
-    counts = map(int, _outage_counts(cfg, [seed_index])[0])
+    counts = map(int, _outage_counts([cfg], [seed_index])[0, 0])
     return PathResult(dict(zip(_CLASSES[cfg.policy], counts)), cfg.slots - cfg.effective_warmup)
 
 
 def estimate_outage(cfg: SimConfig, n_paths: int) -> dict[str, OutageEstimate]:
     """Average per-path outage ratios over independent sub-seeded paths."""
+    return estimate_outages([cfg], n_paths)[0]
+
+
+def estimate_outages(cfgs: list[SimConfig], n_paths: int) -> list[dict[str, OutageEstimate]]:
+    """`estimate_outage` of each config, its paths drawn once for all of them.
+
+    The configs may differ in anything but their seed, which gives each
+    path its uniforms: each config reads the ones it reads alone.
+    """
     if n_paths < 2:
         raise SimConfigError("n_paths must be >= 2")
-    ratios = _outage_counts(cfg, range(n_paths)).T / (cfg.slots - cfg.effective_warmup)
-    return {cls: OutageEstimate.from_values(r) for cls, r in zip(_CLASSES[cfg.policy], ratios)}
+    counts = _outage_counts(cfgs, range(n_paths))
+    counted = np.array([cfg.slots - cfg.effective_warmup for cfg in cfgs], dtype=np.int64)
+    # (config, class, path): numpy sums each contiguous row of path ratios
+    # as it sums the ratios of one estimate alone
+    ratios = np.ascontiguousarray(counts.transpose(1, 2, 0)) / counted[:, None, None]
+    p_hat, stderr = ratios.mean(axis=2), ratios.std(axis=2, ddof=1) / math.sqrt(n_paths)
+    return [
+        {cls: OutageEstimate(float(p_hat[k, j]), float(stderr[k, j]), n_paths,
+                             tuple(ratios[k, j]))
+         for j, cls in enumerate(_CLASSES[cfg.policy])}
+        for k, cfg in enumerate(cfgs)
+    ]
 
 
-def _outage_counts(cfg: SimConfig, paths) -> np.ndarray:
-    """(len(paths), 3) post-warmup outage slots of the given path indices:
-    the primary's, the secondary's, and those with either.
-
-    A path is one call of the compiled `path_outages`, from its block's
-    uniforms in a reused buffer to its counters.  The paths are split into
-    contiguous chunks, one per worker (`_workers`), the calling thread the
-    first; each worker advances its own PCG64 from path to path, modulo its
-    period, so paths may come in any order and a path's counts depend only
-    on (seed, path index), not on the worker that runs it.
-    """
+def _plan(cfg: SimConfig, table) -> tuple:
+    """(int64 record, double record, fill, arrays): cfg's records for
+    `path_outages`, their fields in the order of `_kernel.c`'s enum, the
+    uniforms a path of it reads, and the arrays the records hold the
+    addresses of, which must outlive every call.  `table(mu)` gives a
+    stream's cdf window and guide table."""
     T, streams = _streams(cfg)
-    tables = [poisson_table(mu) for _, mu in streams]  # alive: rows hold their addresses
+    tables = [table(mu) for _, mu in streams]
     rows = np.array([(k, lo, F.size, F.ctypes.data, g.ctypes.data)
                      for (k, _), (lo, F, g) in zip(streams, tables)], dtype=np.int64)
     L = cfg.multicast.num_sources(cfg.C) if cfg.policy in (MULTICAST, PI2) else 0
-    n, W = len(paths), _workers(len(paths), cfg.slots)
-    counts = np.zeros((n, 3), dtype=np.int64)
+    A = cfg.multicast.source_prob() if L else 0.0
+    p0 = np.empty(L + 1)  # (1 - A)^idle, the start of each fresh-demand draw
+    if L:
+        sched._kernel().binomial_start(L, A, p0.ctypes.data)
     secondary = cfg.policy in (SELFISH, DYNAMIC, PI2)
-    args = (cfg.slots, L, cfg.multicast.source_prob() if L else 0.0,
-            rows.ctypes.data, len(streams) - secondary, secondary, T, cfg.C,
-            {DYNAMIC: cfg.f, PI2: 0.0}.get(cfg.policy, 1.0), cfg.policy == PI2,
-            sched.BACKLOG_OVERFLOW, cfg.effective_warmup)
+    record = (cfg.slots, L, rows.ctypes.data, len(streams) - secondary, secondary, T, cfg.C,
+              cfg.policy == PI2, sched.BACKLOG_OVERFLOW, cfg.effective_warmup, p0.ctypes.data)
+    rate = (A, {DYNAMIC: cfg.f, PI2: 0.0}.get(cfg.policy, 1.0))
+    return record, rate, cfg.slots * ((L > 0) + len(streams)), (tables, rows, p0)
+
+
+def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
+    """(len(paths), len(cfgs), 3) post-warmup outage slots of the given path
+    indices under each config: the primary's, the secondary's, and those
+    with either.
+
+    A path is one call of the compiled `path_outages`, from its block's
+    uniforms in a reused buffer, filled at the group's longest layout, to
+    its counters under every config.  The paths are split into contiguous
+    chunks, one per worker (`_workers`), the calling thread the first; each
+    worker advances its own PCG64 from path to path, modulo its period, so
+    paths may come in any order and a path's counts depend only on (seed,
+    path index), not on the worker that runs it.  An error is the one a
+    serial run of the configs in turn, each over its paths in order, would
+    raise: the first config's that cannot be planned or whose path
+    overflows, that of its first overflowing path.
+    """
+    if len({cfg.seed for cfg in cfgs}) > 1:
+        raise SimConfigError("the configs of a group must share their seed")
+    plans, error = [], None
+    table = functools.cache(poisson_table)  # streams of one mean share a table
+    try:
+        for cfg in cfgs:
+            plans.append(_plan(cfg, table))
+    except (ValueError, PathOverflowError) as exc:  # raised once the configs before it ran
+        error = exc
+    counts = np.zeros((len(paths), len(plans), 3), dtype=np.int64)
+    trips = np.zeros((len(paths), len(plans)), dtype=np.int64)
+    if plans:
+        _run_paths(cfgs[:len(plans)], plans, paths, counts, trips)
+    for k in range(len(plans)):
+        rows = np.flatnonzero(trips[:, k])
+        if rows.size:
+            raise PathOverflowError(f"backlog overflow at slot {trips[rows[0], k]}")
+    if error is not None:
+        raise error
+    return counts
+
+
+def _run_paths(cfgs: list[SimConfig], plans: list, paths, counts: np.ndarray,
+               trips: np.ndarray) -> None:
+    """Fill counts and trips, rows by path, then by config, one
+    `path_outages` call per path, on `_workers` threads."""
+    records, rates, fills, _ = zip(*plans)
+    records, rates = np.array(records, dtype=np.int64), np.array(rates)
+    n, W = len(paths), _workers(len(paths), sum(cfg.slots for cfg in cfgs))
     kernel = sched._kernel().path_outages  # built and loaded before any worker starts
     # per worker, allocated here before any starts: its rows, PCG64, uniforms and workspace
-    jobs = [(range(n * w // W, n * (w + 1) // W), np.random.PCG64(cfg.seed),
-             np.empty(cfg.slots * ((L > 0) + len(streams))), np.empty(T + 1, dtype=np.int64))
+    jobs = [(range(n * w // W, n * (w + 1) // W), np.random.PCG64(cfgs[0].seed),
+             np.empty(max(fills)), np.empty(max(cfg.tmax for cfg in cfgs) + 1, dtype=np.int64))
             for w in range(W)]
-    failed = [None] * W  # per worker: the exception of its first failed path
+    failed = [None] * W  # per worker: an exception that stopped it
+    counts_at, trips_at = counts.ctypes.data, trips.ctypes.data
 
     def work(w: int) -> None:
         chunk, bits, u, c = jobs[w]
         fill, drawn = np.random.Generator(bits).random, 0  # drawn: the stream's position
+        args = (u.ctypes.data, len(cfgs), records.ctypes.data, rates.ctypes.data, c.ctypes.data)
         try:
             for row in chunk:
                 i = int(paths[row])
                 bits.advance(((i << 64) - drawn) % (1 << 128))
                 fill(out=u)
                 drawn = (i << 64) + u.size
-                tripped = kernel(u.ctypes.data, *args, c.ctypes.data,
-                                 counts.ctypes.data + counts.strides[0] * row)
-                if tripped:
-                    raise PathOverflowError(f"backlog overflow at slot {tripped}")
-        except Exception as exc:  # re-raised by the caller, in path order
+                kernel(*args, counts_at + counts.strides[0] * row,
+                       trips_at + trips.strides[0] * row)
+        except Exception as exc:  # re-raised by the caller
             failed[w] = exc
 
     threads = [threading.Thread(target=work, args=(w,)) for w in range(1, W)]
@@ -295,15 +355,15 @@ def _outage_counts(cfg: SimConfig, paths) -> np.ndarray:
     finally:
         for t in threads:
             t.join()
-    for exc in failed:  # chunks in path order: the first is the serial run's error
+    for exc in failed:
         if exc is not None:
             raise exc
-    return counts
 
 
 def _workers(n_paths: int, slots: int) -> int:
-    """Workers for n_paths paths of `slots` slots: one per usable CPU, at
-    most one per path, each with at least _SLOTS_PER_WORKER path-slots."""
+    """Workers for n_paths paths of `slots` slots, summed over a group's
+    configs: one per usable CPU, at most one per path, each with at least
+    _SLOTS_PER_WORKER path-slots."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # the platform has no CPU affinity (not Linux)
@@ -339,10 +399,15 @@ def _streams(cfg: SimConfig) -> tuple[int, list[tuple[int, float]]]:
 def sweep_capacity(
     cfg: SimConfig, C_grid: list[int], n_paths: int
 ) -> list[tuple[int, dict[str, OutageEstimate]]]:
-    """One outage estimate per capacity, with common sub-seeding across the grid."""
+    """One outage estimate per capacity, the grid one group of configs."""
+    return list(zip(C_grid, estimate_outages(capacity_configs(cfg, C_grid), n_paths)))
+
+
+def capacity_configs(cfg: SimConfig, C_grid: list[int]) -> list[SimConfig]:
+    """cfg at each capacity of a strictly ascending grid."""
     if any(b <= a for a, b in zip(C_grid, C_grid[1:])):
         raise SimConfigError("capacity grid must be strictly ascending")
-    return [(C, estimate_outage(replace(cfg, C=C), n_paths)) for C in C_grid]
+    return [replace(cfg, C=C) for C in C_grid]
 
 
 def estimate_diversity(curve: list[tuple[int, float]], regime: Regime) -> float:

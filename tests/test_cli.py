@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proactivenet import cli
+from proactivenet import cli, sched, sim
 from proactivenet.analytic import div_nonpred, poisson_tail
 from proactivenet.cli import (
     CSV_HEADER,
@@ -291,6 +291,25 @@ class TestCommands:
         labels = {r["experiment"] for r in rows}
         assert labels == {"fig4a:nonpred", "fig4a:T1"}
 
+    def test_a_figure_is_one_group(self, tmp_path, monkeypatch):
+        # every curve and capacity in one estimate_outages call, the rows by
+        # curve, then capacity
+        _, curves = cli.FIGURES["fig6a"]
+        monkeypatch.setitem(cli.FIGURES, "fig6a", ([2, 4, 6], {
+            "a": curves["f1.0"], "b": {**curves["f1.0"], "policy": "dynamic", "f": 0.5}}))
+        monkeypatch.setattr(cli, "PATHS", 2)
+        monkeypatch.setattr(cli, "SLOTS", 300)
+        groups, real = [], cli.estimate_outages
+        monkeypatch.setattr(cli, "estimate_outages",
+                            lambda cfgs, n: groups.append(cfgs) or real(cfgs, n))
+        out = tmp_path / "fig.csv"
+        assert main(["reproduce-figure", "fig6a", "--seed", "1", "--out", str(out)]) == 0
+        assert [[(c.policy, c.C) for c in cfgs] for cfgs in groups] == [
+            [(p, C) for p in ("selfish", "dynamic") for C in (2, 4, 6)]]
+        assert [(r["experiment"], r["C"], r["class"]) for r in read_csv(str(out))] == [
+            (f"fig6a:{label}", str(C), cls)
+            for label in ("a", "b") for C in (2, 4, 6) for cls in ("primary", "secondary")]
+
     @pytest.mark.parametrize("argv, rows", [
         (["pred-det", "--gamma", "0.8", "--T", "2", "--regime", "poly"],
          [("exact", 0.6)]),
@@ -395,6 +414,35 @@ class TestExitCodes:
         monkeypatch.setitem(cli.COMMANDS, "simulate", broken)
         assert main(["simulate", "--C", "4", "--gamma", "0.5"]) == 1
         assert "failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["4,5", "5,6"])
+    def test_an_overflow_is_1_with_the_serial_runs_error(self, grid, tmp_path, capsys,
+                                                          monkeypatch):
+        # under a guard of 14, seed 51: paths of rate 4.0 (C = 5) overflow
+        monkeypatch.setattr(sched, "BACKLOG_OVERFLOW", 14)
+        p = {"regime": "linear", "gamma": 0.8, "policy": "reactive", "slots": 30000,
+             "seed": 51}
+        want = None
+        for C in map(int, grid.split(",")):
+            for i in range(5):
+                try:
+                    sim.run_path(cli._sim_config({**p, "C": C}), i)
+                except sim.PathOverflowError as exc:
+                    want = want or str(exc)
+        assert want is not None
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--gamma", "0.8", "--C-grid", grid, "--paths", "5",
+                   "--slots", "30000", "--seed", "51", "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err == f"failure: {want}\n"
+
+    def test_a_config_that_cannot_be_planned_is_2(self, tmp_path, capsys):
+        # a secondary class has no rate at C = 0
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--policy", "selfish", "--gp", "0.6", "--gs", "0.1",
+                   "--C-grid", "0,4", "--paths", "2", "--slots", "300", "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == "error: capacity must be >= 1, got 0\n"
 
     def test_dynamic_fraction_out_of_range_is_2(self, tmp_path, capsys):
         out = tmp_path / "dyn.csv"

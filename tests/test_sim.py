@@ -1,6 +1,8 @@
 import ctypes
 import math
 import os
+import re
+import sys
 import threading
 from dataclasses import replace
 
@@ -17,6 +19,7 @@ from proactivenet.sim import (
     SimConfig,
     estimate_diversity,
     estimate_outage,
+    estimate_outages,
     run_path,
     sweep_capacity,
 )
@@ -48,9 +51,9 @@ def binomial_quantiles(u, L, A):
     return Q
 
 
-def fresh_demand_uniforms(cfg, paths):
-    """The first cfg.slots uniforms of each path's buffer, read where the
-    kernel is handed them."""
+def fresh_demand_uniforms(cfgs, paths):
+    """The first cfgs[0].slots uniforms of the buffer of each kernel call
+    of the group cfgs over paths, read where the kernel is handed them."""
     lib, seen = sched._kernel(), []
 
     class Spy:
@@ -58,13 +61,13 @@ def fresh_demand_uniforms(cfg, paths):
             return getattr(lib, name)
 
         @staticmethod
-        def path_outages(u, slots, *rest):
-            seen.append(np.array((ctypes.c_double * slots).from_address(u)))
-            return lib.path_outages(u, slots, *rest)
+        def path_outages(u, *rest):
+            seen.append(np.array((ctypes.c_double * cfgs[0].slots).from_address(u)))
+            return lib.path_outages(u, *rest)
 
     real, sched._kernel = sched._kernel, Spy
     try:
-        sim._outage_counts(cfg, paths)
+        sim._outage_counts(cfgs, paths)
     finally:
         sched._kernel = real
     return np.array(seen)
@@ -617,33 +620,34 @@ class TestSeeding:
 
     def test_paths_in_any_order_read_their_own_blocks(self, monkeypatch):
         cfg = reactive_cfg(C=2, rate=1.5, regime=None)
-        rows = sim._outage_counts(cfg, range(6))
+        rows = sim._outage_counts([cfg], range(6))[:, 0]
         assert rows[:, 0].any()
         for order in ([5, 0, 3], [2, 2, 1], [4]):
-            assert np.array_equal(sim._outage_counts(cfg, order), rows[order])
+            assert np.array_equal(sim._outage_counts([cfg], order)[:, 0], rows[order])
         # above the floor, each worker's chunk in any order, with repeats
         # across chunks
         four_cpus(monkeypatch)
         cfg = replace(cfg, slots=40000)
-        rows = sim._outage_counts(cfg, range(6))
+        rows = sim._outage_counts([cfg], range(6))[:, 0]
         assert rows[:, 0].all()
         for order in ([5, 4, 3, 2, 1, 0], [3, 3, 0, 0, 5, 5], [2, 2, 1, 1], [5, 0, 3], [4]):
-            assert np.array_equal(sim._outage_counts(cfg, order), rows[order])
+            assert np.array_equal(sim._outage_counts([cfg], order)[:, 0], rows[order])
         assert sim._workers(6, cfg.slots) == 3
 
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_multicast_windows_and_pi2_see_the_same_fresh_demand_uniforms(self, seed):
         common = dict(C=4, slots=300, seed=seed, warmup=50, multicast=MulticastSpec(0.9, 15.0))
-        seen = [
-            fresh_demand_uniforms(SimConfig(**common, **kw), range(3))
-            for kw in ({"policy": "multicast", "law": LookaheadLaw.deterministic(T)}
-                       for T in (0, 1, 2))
-        ] + [fresh_demand_uniforms(SimConfig(
-            **common, policy="pi2", regime=Regime("linear", 0.05),
-            law=LookaheadLaw.deterministic(1)), range(3))]
+        cfgs = [
+            SimConfig(**common, policy="multicast", law=LookaheadLaw.deterministic(T))
+            for T in (0, 1, 2)
+        ] + [SimConfig(**common, policy="pi2", regime=Regime("linear", 0.05),
+                       law=LookaheadLaw.deterministic(1))]
+        seen = [fresh_demand_uniforms([cfg], range(3)) for cfg in cfgs]
         want = [sim.path_rng(seed, i).random(300) for i in range(3)]
         for uniforms in seen:
             assert np.array_equal(uniforms, want)
+        # as one group: one fill and one call per path
+        assert np.array_equal(fresh_demand_uniforms(cfgs, range(3)), want)
 
 
 def four_cpus(monkeypatch):
@@ -658,7 +662,9 @@ class TestWorkers:
 
     def test_workers_per_estimate(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert sim._workers(20, 1000) == 1  # a canned-figure estimate stays serial
+        assert sim._workers(20, 1000) == 1  # one canned-figure capacity stays serial
+        assert sim._workers(20, 5 * 1000) == 1  # and so does a one-curve figure
+        assert sim._workers(20, 10 * 1000) == 2  # a figure of two curves runs on both CPUs
         assert sim._workers(8, 20000) == 2
         assert sim._workers(1, 10**7) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
@@ -706,6 +712,113 @@ class TestWorkers:
         assert len(set(errors) - {None}) == len(set(order) - {0})
         threads = threading.active_count()
         with pytest.raises(sim.PathOverflowError) as exc:
-            sim._outage_counts(cfg, order)
+            sim._outage_counts([cfg], order)
         assert str(exc.value) == next(e for e in errors if e)  # the first in path order
         assert threading.active_count() == threads
+
+
+@st.composite
+def groups(draw):
+    """One to five configs of `path_configs`, sharing one seed."""
+    seed = draw(st.integers(0, 2**32))
+    return [replace(cfg, seed=seed) for cfg in draw(st.lists(path_configs(), min_size=1,
+                                                              max_size=5))]
+
+
+def serial_error(cfgs, paths):
+    """The error of running each config in turn, each path in order."""
+    for cfg in cfgs:
+        for i in paths:
+            try:
+                run_path(cfg, i)
+            except Exception as exc:
+                return exc
+
+
+class TestGroups:
+    """A group of configs of one seed fills each path's uniforms once and
+    serves the path under every config in one kernel call; each config
+    reads the uniforms it reads alone."""
+
+    @pytest.mark.filterwarnings("ignore:offered load")
+    @settings(max_examples=150, deadline=None)
+    @given(groups(), st.integers(2, 4))
+    def test_each_config_of_a_group_is_its_estimate_alone(self, cfgs, n_paths):
+        alone = []
+        for cfg in cfgs:
+            try:
+                alone.append(estimate_outage(cfg, n_paths))
+            except TrafficSpecError as exc:  # the first config that cannot run
+                with pytest.raises(TrafficSpecError, match=re.escape(str(exc))):
+                    estimate_outages(cfgs, n_paths)
+                return
+        assert estimate_outages(cfgs, n_paths) == alone
+        for cfg, est in zip(cfgs, alone):
+            counted = cfg.slots - cfg.effective_warmup
+            for i in range(n_paths):
+                got = run_path(cfg, i).outage_slots
+                assert {cls: e.per_path_values[i] for cls, e in est.items()} == {
+                    cls: v / counted for cls, v in got.items()}
+
+    def test_threaded_group_is_its_configs_alone(self, monkeypatch):
+        # 5 paths of 95 000 slots summed over the group: 4 workers, where
+        # each config alone would run on fewer
+        four_cpus(monkeypatch)
+        common = dict(C=4, seed=9, warmup=100)
+        cfgs = [
+            SimConfig(**common, slots=30000, policy="reactive", regime=Regime("linear", 0.8)),
+            SimConfig(**common, slots=20000, policy="edf", regime=Regime("linear", 0.8),
+                      law=LookaheadLaw.binomial(5, 0.5)),
+            SimConfig(**common, slots=25000, policy="pi2", regime=Regime("linear", 0.05),
+                      law=LookaheadLaw.deterministic(1), multicast=MulticastSpec(0.9, 15.0)),
+            SimConfig(**common, slots=20000, policy="dynamic", f=0.3,
+                      regime=Regime("linear", 0.6), secondary=Regime("linear", 0.1),
+                      law=LookaheadLaw.deterministic(2)),
+        ]
+        assert sim._workers(5, sum(cfg.slots for cfg in cfgs)) == 4
+        assert all(sim._workers(5, cfg.slots) < 4 for cfg in cfgs)
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers switch often: a shared row or buffer would show
+        try:
+            group = estimate_outages(cfgs, 5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        assert group == [estimate_outage(cfg, 5) for cfg in cfgs]
+        assert all(e.p_hat > 0 for est in group for e in est.values())
+
+    def test_sweep_is_one_group(self, monkeypatch):
+        cfg = reactive_cfg(regime=Regime("linear", 0.8), slots=2000)
+        calls, real = [], sim._outage_counts
+        monkeypatch.setattr(sim, "_outage_counts",
+                            lambda cfgs, paths: calls.append(len(cfgs)) or real(cfgs, paths))
+        res = sweep_capacity(cfg, [4, 8, 16], 5)
+        monkeypatch.undo()
+        assert calls == [3]
+        assert res == [(C, estimate_outage(replace(cfg, C=C), 5)) for C in (4, 8, 16)]
+
+    def test_configs_must_share_their_seed(self):
+        with pytest.raises(sim.SimConfigError, match="share their seed"):
+            estimate_outages([reactive_cfg(seed=1), reactive_cfg(seed=2)], 3)
+
+    @pytest.mark.filterwarnings("ignore:offered load")
+    def test_errors_come_in_serial_order(self, monkeypatch):
+        # under a guard of 14, seed 51: rate 3.5 overflows at path 3 alone,
+        # rate 4.0 at paths 0, 2 and 3; selfish at C = 0 cannot be planned
+        four_cpus(monkeypatch)
+        monkeypatch.setattr(sched, "BACKLOG_OVERFLOW", 14)
+        common = dict(C=5, policy="reactive", slots=30000, seed=51, warmup=100)
+        clean, late, early = (SimConfig(**common, rate=r) for r in (1.0, 3.5, 4.0))
+        unplanned = SimConfig(C=0, policy="selfish", slots=30000, seed=51, warmup=100,
+                              regime=Regime("linear", 0.6), secondary=Regime("linear", 0.1))
+        assert serial_error([late], range(3)) is None
+        assert serial_error([early], range(1)) is not None
+        for cfgs in ([clean, late, early], [clean, early, late], [late, unplanned],
+                     [clean, unplanned, late], [unplanned, early]):
+            want = serial_error(cfgs, range(5))
+            threads = threading.active_count()
+            with pytest.raises(type(want)) as exc:
+                estimate_outages(cfgs, 5)
+            assert str(exc.value) == str(want)
+            assert threading.active_count() == threads
+        assert isinstance(serial_error([clean, unplanned, late], range(5)), TrafficSpecError)
