@@ -2,17 +2,19 @@
  *
  * serve_slot: one slot of earliest-deadline-first service over the vector c
  *   of pending requests per residual deadline, the model of
- *   proactivenet.sched.serve_path.  The arithmetic is the reference slot
- *   loop's (serve_path_by_slot in tests/test_sched.py), with the dynamic cap
- *   computed in double as Python does, so that outputs are bit-identical
- *   to it.  Two slot loops feed it a path's arrivals:
+ *   proactivenet.sched.serve_path, as one fused pass over c that serves,
+ *   expires and shifts, with no library call.  The arithmetic is the
+ *   reference slot loop's (serve_path_by_slot in tests/test_sched.py), with
+ *   the dynamic cap computed in double as Python does, so that outputs are
+ *   bit-identical to it.  Two slot loops feed it a path's arrivals:
  *
  * serve_path: arrivals given as count or presence matrices, for
  *   sched.serve_path, which checks every argument;
  *
  * path_outages: arrivals drawn from the path's uniforms, for sim: one call
  *   takes a path from its uniforms to its post-warm-up outage counts under
- *   each config of a group.
+ *   each config of a group, each config through a copy of the slot loop
+ *   compiled for its policy shape, with no per-slot policy test.
  *
  * poisson_cdf: the Poisson cdf window and guide table through which
  *   path_outages inverts each count, for proactivenet.traffic, which checks
@@ -28,60 +30,44 @@
 #include <stdint.h>
 #include <string.h>
 
-/* Serve up to cap requests of c[0..T] in deadline order; return the count. */
-static int64_t edf(int64_t *c, int64_t T, int64_t cap)
-{
-    int64_t left = cap;
-    for (int64_t k = 0; k <= T; k++) {
-        if (c[k] >= left) {
-            c[k] -= left;
-            return cap;
-        }
-        left -= c[k];
-        c[k] = 0;
-    }
-    return cap - left;
-}
-
 /* One slot, once its arrivals are in c[0..T] (total pending in all): the
- * primary is served, then *q secondary requests (q NULL: no secondary
- * class) from the capacity it leaves, refill hands what is left back to the
- * primary, c[0] expires and c shifts by one slot.  The dynamic primary
- * (f < 1) serves at most urgent + ceil(f * non-urgent), capped at C.
+ * primary is served, then q secondary requests (with `secondary`) from the
+ * capacity it leaves, refill hands what is left back to the primary, c[0]
+ * expires and c shifts by one slot.  A capped (dynamic) primary serves at
+ * most urgent + ceil(f * non-urgent), capped at C.  Under EDF the primary
+ * serves exactly min(total, cap), so the secondary's expiry and the refill
+ * are known before c is touched: one pass over c serves the primary and the
+ * refill in deadline order, takes c[0]'s leftover as expired and shifts c.
  * Sets e[0], e[1] to the expired primary and secondary requests; returns
  * the pending total after the slot. */
 static inline int64_t serve_slot(int64_t *c, int64_t T, int64_t total, int64_t C, double f,
-                                 const int64_t *q, int refill, int64_t *e)
+                                 int capped, int secondary, int64_t q, int refill, int64_t *e)
 {
     int64_t cap = C;
-    if (f < 1.0) {
-        int64_t want = c[0] + (int64_t)ceil(f * (double)(total - c[0]));
-        if (want < C)
-            cap = want;
+    if (capped) {  /* t + (t < x) is ceil(x), exact for 0 <= x < 2**63 */
+        double x = f * (double)(total - c[0]);
+        int64_t t = (int64_t)x, want = c[0] + t + ((double)t < x);
+        cap = want < C ? want : C;
     }
-    int64_t served;
-    if (total <= cap) {
-        served = total;
-        memset(c, 0, (size_t)(T + 1) * sizeof *c);
-    } else {
-        served = edf(c, T, cap);
+    int64_t left = total < cap ? total : cap;  /* the primary's service */
+    e[1] = 0;
+    if (secondary) {
+        int64_t spare = C - left;
+        e[1] = q > spare ? q - spare : 0;
+        if (refill && q < spare)  /* the primary gets spare - q more: C - q */
+            left = total < C - q ? total : C - q;
     }
-    total -= served;
-    e[0] = e[1] = 0;
-    if (q) {
-        int64_t spare = C - served;
-        if (*q > spare)
-            e[1] = *q - spare;
-        else if (refill && total && *q < spare)
-            total -= edf(c, T, spare - *q);
+    total -= left;
+    int64_t s = c[0] < left ? c[0] : left;
+    e[0] = c[0] - s;
+    left -= s;
+    for (int64_t k = 1; k <= T; k++) {
+        s = c[k] < left ? c[k] : left;
+        left -= s;
+        c[k - 1] = c[k] - s;
     }
-    if (!total)
-        return 0;  /* c is all zero: nothing expires or shifts */
-    e[0] = c[0];
-    total -= c[0];
-    memmove(c, c + 1, (size_t)T * sizeof *c);
     c[T] = 0;
-    return total;
+    return total - e[0];
 }
 
 /* Multicast fresh demand: the sources present (uniform below A) among the
@@ -151,13 +137,14 @@ static int64_t invert(double x, const double *F, const int64_t *g, int64_t lo, i
     if (b >= m)  /* x * m rounded up to m */
         b = m - 1;
     int64_t j = g[b];
+    j += F[j] <= x;  /* the one step most searches take, without a branch */
     while (F[j] <= x)
         j++;
     return lo + j;
 }
 
 /* invert for the stream row r = (column, lo, m, F, g) of path_outages. */
-static int64_t draw(double x, const int64_t *r)
+static inline int64_t draw(double x, const int64_t *r)
 {
     return invert(x, (const double *)(uintptr_t)r[3], (const int64_t *)(uintptr_t)r[4], r[1],
                   r[2]);
@@ -196,7 +183,8 @@ int64_t serve_path(const int64_t *counts, const double *presence, double A, int6
             if (total > limit)
                 return n + 1;
         }
-        total = serve_slot(c, T, total, C, f, secondary ? secondary + n : NULL, refill, e);
+        total = serve_slot(c, T, total, C, f, f < 1.0, secondary != NULL,
+                           secondary ? secondary[n] : 0, refill, e);
         expired[n * ncol] = e[0];
         if (secondary)
             expired[n * ncol + 1] = e[1];
@@ -206,8 +194,8 @@ int64_t serve_path(const int64_t *counts, const double *presence, double A, int6
 
 /* The fields of a config's int64 record in path_outages, in order; its
  * double record is (A, f). */
-enum { SLOTS, SOURCES, STREAMS, NPRIMARY, SECONDARY, WINDOW, CAPACITY, REFILL, LIMIT, WARMUP,
-       IDLE_P0, FIELDS };
+enum { SLOTS, SOURCES, STREAMS, NPRIMARY, SECONDARY, WINDOW, CAPACITY, LIMIT, WARMUP, IDLE_P0,
+       FIELDS };
 
 /* One sample path under one config, from its uniforms to its outage counts.
  * u:         the path's uniforms in the config's draw order: with L > 0
@@ -224,24 +212,25 @@ enum { SLOTS, SOURCES, STREAMS, NPRIMARY, SECONDARY, WINDOW, CAPACITY, REFILL, L
  * outages:   3 int64 counters, incremented by the slots from `warmup` on in
  *            which a primary, a secondary, or any request expired (left as
  *            they were if the path overflows).
+ * multicast, secondary, capped: the config's shape, constants in each copy.
  * Returns 0, or the 1-based slot whose pending backlog exceeded limit.  The
  * backlog is checked once per slot: with the means traffic.poisson_table
  * admits, no count exceeds ~1e9, so total cannot overflow before it. */
-static int64_t config_outages(const double *u, const int64_t *cfg, double A, double f,
-                              int64_t *c, int64_t *outages)
+static inline __attribute__((always_inline)) int64_t config_outages(
+    const double *u, const int64_t *cfg, double A, double f, int64_t *c, int64_t *outages,
+    const int multicast, const int secondary, const int capped)
 {
     const int64_t slots = cfg[SLOTS], L = cfg[SOURCES], nprimary = cfg[NPRIMARY];
     const int64_t T = cfg[WINDOW], C = cfg[CAPACITY], limit = cfg[LIMIT];
     const int64_t warmup = cfg[WARMUP];
     const int64_t *stream = (const int64_t *)(uintptr_t)cfg[STREAMS];
     const double *p0 = (const double *)(uintptr_t)cfg[IDLE_P0];
-    const int secondary = (int)cfg[SECONDARY], refill = (int)cfg[REFILL];
-    const double *draws = L ? u + slots : u;
+    const double *draws = multicast ? u + slots : u;
     const double r = A / (1.0 - A);
     int64_t total = 0, q = 0, e[2], o[3] = {0, 0, 0};
     memset(c, 0, (size_t)(T + 1) * sizeof *c);
     for (int64_t n = 0; n < slots; n++) {
-        if (L) {
+        if (multicast) {
             int64_t a = binomial(u[n], L - total, A, r, p0[L - total]);
             c[T] += a;
             total += a;
@@ -256,7 +245,8 @@ static int64_t config_outages(const double *u, const int64_t *cfg, double A, dou
             return n + 1;
         if (secondary)
             q = draw(draws[nprimary * slots + n], stream + 5 * nprimary);
-        total = serve_slot(c, T, total, C, f, secondary ? &q : NULL, refill, e);
+        /* pi2, the one two-class multicast policy, refills */
+        total = serve_slot(c, T, total, C, f, capped, secondary, q, multicast && secondary, e);
         if (n >= warmup) {
             o[0] += e[0] > 0;
             o[1] += e[1] > 0;
@@ -276,13 +266,27 @@ static int64_t config_outages(const double *u, const int64_t *cfg, double A, dou
  * rate:      K double records (A, f);
  * c:         1 + the largest window's T int64 entries of workspace;
  * outages:   K rows of the 3 counters of config_outages;
- * tripped:   per config, 0 or the 1-based slot whose backlog overflowed. */
+ * tripped:   per config, 0 or the 1-based slot whose backlog overflowed.
+ * Each config runs a copy of config_outages compiled for its shape: L > 0
+ * sources (multicast), a secondary class, and a capped primary (f < 1). */
 void path_outages(const double *u, int64_t K, const int64_t *config, const double *rate,
                   int64_t *c, int64_t *outages, int64_t *tripped)
 {
-    for (int64_t k = 0; k < K; k++)
-        tripped[k] = config_outages(u, config + FIELDS * k, rate[2 * k], rate[2 * k + 1], c,
-                                    outages + 3 * k);
+    for (int64_t k = 0; k < K; k++) {
+        const int64_t *cfg = config + FIELDS * k;
+        const double A = rate[2 * k], f = rate[2 * k + 1];
+        int64_t *o = outages + 3 * k;
+        if (cfg[SOURCES] && cfg[SECONDARY])  /* pi2: its f is 0, so capped */
+            tripped[k] = config_outages(u, cfg, A, f, c, o, 1, 1, 1);
+        else if (cfg[SOURCES])
+            tripped[k] = config_outages(u, cfg, A, f, c, o, 1, 0, 0);
+        else if (cfg[SECONDARY] && f < 1.0)
+            tripped[k] = config_outages(u, cfg, A, f, c, o, 0, 1, 1);
+        else if (cfg[SECONDARY])
+            tripped[k] = config_outages(u, cfg, A, f, c, o, 0, 1, 0);
+        else
+            tripped[k] = config_outages(u, cfg, A, f, c, o, 0, 0, 0);
+    }
 }
 
 /* F[j] = P(X <= lo + j), j < m, for X ~ Poisson(mu), mu >= 0, over a window

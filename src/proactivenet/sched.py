@@ -7,6 +7,9 @@ residual 0 expire, and residual deadlines drop by one.  The slot is one C
 function of `_kernel.c`, compiled with `cc` on first use and cached next to
 this module: `serve_path` runs it over arrival matrices, `sim` over arrivals
 drawn from a path's uniforms; the library also fills `traffic.poisson_table`.
+EDF fixes how much each class is served before any request is touched, so
+the slot is one pass over c that serves, expires and shifts; `sim`'s slot
+loop is compiled once per policy shape, so no slot tests its policy.
 
 Policies differ only in
   - the arrival source: a count matrix of new requests per look-ahead, or

@@ -59,10 +59,12 @@ POLICIES = (REACTIVE, EDF, SELFISH, DYNAMIC, MULTICAST, PI2)
 DRAW_LAYOUT = 3  # the order of a path's draws (module docstring), as manifests record it
 
 # A thread costs ~70-100 us to start and join; the cheapest path slot
-# (reactive, its uniform's fill included) ~19 ns.  2**16 path-slots per
-# worker, summed over a group's configs (>= 1.2 ms), keep that cost under
-# ~8 %: a canned figure with one curve (5 capacities x 20 paths x 1000
-# slots) runs in the calling thread alone, one of several curves on threads.
+# (reactive, its uniform's fill included) ~6.3 ns on a 2-CPU Xeon, gcc 12.
+# 2**16 path-slots per worker, summed over a group's configs (>= 0.41 ms),
+# keep that cost under ~25 %, and splitting still saves more than it costs
+# (there, 2**17 ran the canned figures ~7 % slower): a canned figure with
+# one curve (5 capacities x 20 paths x 1000 slots) runs in the calling
+# thread alone, one of several curves on threads.
 _SLOTS_PER_WORKER = 1 << 16
 
 
@@ -274,7 +276,7 @@ def _plan(cfg: SimConfig, table) -> tuple:
         sched._kernel().binomial_start(L, A, p0.ctypes.data)
     secondary = cfg.policy in (SELFISH, DYNAMIC, PI2)
     record = (cfg.slots, L, rows.ctypes.data, len(streams) - secondary, secondary, T, cfg.C,
-              cfg.policy == PI2, sched.BACKLOG_OVERFLOW, cfg.effective_warmup, p0.ctypes.data)
+              sched.BACKLOG_OVERFLOW, cfg.effective_warmup, p0.ctypes.data)
     rate = (A, {DYNAMIC: cfg.f, PI2: 0.0}.get(cfg.policy, 1.0))
     return record, rate, cfg.slots * ((L > 0) + len(streams)), (tables, rows, p0)
 

@@ -31,6 +31,7 @@ from proactivenet.traffic import (
     TrafficSpecError,
     mean_rate,
     poisson,
+    poisson_table,
     unicast_counts,
 )
 
@@ -103,6 +104,31 @@ class TestRunPath:
         for C in (int(mu - mu**0.5), int(mu), int(mu + mu**0.5)):
             cfg = SimConfig(C=C, policy="reactive", slots=2000, seed=4, warmup=0, rate=mu)
             assert run_path(cfg).outage_slots["default"] == int((arr > C).sum())
+
+    @pytest.mark.filterwarnings("ignore:offered load")
+    @pytest.mark.parametrize("mu", [0.4, 9.0, 300.0, 5000.0])
+    def test_a_uniform_on_a_cdf_value_draws_the_next_count(self, mu):
+        # min{k : F(k) > u} at each cdf value of the window and just below
+        # it, where the kernel's guide-table search meets a tie, against
+        # numpy's: one reactive config per capacity, fed these uniforms,
+        # counts the slots whose count exceeds it
+        lo, F, _ = poisson_table(mu)
+        edges = F[F < 1.0]  # a uniform lies in [0, 1)
+        u = np.concatenate([edges, np.nextafter(edges, 0.0)])
+        want = lo + np.searchsorted(F, u, side="right")
+        cfgs = [SimConfig(C=C, policy="reactive", slots=u.size, seed=0, warmup=0, rate=mu)
+                for C in range(want.min(), want.max())]
+        plans = [sim._plan(cfg, poisson_table) for cfg in cfgs]
+        records = np.array([plan[0] for plan in plans], dtype=np.int64)
+        rates = np.array([plan[1] for plan in plans])
+        c = np.empty(1, dtype=np.int64)
+        counts = np.zeros((len(cfgs), 3), dtype=np.int64)
+        trips = np.zeros(len(cfgs), dtype=np.int64)
+        sched._kernel().path_outages(u.ctypes.data, len(cfgs), records.ctypes.data,
+                                     rates.ctypes.data, c.ctypes.data, counts.ctypes.data,
+                                     trips.ctypes.data)
+        assert not trips.any()
+        assert counts[:, 0].tolist() == [int((want > cfg.C).sum()) for cfg in cfgs]
 
     def test_scripted_overflow_trace(self):
         # 5 arrivals with a 1-slot window into C=2: 4 servable over two
@@ -528,7 +554,10 @@ def reference_counts(cfg: SimConfig, index: int) -> dict[str, int]:
 def path_configs(draw):
     """A small config of any policy: no, deterministic, binomial or pmf
     windows (with zero entries), prediction error, rate overrides, C = 0
-    and zero traffic among them."""
+    and zero traffic among them.  Rates of 300 and 5000 give the kernel's
+    inversion searches of many steps and fill every bucket of a deep
+    backlog; larger capacities serve part of one (the unicast policies
+    only: the reference's multicast demand takes O(L^2) time)."""
     policy = draw(st.sampled_from(sim.POLICIES))
     slots = draw(st.integers(1, 120))
     T = draw(st.integers(0, 4))
@@ -543,14 +572,16 @@ def path_configs(draw):
     kind = draw(st.sampled_from(["linear", "poly"]))
     gamma = draw(st.floats(0.2, 0.9))
     cfg = dict(
-        C=draw(st.integers(0, 6)), policy=policy, slots=slots, seed=draw(st.integers(0, 2**32)),
+        C=draw(st.integers(0, 6) | st.sampled_from(
+            [16] if policy in ("multicast", "pi2") else [16, 320, 5200])),
+        policy=policy, slots=slots, seed=draw(st.integers(0, 2**32)),
         warmup=draw(st.integers(0, slots - 1)), law=law, f=draw(st.sampled_from([0.0, 0.5, 1.0])),
     )
     traffic = draw(st.sampled_from(["regime", "rate", "none", "pred_error"]))
     if traffic == "regime":
         cfg["regime"] = Regime(kind, gamma)
     elif traffic == "rate":
-        cfg["rate"] = draw(st.sampled_from([0.0, 0.4, 2.5, 9.0]))
+        cfg["rate"] = draw(st.sampled_from([0.0, 0.4, 2.5, 9.0, 300.0, 5000.0]))
     elif traffic == "pred_error":
         miss = draw(st.floats(0.0, 0.5))
         pred = 1.0 - miss + draw(st.floats(0.0, 0.9)) * (1.0 / gamma - 1.0)
