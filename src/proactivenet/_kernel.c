@@ -16,11 +16,14 @@
  *   each config of a group, each config through a copy of the slot loop
  *   compiled for its policy shape, with no per-slot policy test.
  *
- * poisson_cdf: the Poisson cdf window and guide table through which
- *   path_outages inverts each count, for proactivenet.traffic, which checks
- *   every argument; binomial_start: the table of (1 - A)^idle from which
- *   path_outages starts each multicast fresh-demand draw; binomial_invert:
- *   that draw, for the tests.
+ * Each count is a uniform inverted through a cdf window and its guide table
+ * (invert).  poisson_cdf builds a Poisson stream's, for
+ * proactivenet.traffic, which checks every argument.  binomial_table builds
+ * a multicast config's, one per idle count, from the cdf values that
+ * binomial's walk sums, so that a table draw is the walk's count bit for
+ * bit; a config whose tables would exceed traffic's byte budget draws by
+ * the walk itself, started from its table of (1 - A)^idle (binomial_start).
+ * binomial_invert: either draw, for the tests.
  *
  * sched compiles this file with `cc -O2 -shared -fPIC` on first use and
  * loads it through ctypes.
@@ -87,50 +90,8 @@ static int64_t present(const double *u, int64_t idle, double A)
     return a;
 }
 
-/* min{k : P(X <= k) > x} for X ~ Binomial(n, A), r = A / (1 - A) and
- * p0 = (1 - A)^n: a walk up the pmf from p(0) = p0 or, where that nears
- * underflow, from where the pmf falls below 1e-40 of the mode's, p there
- * normalised as in poisson_cdf.  The walk ends where p no longer moves F:
- * the mass left out is far under the 2**-53 resolution of x. */
-static int64_t binomial(double x, int64_t n, double A, double r, double p0)
-{
-    if (A >= 1.0)
-        return n;
-    int64_t k = 0;
-    double p = p0;
-    if (p < 1e-300) {
-        int64_t m = (int64_t)((double)(n + 1) * A);  /* a mode, at most n */
-        double s = 1.0, t = 1.0, v = 1.0;
-        for (k = m; k > 0 && t > 1e-40; k--)
-            s += t *= (double)k / (r * (double)(n - k + 1));
-        for (int64_t j = m; j < n && v > 1e-40; j++)
-            s += v *= r * (double)(n - j) / (double)(j + 1);
-        p = t / s;
-    }
-    for (double F = p; x >= F && k < n && F + p > F; F += p) {
-        p *= r * (double)(n - k) / (double)(k + 1);
-        k++;
-    }
-    return k;
-}
-
-/* p0[n] = (1 - A)^n for n = 0..L, binomial's p0 at n idle sources. */
-void binomial_start(int64_t L, double A, double *p0)
-{
-    const double lq = log1p(-A);
-    for (int64_t n = 0; n <= L; n++)
-        p0[n] = exp((double)n * lq);
-}
-
-/* out[i] = binomial(u[i], ...) for count uniforms u[i] and 0 <= A <= 1. */
-void binomial_invert(const double *u, int64_t count, int64_t n, double A, int64_t *out)
-{
-    for (int64_t i = 0; i < count; i++)
-        out[i] = binomial(u[i], n, A, A / (1.0 - A), exp((double)n * log1p(-A)));
-}
-
-/* lo + min{j : F[j] > x} for a uniform x in [0, 1), with F and its guide
- * table g from poisson_cdf (F non-decreasing, F[m - 1] = 1). */
+/* lo + min{j : F[j] > x} for a uniform x in [0, 1), with F a cdf window
+ * over [lo, lo + m) and g its guide table (guide; F[m - 1] >= 1). */
 static int64_t invert(double x, const double *F, const int64_t *g, int64_t lo, int64_t m)
 {
     int64_t b = (int64_t)(x * (double)m);
@@ -143,11 +104,120 @@ static int64_t invert(double x, const double *F, const int64_t *g, int64_t lo, i
     return lo + j;
 }
 
-/* invert for the stream row r = (column, lo, m, F, g) of path_outages. */
+/* invert for a row (column, lo, m, F, g), F and g the addresses of its cdf
+ * window and guide table. */
 static inline int64_t draw(double x, const int64_t *r)
 {
     return invert(x, (const double *)(uintptr_t)r[3], (const int64_t *)(uintptr_t)r[4], r[1],
                   r[2]);
+}
+
+/* g[b] = min{j : bucket(F[j]) >= b}, bucket(x) = floor(x m), the Chen-Asau
+ * guide table of F[0..m-1], F[m - 1] >= 1.  It starts each search of invert
+ * at or below its answer min{j : F[j] > x}, since bucket is monotone and
+ * bucket(F[answer]) >= bucket(x); a search then takes about one
+ * comparison. */
+static void guide(const double *F, int64_t m, int64_t *g)
+{
+    const double scale = (double)m;
+    for (int64_t b = 0, j = 0; b < m; b++) {
+        while ((int64_t)(F[j] * scale) < b)
+            j++;
+        g[b] = j;
+    }
+}
+
+/* The start of binomial's walk for X ~ Binomial(n, A), 0 <= A < 1,
+ * r = A / (1 - A) and p0 = (1 - A)^n: k = 0 with p(0) = p0 or, where that
+ * nears underflow, the k below a mode where the pmf falls below 1e-40 of
+ * the mode's, p there normalised as in poisson_cdf.  Returns k and sets *p
+ * to p there. */
+static int64_t walk_start(int64_t n, double A, double r, double p0, double *p)
+{
+    int64_t k = 0;
+    *p = p0;
+    if (*p < 1e-300) {
+        int64_t m = (int64_t)((double)(n + 1) * A);  /* a mode, at most n */
+        double s = 1.0, t = 1.0, v = 1.0;
+        for (k = m; k > 0 && t > 1e-40; k--)
+            s += t *= (double)k / (r * (double)(n - k + 1));
+        for (int64_t j = m; j < n && v > 1e-40; j++)
+            s += v *= r * (double)(n - j) / (double)(j + 1);
+        *p = t / s;
+    }
+    return k;
+}
+
+/* min{k : P(X <= k) > x} for X ~ Binomial(n, A): a walk up the pmf from
+ * walk_start, summing the cdf F.  The walk ends where p no longer moves F:
+ * the mass left out is far under the 2**-53 resolution of x. */
+static int64_t binomial(double x, int64_t n, double A, double r, double p0)
+{
+    if (A >= 1.0)
+        return n;
+    double p;
+    int64_t k = walk_start(n, A, r, p0, &p);
+    for (double F = p; x >= F && k < n && F + p > F; F += p) {
+        p *= r * (double)(n - k) / (double)(k + 1);
+        k++;
+    }
+    return k;
+}
+
+/* The draw tables of binomial for n = 0..L idle sources, 0 <= A <= 1:
+ * row n = (0, lo, m, F + at, g + at) for the walk at n, which starts at
+ * count lo.  F[at + j] is the cdf the walk has summed at count lo + j, for
+ * each count it may pass, and 1.0 at the count where it stops whatever x is
+ * (n, or where p no longer moves F); g[at..at+m-1] is its guide table.  So
+ * draw(x, row + 5n) = binomial(x, n, ...) for every x in [0, 1).
+ * Returns the entries of F (and of g) the tables take.  With F NULL, fills
+ * nothing and stops counting once the count exceeds cap. */
+int64_t binomial_table(int64_t L, double A, int64_t cap, double *F, int64_t *g, int64_t *row)
+{
+    const double r = A / (1.0 - A), lq = log1p(-A);
+    int64_t at = 0;
+    for (int64_t n = 0; n <= L && (F || at <= cap); n++) {
+        double p = 1.0, s;
+        int64_t lo = A >= 1.0 ? n : walk_start(n, A, r, exp((double)n * lq), &p), k = lo;
+        for (s = p; k < n && s + p > s; s += p) {
+            if (F)
+                F[at + k - lo] = s;
+            p *= r * (double)(n - k) / (double)(k + 1);
+            k++;
+        }
+        const int64_t m = k - lo + 1;
+        if (F) {
+            F[at + m - 1] = 1.0;
+            guide(F + at, m, g + at);
+            int64_t *w = row + 5 * n;
+            w[0] = 0;
+            w[1] = lo;
+            w[2] = m;
+            w[3] = (int64_t)(uintptr_t)(F + at);
+            w[4] = (int64_t)(uintptr_t)(g + at);
+        }
+        at += m;
+    }
+    return at;
+}
+
+/* p0[n] = (1 - A)^n for n = 0..L, binomial's p0 at n idle sources. */
+void binomial_start(int64_t L, double A, double *p0)
+{
+    const double lq = log1p(-A);
+    for (int64_t n = 0; n <= L; n++)
+        p0[n] = exp((double)n * lq);
+}
+
+/* out[i] = binomial(u[i], n, A, ...) for count uniforms u[i] and
+ * 0 <= A <= 1: by the walk, or with row non-NULL, through the rows of
+ * binomial_table for A, at n. */
+void binomial_invert(const double *u, int64_t count, int64_t n, double A, const int64_t *row,
+                     int64_t *out)
+{
+    for (int64_t i = 0; i < count; i++)
+        out[i] = row ? draw(u[i], row + 5 * n)
+                     : binomial(u[i], n, A, A / (1.0 - A), exp((double)n * log1p(-A)));
 }
 
 /* counts:    (slots, T+1) non-negative arrival counts per look-ahead, or NULL
@@ -194,14 +264,16 @@ int64_t serve_path(const int64_t *counts, const double *presence, double A, int6
 
 /* The fields of a config's int64 record in path_outages, in order; its
  * double record is (A, f). */
-enum { SLOTS, SOURCES, STREAMS, NPRIMARY, SECONDARY, WINDOW, CAPACITY, LIMIT, WARMUP, IDLE_P0,
-       FIELDS };
+enum { SLOTS, SOURCES, STREAMS, NPRIMARY, SECONDARY, WINDOW, CAPACITY, LIMIT, WARMUP, IDLE,
+       IDLE_P0, FIELDS };
 
 /* One sample path under one config, from its uniforms to its outage counts.
  * u:         the path's uniforms in the config's draw order: with L > 0
  *            sources, one per slot for its multicast fresh demand, the
  *            Binomial(idle, A) count of binomial over the idle = L - pending
- *            sources, started from p0[idle]; then slots uniforms per Poisson
+ *            sources, drawn through row idle of the config's binomial_table
+ *            or, without one, by the walk from p0[idle] of its
+ *            binomial_start; then slots uniforms per Poisson
  *            stream, one per count;
  * stream:    a row (column, lo, m, F, g) per Poisson stream, in draw order,
  *            F and g the addresses of its cdf window and guide table:
@@ -224,6 +296,7 @@ static inline __attribute__((always_inline)) int64_t config_outages(
     const int64_t T = cfg[WINDOW], C = cfg[CAPACITY], limit = cfg[LIMIT];
     const int64_t warmup = cfg[WARMUP];
     const int64_t *stream = (const int64_t *)(uintptr_t)cfg[STREAMS];
+    const int64_t *idle = (const int64_t *)(uintptr_t)cfg[IDLE];
     const double *p0 = (const double *)(uintptr_t)cfg[IDLE_P0];
     const double *draws = multicast ? u + slots : u;
     const double r = A / (1.0 - A);
@@ -231,7 +304,8 @@ static inline __attribute__((always_inline)) int64_t config_outages(
     memset(c, 0, (size_t)(T + 1) * sizeof *c);
     for (int64_t n = 0; n < slots; n++) {
         if (multicast) {
-            int64_t a = binomial(u[n], L - total, A, r, p0[L - total]);
+            int64_t a = idle ? draw(u[n], idle + 5 * (L - total))
+                             : binomial(u[n], L - total, A, r, p0[L - total]);
             c[T] += a;
             total += a;
         }
@@ -261,8 +335,9 @@ static inline __attribute__((always_inline)) int64_t config_outages(
 /* One sample path of sim under each of the K configs of a group, all
  * reading prefixes of the same uniforms u, each in its own layout.
  * config:    K int64 records of FIELDS entries, the addresses of the
- *            config's stream rows and, with L > 0 sources, of its table
- *            p0[0..L] from binomial_start among them;
+ *            config's stream rows and, with L > 0 sources, either of the
+ *            rows of its binomial_table or of its p0[0..L] from
+ *            binomial_start (the other 0), among them;
  * rate:      K double records (A, f);
  * c:         1 + the largest window's T int64 entries of workspace;
  * outages:   K rows of the 3 counters of config_outages;
@@ -290,15 +365,12 @@ void path_outages(const double *u, int64_t K, const int64_t *config, const doubl
 }
 
 /* F[j] = P(X <= lo + j), j < m, for X ~ Poisson(mu), mu >= 0, over a window
- * [lo, lo + m) that holds floor(mu), and g, its Chen-Asau guide table.
+ * [lo, lo + m) that holds floor(mu), and g, its guide table.
  * The pmf is 1 at floor(mu) and is extended outward by
  * p(k + 1) = p(k) mu / (k + 1), then summed and divided by the window's
  * total: no exp(-mu) is formed, so nothing underflows at large mu, and
  * F[m - 1] = 1 exactly.  The mass outside the window is dropped; the caller
- * makes it negligible.
- * g[b] = min{j : bucket(F[j]) >= b}, bucket(x) = floor(x m), starts each
- * search of invert at or below its answer, since bucket is monotone and
- * bucket(F[answer]) >= bucket(u); a search then takes about one comparison. */
+ * makes it negligible. */
 void poisson_cdf(double mu, int64_t lo, int64_t m, double *F, int64_t *g)
 {
     int64_t mode = (int64_t)mu - lo;
@@ -314,10 +386,5 @@ void poisson_cdf(double mu, int64_t lo, int64_t m, double *F, int64_t *g)
     }
     for (int64_t j = 0; j < m; j++)
         F[j] /= s;
-    const double scale = (double)m;
-    for (int64_t b = 0, j = 0; b < m; b++) {
-        while ((int64_t)(F[j] * scale) < b)
-            j++;
-        g[b] = j;
-    }
+    guide(F, m, g);
 }

@@ -45,7 +45,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 import warnings
 
 from proactivenet import analytic, oracle
@@ -233,10 +232,14 @@ def _rows_to_csv(rows: list[tuple]) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    """Write text to a fresh file beside path, then rename it over path.
+    open() creates the file with mode 0666 less the umask, as for any new
+    file (tempfile.mkstemp would make it 0600); its short name fits wherever
+    path's does."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -43,6 +43,7 @@ from proactivenet.traffic import (
     PredictionErrorSpec,
     Regime,
     TrafficSpecError,
+    binomial_table,
     mean_rate,
     poisson_table,
 )
@@ -58,14 +59,22 @@ POLICIES = (REACTIVE, EDF, SELFISH, DYNAMIC, MULTICAST, PI2)
 
 DRAW_LAYOUT = 3  # the order of a path's draws (module docstring), as manifests record it
 
-# A thread costs ~70-100 us to start and join; the cheapest path slot
-# (reactive, its uniform's fill included) ~6.3 ns on a 2-CPU Xeon, gcc 12.
-# 2**16 path-slots per worker, summed over a group's configs (>= 0.41 ms),
-# keep that cost under ~25 %, and splitting still saves more than it costs
-# (there, 2**17 ran the canned figures ~7 % slower): a canned figure with
-# one curve (5 capacities x 20 paths x 1000 slots) runs in the calling
-# thread alone, one of several curves on threads.
+# A thread starts and joins in ~40 us, but a split costs more: each worker
+# takes the GIL back after every fill and kernel call, and a waiting thread
+# wakes in ~20-190 us; the cheapest path slot (reactive, its uniform's fill
+# included) takes ~6.3 ns (2-vCPU KVM Xeon, Python 3.11, gcc 12).  At 2**16
+# path-slots per worker, summed over a group's configs, a canned figure with
+# one curve (5 capacities x 20 paths x 1000 slots) and simulate's default
+# estimate (100 paths x 1000 slots) run in the calling thread alone, one of
+# several curves on threads.  There 2**14 also split that estimate, which
+# then took 1.5 ms instead of 0.8, though it ran the figures benchmark 5 %
+# faster; 2**17 ran the canned figures ~7 % slower.
 _SLOTS_PER_WORKER = 1 << 16
+# Each worker's workspace c, written every slot, owns its 128-byte block
+# (`_workspace`): with two workspaces 48 bytes apart, the two workers of
+# fig5a's group (15 configs x 20 paths) took 4.2 ms instead of 2.3 ms there,
+# the block bouncing between the cores.
+_BLOCK = 128
 
 
 class SimConfigError(ValueError):
@@ -259,26 +268,30 @@ def estimate_outages(cfgs: list[SimConfig], n_paths: int) -> list[dict[str, Outa
     ]
 
 
-def _plan(cfg: SimConfig, table) -> tuple:
+def _plan(cfg: SimConfig, table, idle_table=binomial_table) -> tuple:
     """(int64 record, double record, fill, arrays): cfg's records for
     `path_outages`, their fields in the order of `_kernel.c`'s enum, the
     uniforms a path of it reads, and the arrays the records hold the
     addresses of, which must outlive every call.  `table(mu)` gives a
-    stream's cdf window and guide table."""
+    stream's cdf window and guide table, `idle_table(L, A)` a multicast
+    config's `binomial_table`."""
     T, streams = _streams(cfg)
     tables = [table(mu) for _, mu in streams]
     rows = np.array([(k, lo, F.size, F.ctypes.data, g.ctypes.data)
                      for (k, _), (lo, F, g) in zip(streams, tables)], dtype=np.int64)
     L = cfg.multicast.num_sources(cfg.C) if cfg.policy in (MULTICAST, PI2) else 0
     A = cfg.multicast.source_prob() if L else 0.0
-    p0 = np.empty(L + 1)  # (1 - A)^idle, the start of each fresh-demand draw
-    if L:
+    idle = idle_table(L, A) if L else None
+    # without tables, the kernel walks the pmf from p0[idle] = (1 - A)^idle
+    p0 = np.empty(L + 1 if L and idle is None else 0)
+    if p0.size:
         sched._kernel().binomial_start(L, A, p0.ctypes.data)
     secondary = cfg.policy in (SELFISH, DYNAMIC, PI2)
     record = (cfg.slots, L, rows.ctypes.data, len(streams) - secondary, secondary, T, cfg.C,
-              sched.BACKLOG_OVERFLOW, cfg.effective_warmup, p0.ctypes.data)
+              sched.BACKLOG_OVERFLOW, cfg.effective_warmup, idle[0].ctypes.data if idle else 0,
+              p0.ctypes.data if p0.size else 0)
     rate = (A, {DYNAMIC: cfg.f, PI2: 0.0}.get(cfg.policy, 1.0))
-    return record, rate, cfg.slots * ((L > 0) + len(streams)), (tables, rows, p0)
+    return record, rate, cfg.slots * ((L > 0) + len(streams)), (tables, rows, idle, p0)
 
 
 def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
@@ -301,9 +314,10 @@ def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
         raise SimConfigError("the configs of a group must share their seed")
     plans, error = [], None
     table = functools.cache(poisson_table)  # streams of one mean share a table
+    idle_table = functools.cache(binomial_table)  # configs of one (L, A) share its tables
     try:
         for cfg in cfgs:
-            plans.append(_plan(cfg, table))
+            plans.append(_plan(cfg, table, idle_table))
     except (ValueError, PathOverflowError) as exc:  # raised once the configs before it ran
         error = exc
     counts = np.zeros((len(paths), len(plans), 3), dtype=np.int64)
@@ -329,7 +343,7 @@ def _run_paths(cfgs: list[SimConfig], plans: list, paths, counts: np.ndarray,
     kernel = sched._kernel().path_outages  # built and loaded before any worker starts
     # per worker, allocated here before any starts: its rows, PCG64, uniforms and workspace
     jobs = [(range(n * w // W, n * (w + 1) // W), np.random.PCG64(cfgs[0].seed),
-             np.empty(max(fills)), np.empty(max(cfg.tmax for cfg in cfgs) + 1, dtype=np.int64))
+             np.empty(max(fills)), _workspace(max(cfg.tmax for cfg in cfgs) + 1))
             for w in range(W)]
     failed = [None] * W  # per worker: an exception that stopped it
     counts_at, trips_at = counts.ctypes.data, trips.ctypes.data
@@ -360,6 +374,18 @@ def _run_paths(cfgs: list[SimConfig], plans: list, paths, counts: np.ndarray,
     for exc in failed:
         if exc is not None:
             raise exc
+
+
+def _workspace(n: int) -> np.ndarray:
+    """n int64 entries of a path's workspace, starting on a 128-byte boundary
+    with at least 128 bytes of their own buffer on either side: the kernel
+    writes them every slot, and no other thread touches the 128-byte blocks
+    (a pair of cache lines, as adjacent-line prefetch fetches them) they lie
+    in."""
+    pad = _BLOCK // 8
+    buf = np.empty(n + 3 * pad, dtype=np.int64)
+    start = pad + -buf.ctypes.data % _BLOCK // 8
+    return buf[start:start + n]
 
 
 def _workers(n_paths: int, slots: int) -> int:

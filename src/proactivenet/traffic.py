@@ -239,6 +239,33 @@ def poisson_table(mu: float) -> tuple[int, np.ndarray, np.ndarray]:
     return lo, F, g
 
 
+# bytes the draw tables of one multicast config may take; a config whose
+# tables would take more draws its fresh demand by the kernel's walk
+TABLE_BYTES = 1 << 22
+
+
+def binomial_table(L: int, A: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(rows, F, g): the tables through which a multicast path draws its
+    fresh demand Binomial(idle, A) for idle = 0..L, 0 <= A <= 1, or None if
+    they would take more than TABLE_BYTES.
+
+    rows[idle] = (0, lo, m, address of F[at], address of g[at]): F[at..at+m-1]
+    holds the cdf values that the kernel's pmf walk at idle sums from count
+    lo, then 1.0 where the walk stops, and g[at..at+m-1] is their guide
+    table.  So a table draw gives the walk's count bit for bit, in about one
+    comparison.  Fig-multicast's L = 120 takes 3123 entries (50 KB); the
+    entries grow about as L**1.5, so L = 1500 takes 2.5 MB.
+    """
+    lib = sched._kernel()
+    cap = (TABLE_BYTES - 40 * (L + 1)) // 16  # 40 bytes a row, 16 an entry
+    size = lib.binomial_table(L, A, cap, None, None, None)
+    if size > cap:
+        return None
+    rows, F, g = np.empty((L + 1, 5), dtype=np.int64), np.empty(size), np.empty(size, np.int64)
+    lib.binomial_table(L, A, cap, F.ctypes.data, g.ctypes.data, rows.ctypes.data)
+    return rows, F, g
+
+
 def unicast_counts(
     lam: float, law: LookaheadLaw, rng: np.random.Generator, slots: int
 ) -> np.ndarray:

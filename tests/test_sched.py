@@ -503,6 +503,33 @@ class TestKernelBuild:
         assert lib.stat().st_mode & 0o777 == 0o755
         assert list(lib.parent.iterdir()) == [lib]
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_outputs_follow_the_umask(self, tmp_path, umask, mode):
+        # a CSV and its manifest are new files like any other: under umask
+        # 022 readable by all, also where they replace an earlier output
+        out = tmp_path / "run.csv"
+        argv = ["simulate", "--C", "4", "--gamma", "0.5", "--paths", "2", "--slots", "300",
+                "--out", str(out)]
+        old = os.umask(umask)
+        try:
+            for _ in range(2):
+                assert cli.main(argv) == 0
+                written = [out, tmp_path / "run.csv.manifest.json"]
+                assert [p.stat().st_mode & 0o777 for p in written] == [mode, mode]
+                assert sorted(tmp_path.iterdir()) == sorted(written)
+        finally:
+            os.umask(old)
+
+    def test_outputs_may_take_the_longest_name(self, tmp_path):
+        # the manifest's name, the CSV's and ".manifest.json", at NAME_MAX:
+        # the temporary files beside them take no longer names
+        name = "r" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(".csv.manifest.json")) + ".csv"
+        out = tmp_path / name
+        argv = ["simulate", "--C", "4", "--gamma", "0.5", "--paths", "2", "--slots", "300",
+                "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert sorted(tmp_path.iterdir()) == [out, tmp_path / f"{name}.manifest.json"]
+
     def test_unwritable_cache_builds_in_a_temporary_directory(self, tmp_path, monkeypatch):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -695,8 +695,11 @@ class TestWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         assert sim._workers(20, 1000) == 1  # one canned-figure capacity stays serial
         assert sim._workers(20, 5 * 1000) == 1  # and so does a one-curve figure
+        assert sim._workers(100, 1000) == 1  # and simulate's default estimate
         assert sim._workers(20, 10 * 1000) == 2  # a figure of two curves runs on both CPUs
         assert sim._workers(8, 20000) == 2
+        assert sim._workers(16, 2 * sim._SLOTS_PER_WORKER // 16) == 2
+        assert sim._workers(16, 2 * sim._SLOTS_PER_WORKER // 16 - 1) == 1
         assert sim._workers(1, 10**7) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         assert sim._workers(8, 10**7) == 8  # at most one per path
@@ -724,6 +727,41 @@ class TestWorkers:
             assert {cls: e.per_path_values[i] for cls, e in est.items()} == {
                 cls: v / counted for cls, v in got.items()}
         assert all(e.p_hat > 0 for e in est.values())
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 16, 17, 100])
+    def test_workspace_owns_its_128_byte_blocks(self, n):
+        # aligned, with 128 bytes of its own buffer before and after it, so
+        # no other object shares a 128-byte block with it
+        for _ in range(8):
+            c = sim._workspace(n)
+            start, base = c.ctypes.data, c.base.ctypes.data
+            assert c.shape == (n,) and c.dtype == np.int64 and c.flags.c_contiguous
+            assert start % 128 == 0
+            assert start - base >= 128
+            assert base + c.base.nbytes - (start + c.nbytes) >= 128
+
+    def test_each_worker_is_handed_its_own_workspace(self, monkeypatch):
+        four_cpus(monkeypatch)
+        made, real_workspace = [], sim._workspace
+        monkeypatch.setattr(sim, "_workspace", lambda n: made.append(real_workspace(n)) or made[-1])
+        lib, handed = sched._kernel(), set()
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(lib, name)
+
+            @staticmethod
+            def path_outages(u, K, config, rate, c, *rest):
+                handed.add(c)
+                return lib.path_outages(u, K, config, rate, c, *rest)
+
+        monkeypatch.setattr(sched, "_kernel", Spy)
+        cfg = SimConfig(C=4, slots=40000, seed=3, warmup=100, policy="edf",
+                        regime=Regime("linear", 0.8), law=LookaheadLaw.deterministic(5))
+        assert sim._workers(8, cfg.slots) == 4
+        sim._outage_counts([cfg], range(8))
+        assert len(made) == 4 and all(c.size == 6 for c in made)
+        assert handed == {c.ctypes.data for c in made}
 
     @pytest.mark.parametrize("order", [range(5), [4, 3, 2, 1, 0], [0, 0, 2, 1, 4]])
     def test_overflow_in_any_worker_raises_the_serial_error(self, order, monkeypatch):
@@ -817,6 +855,24 @@ class TestGroups:
         assert threading.active_count() == threads
         assert group == [estimate_outage(cfg, 5) for cfg in cfgs]
         assert all(e.p_hat > 0 for est in group for e in est.values())
+
+    def test_configs_under_and_over_the_table_budget_draw_as_the_walk(self, monkeypatch):
+        # L = 60 sources fit the table budget; L = 12 000 (theta 3000) do
+        # not, and their slots walk the pmf; with no table at all, every
+        # slot walks it
+        common = dict(C=4, seed=5, slots=600, warmup=50, law=LookaheadLaw.deterministic(1))
+        cfgs = [
+            SimConfig(**common, policy=policy, multicast=MulticastSpec(0.9, theta),
+                      regime=Regime("linear", 0.05) if policy == "pi2" else None)
+            for policy in ("multicast", "pi2") for theta in (15.0, 3000.0)
+        ]
+        records = [sim._plan(cfg, poisson_table)[0] for cfg in cfgs]
+        # the record's IDLE (table rows) and IDLE_P0 (the walk's start)
+        assert [(bool(r[-2]), bool(r[-1])) for r in records] == [(True, False), (False, True)] * 2
+        counts = sim._outage_counts(cfgs, range(4))
+        assert counts[:, :, 0].all()
+        monkeypatch.setattr(sim, "binomial_table", lambda L, A: None)
+        assert np.array_equal(sim._outage_counts(cfgs, range(4)), counts)
 
     def test_sweep_is_one_group(self, monkeypatch):
         cfg = reactive_cfg(regime=Regime("linear", 0.8), slots=2000)

@@ -257,12 +257,27 @@ class TestPoissonInversion:
         assert abs(z) < 4
 
 
-def binomial_draws(u, n, A):
+def binomial_draws(u, n, A, rows=None):
     """The kernel's Binomial(n, A) count of each uniform, as a multicast
-    path draws its fresh demand from n idle sources."""
+    path draws its fresh demand from n idle sources: by the pmf walk, or
+    through the rows of `traffic.binomial_table` for A."""
     u = np.ascontiguousarray(u, dtype=float)
     out = np.empty(u.size, dtype=np.int64)
-    sched._kernel().binomial_invert(u.ctypes.data, u.size, n, A, out.ctypes.data)
+    sched._kernel().binomial_invert(u.ctypes.data, u.size, n, A,
+                                    None if rows is None else rows.ctypes.data,
+                                    out.ctypes.data)
+    return out
+
+
+def table_rows(tables):
+    """(lo, F, g) of each idle count of `traffic.binomial_table` tables,
+    read where its row points."""
+    rows, F, g = tables
+    out = []
+    for column, lo, m, f_at, g_at in rows:
+        at = (f_at - F.ctypes.data) // 8
+        assert column == 0 and g_at == g.ctypes.data + 8 * at
+        out.append((lo, F[at:at + m], g[at:at + m]))
     return out
 
 
@@ -317,3 +332,44 @@ class TestBinomialInversion:
         u = rng(13).random(1000)
         assert (binomial_draws(u, n, 1.0) == n).all()
         assert (binomial_draws(u, n, 0.0) == 0).all()
+
+
+class TestBinomialTables:
+    """A multicast config's draw tables, one per idle count, give the pmf
+    walk's counts bit for bit."""
+
+    def test_table_draws_are_the_walks(self):
+        # every idle count 0..n of each case that fits the budget, at each
+        # stored cdf value and just below it (where a search meets a tie,
+        # and the largest uniform below the stop entry), and at random
+        # uniforms
+        random_u, mode_starts = rng(14).random(64), 0
+        for n, A in BINOMIALS:
+            tables = tr.binomial_table(n, A)
+            if tables is None:
+                continue
+            for idle, (lo, F, g) in enumerate(table_rows(tables)):
+                assert F[-1] == 1.0  # where the walk stops
+                m = F.size
+                assert np.array_equal(g, [np.argmax(np.floor(F * m) >= b) for b in range(m)])
+                u = np.concatenate([F, np.nextafter(F, 0.0), random_u])
+                u = u[u < 1.0]
+                assert np.array_equal(binomial_draws(u, idle, A, tables[0]),
+                                      binomial_draws(u, idle, A)), (n, A, idle)
+                mode_starts += lo > 0
+        # (40, 1 - 1e-12): (1 - A)^idle < 1e-300 from idle 25 on, so the
+        # walk starts below the mode
+        assert mode_starts == 16
+
+    def test_tables_beyond_the_budget_are_refused(self):
+        fits = {}
+        for n, A in BINOMIALS:
+            tables = tr.binomial_table(n, A)
+            fits[n, A] = tables is not None
+            if tables is not None:
+                assert sum(a.nbytes for a in tables) <= tr.TABLE_BYTES
+                assert tables[0].shape == (n + 1, 5)
+        assert [case for case, fit in fits.items() if not fit] == [
+            (1020, 0.49), (1040, 0.49), (2000, 0.5), (10**5, 0.01)]
+        # fig-multicast's largest, L = 120
+        assert tr.binomial_table(120, tr.MulticastSpec(0.9, 15.0).source_prob())[1].size == 3123
