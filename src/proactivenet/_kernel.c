@@ -16,6 +16,13 @@
  *   each config of a group, each config through a copy of the slot loop
  *   compiled for its policy shape, with no per-slot policy test.
  *
+ * chunk_outages: path_outages over a worker thread's chunk of paths, in one
+ *   call that holds no GIL.  It fills each path's uniforms itself, bit for
+ *   bit as numpy draws them: a copy of numpy's PCG64 (128-bit LCG, numpy's
+ *   multiplier, XSL-RR output, each double (next64 >> 11) * 2**-53), started
+ *   from the state and increment numpy seeds for the seed and jumped to the
+ *   path's block of 2**64 draws, as sim.path_rng(seed, i).random draws it.
+ *
  * Each count is a uniform inverted through a cdf window and its guide table
  * (invert).  poisson_cdf builds a Poisson stream's, for
  * proactivenet.traffic, which checks every argument.  binomial_table builds
@@ -23,6 +30,8 @@
  * binomial's walk sums, so that a table draw is the walk's count bit for
  * bit; a config whose tables would exceed traffic's byte budget draws by
  * the walk itself, started from its table of (1 - A)^idle (binomial_start).
+ * Sizing refuses most such configs from binomial_least, a lower bound on
+ * the tables' entries found in O(L).
  * binomial_invert: either draw, for the tests.
  *
  * sched compiles this file with `cc -O2 -shared -fPIC` on first use and
@@ -164,6 +173,22 @@ static int64_t binomial(double x, int64_t n, double A, double r, double p0)
     return k;
 }
 
+/* A lower bound on the entries of binomial_table(L, A, ...), found in O(L):
+ * each row takes at least one, and a row whose walk starts at count 0
+ * ((1 - A)^n >= 1e-300, surely so where n ln(1 - A) >= -690) at least
+ * min(floor((n + 1) A), n) + 1: up to that mode the pmf rises, so each p is
+ * at least 1/(k + 1) of the sum and still moves it. */
+int64_t binomial_least(int64_t L, double A)
+{
+    int64_t at = L + 1;
+    const double lq = -log1p(-A);
+    for (int64_t n = 0; A < 1.0 && n <= L && (double)n * lq <= 690.0; n++) {
+        const int64_t mode = (int64_t)((double)(n + 1) * A);
+        at += mode < n ? mode : n;
+    }
+    return at;
+}
+
 /* The draw tables of binomial for n = 0..L idle sources, 0 <= A <= 1:
  * row n = (0, lo, m, F + at, g + at) for the walk at n, which starts at
  * count lo.  F[at + j] is the cdf the walk has summed at count lo + j, for
@@ -171,10 +196,16 @@ static int64_t binomial(double x, int64_t n, double A, double r, double p0)
  * (n, or where p no longer moves F); g[at..at+m-1] is its guide table.  So
  * draw(x, row + 5n) = binomial(x, n, ...) for every x in [0, 1).
  * Returns the entries of F (and of g) the tables take.  With F NULL, fills
- * nothing and stops counting once the count exceeds cap. */
+ * nothing and stops counting once the count exceeds cap, or returns
+ * binomial_least at once where that exceeds it. */
 int64_t binomial_table(int64_t L, double A, int64_t cap, double *F, int64_t *g, int64_t *row)
 {
     const double r = A / (1.0 - A), lq = log1p(-A);
+    if (!F) {  /* refused in O(L) where the bound suffices */
+        const int64_t least = binomial_least(L, A);
+        if (least > cap)
+            return least;
+    }
     int64_t at = 0;
     for (int64_t n = 0; n <= L && (F || at <= cap); n++) {
         double p = 1.0, s;
@@ -361,6 +392,57 @@ void path_outages(const double *u, int64_t K, const int64_t *config, const doubl
             tripped[k] = config_outages(u, cfg, A, f, c, o, 0, 1, 0);
         else
             tripped[k] = config_outages(u, cfg, A, f, c, o, 0, 0, 0);
+    }
+}
+
+/* numpy's PCG64: a 128-bit LCG under numpy's multiplier, each draw the
+ * XSL-RR output of the stepped state.  The state is GNU C's 128-bit integer
+ * (gcc and clang); __extension__ keeps it legal under -std=c99 -pedantic. */
+__extension__ typedef unsigned __int128 u128;
+#define PCG_MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
+
+/* A worker thread's chunk of sim's paths in one call: path_outages under
+ * the K configs of a group for each of the n path indices paths[0..n-1],
+ * in any order, repeats allowed, each path jumped to from the seed state.
+ * seed:      the state and increment of the seed's PCG64, as numpy seeds it,
+ *            high words first: (state >> 64, state mod 2**64, inc >> 64,
+ *            inc mod 2**64);
+ * u:         fill doubles, overwritten with each path's uniforms: path i is
+ *            the block of 2**64 draws from the seed state's i * 2**64-th,
+ *            reached by the LCG's jump (Brown, "Random number generation
+ *            with arbitrary strides"), each uniform (next64 >> 11) * 2**-53
+ *            as numpy's Generator.random draws it;
+ * c:         the workspace of path_outages;
+ * outages, tripped: n rows of path_outages' K counters and K trip slots,
+ *            row j for paths[j]. */
+void chunk_outages(const uint64_t *seed, const uint64_t *paths, int64_t n, double *u, int64_t fill,
+                   int64_t K, const int64_t *config, const double *rate, int64_t *c,
+                   int64_t *outages, int64_t *tripped)
+{
+    const u128 state = (u128)seed[0] << 64 | seed[1], inc = (u128)seed[2] << 64 | seed[3];
+    u128 block = PCG_MULT, plus = inc;  /* the LCG's step of 2**64 draws */
+    for (int b = 0; b < 64; b++) {
+        plus *= block + 1;
+        block *= block;
+    }
+    for (int64_t j = 0; j < n; j++) {
+        u128 am = 1, ap = 0, m = block, p = plus;
+        for (uint64_t i = paths[j]; i; i >>= 1) {
+            if (i & 1) {
+                am *= m;
+                ap = ap * m + p;
+            }
+            p *= m + 1;
+            m *= m;
+        }
+        u128 s = am * state + ap;
+        for (int64_t k = 0; k < fill; k++) {
+            s = s * PCG_MULT + inc;
+            const uint64_t x = (uint64_t)(s >> 64) ^ (uint64_t)s;
+            const unsigned rot = (unsigned)(s >> 122);
+            u[k] = (double)((x >> rot | x << (-rot & 63)) >> 11) * (1.0 / 9007199254740992.0);
+        }
+        path_outages(u, K, config, rate, c, outages + 3 * K * j, tripped + K * j);
     }
 }
 

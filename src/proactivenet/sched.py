@@ -6,10 +6,12 @@ slot).  Each slot, arrivals land, service is applied, requests still at
 residual 0 expire, and residual deadlines drop by one.  The slot is one C
 function of `_kernel.c`, compiled with `cc` on first use and cached next to
 this module: `serve_path` runs it over arrival matrices, `sim` over arrivals
-drawn from a path's uniforms.  The library also fills the cdf and guide
-tables through which `sim` inverts each count: `traffic.poisson_table` for a
-Poisson stream, and `traffic.binomial_table`, one per idle count, for a
-multicast fresh demand.
+drawn from a path's uniforms, a worker thread's whole chunk of paths in one
+call that draws each path's uniforms as numpy's PCG64 does and holds no GIL.
+The library also fills the cdf and guide tables through which `sim` inverts
+each count: `traffic.poisson_table` for a Poisson stream, and
+`traffic.binomial_table`, one per idle count, for a multicast fresh demand,
+whose sizing refuses most tables over its budget from an O(L) bound.
 EDF fixes how much each class is served before any request is touched, so
 the slot is one pass over c that serves, expires and shifts; `sim`'s slot
 loop is compiled once per policy shape, so no slot tests its policy.
@@ -105,12 +107,15 @@ def _kernel() -> ctypes.CDLL:
         i64, dbl, ptr, flag = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int
         lib.serve_path.argtypes = [ptr, ptr, dbl, i64, i64, i64, i64, dbl, ptr, flag, i64, ptr, ptr]
         lib.path_outages.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr]
+        lib.chunk_outages.argtypes = [ptr, ptr, i64, ptr, i64, i64, ptr, ptr, ptr, ptr, ptr]
         lib.poisson_cdf.argtypes = [dbl, i64, i64, ptr, ptr]
         lib.binomial_table.argtypes = [i64, dbl, i64, ptr, ptr, ptr]
+        lib.binomial_least.argtypes = [i64, dbl]
         lib.binomial_start.argtypes = [i64, dbl, ptr]
         lib.binomial_invert.argtypes = [ptr, i64, i64, dbl, ptr, ptr]
-        lib.serve_path.restype = lib.binomial_table.restype = i64
-        for fn in (lib.path_outages, lib.poisson_cdf, lib.binomial_start, lib.binomial_invert):
+        lib.serve_path.restype = lib.binomial_table.restype = lib.binomial_least.restype = i64
+        for fn in (lib.path_outages, lib.chunk_outages, lib.poisson_cdf, lib.binomial_start,
+                   lib.binomial_invert):
             fn.restype = None
         _lib = lib
     return _lib

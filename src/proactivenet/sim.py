@@ -1,17 +1,22 @@
 """Monte Carlo engine: sample paths and outage estimation.
 
 The unit of simulation is a group of configs of one seed
-(`estimate_outages`): a path is one call of the compiled `path_outages`
+(`estimate_outages`): a path is one pass of the compiled `path_outages`
 (`_kernel.c`), from the uniforms of the path's random stream, filled once,
 to its outage counts under every config of the group.  Under each it draws
 each slot's arrivals and serves them by the rules of `sched.serve_path`.  A
 slot is an outage for a class iff at least one request of that class
 expires in it; the per-path outage ratio divides by all post-warmup slots.
 Estimates average path ratios and report the standard error across paths;
-the paths of a large group run on up to min(usable CPUs, paths) threads.
+the paths of a large group run on up to min(usable CPUs, paths) threads,
+each thread's contiguous chunk of paths in one call of the compiled
+`chunk_outages`, which holds no GIL.
 
 Path i of a seed is the i-th block of 2**64 draws of the seed's one PCG64
 stream (`path_rng`), so it sees the same randomness however many paths run.
+`chunk_outages` draws it with its own copy of numpy's PCG64, from the
+state numpy seeds for the seed (`SeedSequence`), jumped to the block: the
+same doubles as `path_rng(seed, i).random`.
 A path draws in a fixed order (`_streams`, layout `DRAW_LAYOUT`): for the
 multicast policies one uniform per slot, its fresh demand Binomial(idle, A)
 by inversion; then one Poisson stream per unicast look-ahead column
@@ -59,17 +64,17 @@ POLICIES = (REACTIVE, EDF, SELFISH, DYNAMIC, MULTICAST, PI2)
 
 DRAW_LAYOUT = 3  # the order of a path's draws (module docstring), as manifests record it
 
-# A thread starts and joins in ~40 us, but a split costs more: each worker
-# takes the GIL back after every fill and kernel call, and a waiting thread
-# wakes in ~20-190 us; the cheapest path slot (reactive, its uniform's fill
-# included) takes ~6.3 ns (2-vCPU KVM Xeon, Python 3.11, gcc 12).  At 2**16
-# path-slots per worker, summed over a group's configs, a canned figure with
-# one curve (5 capacities x 20 paths x 1000 slots) and simulate's default
-# estimate (100 paths x 1000 slots) run in the calling thread alone, one of
-# several curves on threads.  There 2**14 also split that estimate, which
-# then took 1.5 ms instead of 0.8, though it ran the figures benchmark 5 %
-# faster; 2**17 ran the canned figures ~7 % slower.
-_SLOTS_PER_WORKER = 1 << 16
+# A split costs a thread start and join: each worker's chunk is one C call
+# that holds no GIL.  On a 2-vCPU KVM Xeon (Python 3.11, gcc 12), serial
+# against two workers in process: reactive paths (the cheapest slot) broke
+# even at 2**15 path-slots (16 x 2048 slots: 213 us serial, 206 us split;
+# 20 x 1000: 149 against 175), and gained beyond (100 x 1000, simulate's
+# default estimate: 555 against 379 us; 1000 x 1000: 5.1 against 2.7 ms);
+# dearer slots gain sooner (20 selfish paths x 1000 slots: 278 against
+# 241 us).  So a worker takes at least 2**14 path-slots, summed over a
+# group's configs: every canned figure group and sweep runs on both CPUs,
+# a single canned capacity (20 x 1000) in the calling thread alone.
+_SLOTS_PER_WORKER = 1 << 14
 # Each worker's workspace c, written every slot, owns its 128-byte block
 # (`_workspace`): with two workspaces 48 bytes apart, the two workers of
 # fig5a's group (15 configs x 20 paths) took 4.2 ms instead of 2.3 ms there,
@@ -237,7 +242,8 @@ def run_path(cfg: SimConfig, seed_index: int = 0) -> PathResult:
     Deterministic given (cfg.seed, seed_index).  Raises PathOverflowError if
     the pending backlog exceeds the overflow guard.
     """
-    counts = map(int, _outage_counts([cfg], [seed_index])[0, 0])
+    # the seed's stream has 2**64 blocks, so path_rng's index counts modulo 2**64
+    counts = map(int, _outage_counts([cfg], [int(seed_index) % (1 << 64)])[0, 0])
     return PathResult(dict(zip(_CLASSES[cfg.policy], counts)), cfg.slots - cfg.effective_warmup)
 
 
@@ -299,16 +305,17 @@ def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
     indices under each config: the primary's, the secondary's, and those
     with either.
 
-    A path is one call of the compiled `path_outages`, from its block's
+    A path is one pass of the compiled `path_outages`, from its block's
     uniforms in a reused buffer, filled at the group's longest layout, to
     its counters under every config.  The paths are split into contiguous
-    chunks, one per worker (`_workers`), the calling thread the first; each
-    worker advances its own PCG64 from path to path, modulo its period, so
-    paths may come in any order and a path's counts depend only on (seed,
-    path index), not on the worker that runs it.  An error is the one a
-    serial run of the configs in turn, each over its paths in order, would
-    raise: the first config's that cannot be planned or whose path
-    overflows, that of its first overflowing path.
+    chunks, one per worker (`_workers`), the calling thread the first, and
+    each chunk is one call of the compiled `chunk_outages`, which jumps its
+    PCG64 from the seed's state to each path's block, so paths may come in
+    any order and a path's counts depend only on (seed, path index), not on
+    the worker that runs it.  An error is the one a serial run of the
+    configs in turn, each over its paths in order, would raise: the first
+    config's that cannot be planned or whose path overflows, that of its
+    first overflowing path.
     """
     if len({cfg.seed for cfg in cfgs}) > 1:
         raise SimConfigError("the configs of a group must share their seed")
@@ -335,45 +342,36 @@ def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
 
 def _run_paths(cfgs: list[SimConfig], plans: list, paths, counts: np.ndarray,
                trips: np.ndarray) -> None:
-    """Fill counts and trips, rows by path, then by config, one
-    `path_outages` call per path, on `_workers` threads."""
+    """Fill counts and trips, rows by path, then by config: one
+    `chunk_outages` call per worker, over its contiguous chunk of the
+    paths, on `_workers` threads."""
     records, rates, fills, _ = zip(*plans)
     records, rates = np.array(records, dtype=np.int64), np.array(rates)
-    n, W = len(paths), _workers(len(paths), sum(cfg.slots for cfg in cfgs))
-    kernel = sched._kernel().path_outages  # built and loaded before any worker starts
-    # per worker, allocated here before any starts: its rows, PCG64, uniforms and workspace
-    jobs = [(range(n * w // W, n * (w + 1) // W), np.random.PCG64(cfgs[0].seed),
-             np.empty(max(fills)), _workspace(max(cfg.tmax for cfg in cfgs) + 1))
-            for w in range(W)]
-    failed = [None] * W  # per worker: an exception that stopped it
-    counts_at, trips_at = counts.ctypes.data, trips.ctypes.data
-
-    def work(w: int) -> None:
-        chunk, bits, u, c = jobs[w]
-        fill, drawn = np.random.Generator(bits).random, 0  # drawn: the stream's position
-        args = (u.ctypes.data, len(cfgs), records.ctypes.data, rates.ctypes.data, c.ctypes.data)
-        try:
-            for row in chunk:
-                i = int(paths[row])
-                bits.advance(((i << 64) - drawn) % (1 << 128))
-                fill(out=u)
-                drawn = (i << 64) + u.size
-                kernel(*args, counts_at + counts.strides[0] * row,
-                       trips_at + trips.strides[0] * row)
-        except Exception as exc:  # re-raised by the caller
-            failed[w] = exc
-
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, W)]
+    index = np.array(paths, dtype=np.uint64)
+    n, W = index.size, _workers(index.size, sum(cfg.slots for cfg in cfgs))
+    # the seed's PCG64 as numpy seeds it, whose blocks the kernel draws
+    bits = np.random.PCG64(cfgs[0].seed).state["state"]
+    seed = np.array(divmod(bits["state"], 1 << 64) + divmod(bits["inc"], 1 << 64), dtype=np.uint64)
+    kernel = sched._kernel().chunk_outages  # built and loaded before any worker starts
+    # per worker, allocated here before any starts: its uniforms and workspace
+    buffers = [(np.empty(max(fills)), _workspace(max(cfg.tmax for cfg in cfgs) + 1))
+               for _ in range(W)]
+    calls = []
+    for w, (u, c) in enumerate(buffers):
+        lo, hi = n * w // W, n * (w + 1) // W
+        calls.append((seed.ctypes.data, index.ctypes.data + index.strides[0] * lo, hi - lo,
+                      u.ctypes.data, u.size, len(cfgs), records.ctypes.data, rates.ctypes.data,
+                      c.ctypes.data, counts.ctypes.data + counts.strides[0] * lo,
+                      trips.ctypes.data + trips.strides[0] * lo))
+    # ctypes releases the GIL for the call: the workers run side by side
+    threads = [threading.Thread(target=kernel, args=call) for call in calls[1:]]
     for t in threads:
         t.start()
     try:
-        work(0)
+        kernel(*calls[0])
     finally:
         for t in threads:
             t.join()
-    for exc in failed:
-        if exc is not None:
-            raise exc
 
 
 def _workspace(n: int) -> np.ndarray:

@@ -53,8 +53,9 @@ def binomial_quantiles(u, L, A):
 
 
 def fresh_demand_uniforms(cfgs, paths):
-    """The first cfgs[0].slots uniforms of the buffer of each kernel call
-    of the group cfgs over paths, read where the kernel is handed them."""
+    """The first cfgs[0].slots uniforms of the buffer of each path of the
+    group cfgs over paths, read where the kernel is handed them: each chunk
+    call runs as one call per path of its chunk, in order."""
     lib, seen = sched._kernel(), []
 
     class Spy:
@@ -62,9 +63,11 @@ def fresh_demand_uniforms(cfgs, paths):
             return getattr(lib, name)
 
         @staticmethod
-        def path_outages(u, *rest):
-            seen.append(np.array((ctypes.c_double * cfgs[0].slots).from_address(u)))
-            return lib.path_outages(u, *rest)
+        def chunk_outages(seed, paths, n, u, fill, K, config, rate, c, outages, tripped):
+            for j in range(n):
+                lib.chunk_outages(seed, paths + 8 * j, 1, u, fill, K, config, rate, c,
+                                  outages + 24 * K * j, tripped + 8 * K * j)
+                seen.append(np.array((ctypes.c_double * cfgs[0].slots).from_address(u)))
 
     real, sched._kernel = sched._kernel, Spy
     try:
@@ -72,6 +75,27 @@ def fresh_demand_uniforms(cfgs, paths):
     finally:
         sched._kernel = real
     return np.array(seen)
+
+
+def chunk_outages(seed, paths, fill, cfgs=()):
+    """(u, counts, trips) of one chunk_outages call over the path indices
+    `paths` under the group cfgs of `seed`, from the words of numpy's PCG64
+    state: u holds the last path's uniforms, at least `fill` of them."""
+    state = np.random.PCG64(seed).state["state"]
+    words = np.array([state["state"] >> 64, state["state"] % 2**64, state["inc"] >> 64,
+                      state["inc"] % 2**64], dtype=np.uint64)
+    index = np.array(paths, dtype=np.uint64)
+    plans = [sim._plan(cfg, poisson_table) for cfg in cfgs]
+    fill = max([fill] + [plan[2] for plan in plans])
+    records = np.array([plan[0] for plan in plans], dtype=np.int64)
+    rates = np.array([plan[1] for plan in plans], dtype=float)
+    u, c = np.empty(fill), np.empty(1 + max((cfg.tmax for cfg in cfgs), default=0), np.int64)
+    counts = np.zeros((index.size, len(cfgs), 3), dtype=np.int64)
+    trips = np.zeros((index.size, len(cfgs)), dtype=np.int64)
+    sched._kernel().chunk_outages(words.ctypes.data, index.ctypes.data, index.size, u.ctypes.data,
+                                  fill, len(cfgs), records.ctypes.data, rates.ctypes.data,
+                                  c.ctypes.data, counts.ctypes.data, trips.ctypes.data)
+    return u, counts, trips
 
 
 def reactive_cfg(C=4, slots=1100, **kw):
@@ -625,6 +649,27 @@ class TestSeeding:
         assert np.array_equal(sim.path_rng(seed, index).random(5),
                               np.random.Generator(bits).random(5))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 10**6) | st.integers(2**63, 2**63 + 10**6),
+           st.integers(0, 3000))
+    def test_kernel_fill_is_the_path_stream(self, seed, index, n):
+        # the kernel's own PCG64, from the seed's state words, draws numpy's doubles
+        u, _, _ = chunk_outages(seed, [index], n)
+        assert u.size == n
+        assert np.array_equal(u, sim.path_rng(seed, index).random(n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1),
+           st.lists(st.integers(0, 5) | st.just(2**63), min_size=1, max_size=8))
+    def test_a_chunk_in_any_order_reads_each_paths_block(self, seed, order):
+        # with repeats: each path jumps from the seed state, not from the one before
+        cfg = reactive_cfg(C=2, rate=1.5, regime=None, seed=seed, slots=300)
+        u, counts, trips = chunk_outages(seed, order, cfg.slots, [cfg])
+        assert not trips.any()
+        assert np.array_equal(u, sim.path_rng(seed, order[-1]).random(cfg.slots))
+        for row, i in zip(counts, order):
+            assert np.array_equal(row, sim._outage_counts([cfg], [i])[0])
+
     @pytest.mark.filterwarnings("ignore:offered load")
     @settings(max_examples=60, deadline=None)
     @given(path_configs(), st.integers(2, 4), st.integers(1, 3))
@@ -649,6 +694,12 @@ class TestSeeding:
         assert {cls: e.per_path_values[index] for cls, e in est.items()} == {
             cls: v / counted for cls, v in got.items()}
 
+    def test_run_path_index_counts_modulo_the_blocks(self):
+        # as path_rng's: the seed's stream holds 2**64 blocks
+        cfg = reactive_cfg(C=2, rate=1.5, regime=None, slots=300)
+        assert run_path(cfg, -1).outage_slots == reference_counts(cfg, -1)
+        assert run_path(cfg, 2**64 + 3) == run_path(cfg, 3)
+
     def test_paths_in_any_order_read_their_own_blocks(self, monkeypatch):
         cfg = reactive_cfg(C=2, rate=1.5, regime=None)
         rows = sim._outage_counts([cfg], range(6))[:, 0]
@@ -663,7 +714,7 @@ class TestSeeding:
         assert rows[:, 0].all()
         for order in ([5, 4, 3, 2, 1, 0], [3, 3, 0, 0, 5, 5], [2, 2, 1, 1], [5, 0, 3], [4]):
             assert np.array_equal(sim._outage_counts([cfg], order)[:, 0], rows[order])
-        assert sim._workers(6, cfg.slots) == 3
+        assert sim._workers(6, cfg.slots) == 4
 
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_multicast_windows_and_pi2_see_the_same_fresh_demand_uniforms(self, seed):
@@ -694,9 +745,10 @@ class TestWorkers:
     def test_workers_per_estimate(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         assert sim._workers(20, 1000) == 1  # one canned-figure capacity stays serial
-        assert sim._workers(20, 5 * 1000) == 1  # and so does a one-curve figure
-        assert sim._workers(100, 1000) == 1  # and simulate's default estimate
-        assert sim._workers(20, 10 * 1000) == 2  # a figure of two curves runs on both CPUs
+        assert sim._workers(20, 5 * 1000) == 2  # a one-curve figure runs on both CPUs
+        assert sim._workers(100, 1000) == 2  # and so does simulate's default estimate
+        assert sim._workers(1000, 1000) == 2
+        assert sim._workers(20, 10 * 1000) == 2  # and a figure of two curves
         assert sim._workers(8, 20000) == 2
         assert sim._workers(16, 2 * sim._SLOTS_PER_WORKER // 16) == 2
         assert sim._workers(16, 2 * sim._SLOTS_PER_WORKER // 16 - 1) == 1
@@ -751,9 +803,9 @@ class TestWorkers:
                 return getattr(lib, name)
 
             @staticmethod
-            def path_outages(u, K, config, rate, c, *rest):
+            def chunk_outages(seed, paths, n, u, fill, K, config, rate, c, *rest):
                 handed.add(c)
-                return lib.path_outages(u, K, config, rate, c, *rest)
+                return lib.chunk_outages(seed, paths, n, u, fill, K, config, rate, c, *rest)
 
         monkeypatch.setattr(sched, "_kernel", Spy)
         cfg = SimConfig(C=4, slots=40000, seed=3, warmup=100, policy="edf",
@@ -762,6 +814,35 @@ class TestWorkers:
         sim._outage_counts([cfg], range(8))
         assert len(made) == 4 and all(c.size == 6 for c in made)
         assert handed == {c.ctypes.data for c in made}
+
+    @pytest.mark.parametrize("cpus, n, slots, W", [(2, 1000, 1000, 2), (2, 100, 1000, 2),
+                                                   (4, 7, 10000, 4), (4, 20, 1000, 1)])
+    def test_one_kernel_call_per_worker(self, cpus, n, slots, W, monkeypatch):
+        # each worker hands its whole chunk, contiguous paths, to one C call
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = reactive_cfg(C=8, regime=Regime("linear", 0.8), slots=slots)
+        want = sim._outage_counts([cfg], range(n))
+        assert sim._workers(n, cfg.slots) == W
+        lib, calls = sched._kernel(), []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(lib, name)
+
+            @staticmethod
+            def chunk_outages(seed, paths, count, *rest):
+                chunk = list((ctypes.c_uint64 * count).from_address(paths))
+                calls.append((threading.get_ident(), chunk))
+                return lib.chunk_outages(seed, paths, count, *rest)
+
+        monkeypatch.setattr(sched, "_kernel", Spy)
+        assert np.array_equal(sim._outage_counts([cfg], range(n)), want)
+        assert len(calls) == W
+        assert [ident for ident, _ in calls].count(threading.get_ident()) == 1
+        chunks = sorted(chunk for _, chunk in calls)
+        assert all(chunk == list(range(chunk[0], chunk[0] + len(chunk))) for chunk in chunks)
+        assert sum(chunks, []) == list(range(n))  # disjoint, and covering the paths
+        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
 
     @pytest.mark.parametrize("order", [range(5), [4, 3, 2, 1, 0], [0, 0, 2, 1, 4]])
     def test_overflow_in_any_worker_raises_the_serial_error(self, order, monkeypatch):
@@ -830,17 +911,17 @@ class TestGroups:
                     cls: v / counted for cls, v in got.items()}
 
     def test_threaded_group_is_its_configs_alone(self, monkeypatch):
-        # 5 paths of 95 000 slots summed over the group: 4 workers, where
+        # 5 paths of 19 000 slots summed over the group: 4 workers, where
         # each config alone would run on fewer
         four_cpus(monkeypatch)
         common = dict(C=4, seed=9, warmup=100)
         cfgs = [
-            SimConfig(**common, slots=30000, policy="reactive", regime=Regime("linear", 0.8)),
-            SimConfig(**common, slots=20000, policy="edf", regime=Regime("linear", 0.8),
+            SimConfig(**common, slots=6000, policy="reactive", regime=Regime("linear", 0.8)),
+            SimConfig(**common, slots=4000, policy="edf", regime=Regime("linear", 0.8),
                       law=LookaheadLaw.binomial(5, 0.5)),
-            SimConfig(**common, slots=25000, policy="pi2", regime=Regime("linear", 0.05),
+            SimConfig(**common, slots=5000, policy="pi2", regime=Regime("linear", 0.05),
                       law=LookaheadLaw.deterministic(1), multicast=MulticastSpec(0.9, 15.0)),
-            SimConfig(**common, slots=20000, policy="dynamic", f=0.3,
+            SimConfig(**common, slots=4000, policy="dynamic", f=0.3,
                       regime=Regime("linear", 0.6), secondary=Regime("linear", 0.1),
                       law=LookaheadLaw.deterministic(2)),
         ]

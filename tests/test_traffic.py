@@ -3,6 +3,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proactivenet import analytic as an
 from proactivenet import sched
@@ -373,3 +375,15 @@ class TestBinomialTables:
             (1020, 0.49), (1040, 0.49), (2000, 0.5), (10**5, 0.01)]
         # fig-multicast's largest, L = 120
         assert tr.binomial_table(120, tr.MulticastSpec(0.9, 15.0).source_prob())[1].size == 3123
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2500),
+           st.floats(0.0, 1.0) | st.sampled_from([1e-300, 1e-12, 0.058, 0.49, 1 - 1e-12]),
+           st.integers(0, 10**6))
+    def test_the_quick_refusal_refuses_only_tables_over_the_cap(self, L, A, cap):
+        # binomial_least, with which the sizing refuses in O(L), is at most
+        # the tables' size: a config whose tables fit is never refused
+        lib = sched._kernel()
+        size = lib.binomial_table(L, A, 2**62, None, None, None)
+        assert L + 1 <= lib.binomial_least(L, A) <= size
+        assert (lib.binomial_table(L, A, cap, None, None, None) > cap) == (size > cap)
