@@ -16,12 +16,18 @@
  *   each config of a group, each config through a copy of the slot loop
  *   compiled for its policy shape, with no per-slot policy test.
  *
- * chunk_outages: path_outages over a worker thread's chunk of paths, in one
- *   call that holds no GIL.  It fills each path's uniforms itself, bit for
- *   bit as numpy draws them: a copy of numpy's PCG64 (128-bit LCG, numpy's
- *   multiplier, XSL-RR output, each double (next64 >> 11) * 2**-53), started
- *   from the state and increment numpy seeds for the seed and jumped to the
- *   path's block of 2**64 draws, as sim.path_rng(seed, i).random draws it.
+ * group_open, group_run, group_close: path_outages over a group's paths on
+ *   W workers, W - 1 of them helper threads that never take the GIL.
+ *   group_open starts the helpers before the group is planned, so that
+ *   they wake while it is; each waits on its group's go flag, spinning for
+ *   SPIN_NS before it sleeps.  group_run publishes the group, and every
+ *   worker, the calling thread among them, claims its paths one at a time
+ *   and fills each path's uniforms itself, bit for bit as numpy draws
+ *   them: a copy of numpy's PCG64 (128-bit LCG, numpy's multiplier, XSL-RR
+ *   output, each double (next64 >> 11) * 2**-53), started from the state
+ *   and increment numpy seeds for the seed and jumped to the path's block
+ *   of 2**64 draws, as sim.path_rng(seed, i).random draws it.  A path's
+ *   counts so depend on (seed, path index) alone, not on its worker.
  *
  * Each count is a uniform inverted through a cdf window and its guide table
  * (invert).  poisson_cdf builds a Poisson stream's, for
@@ -34,13 +40,23 @@
  * the tables' entries found in O(L).
  * binomial_invert: either draw, for the tests.
  *
- * sched compiles this file with `cc -O2 -shared -fPIC` on first use and
- * loads it through ctypes.
+ * sched compiles this file with `cc -O2 -shared -fPIC -pthread` on first
+ * use and loads it through ctypes.
  */
 
+/* POSIX 2008 (sigset_t, clock_gettime, posix_memalign), also under -std=c99 */
+#define _POSIX_C_SOURCE 200809L
+
 #include <math.h>
+#include <pthread.h>
+#include <signal.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <time.h>
+#if !defined(__x86_64__)
+#include <sched.h>
+#endif
 
 /* One slot, once its arrivals are in c[0..T] (total pending in all): the
  * primary is served, then q secondary requests (with `secondary`) from the
@@ -173,18 +189,32 @@ static int64_t binomial(double x, int64_t n, double A, double r, double p0)
     return k;
 }
 
-/* A lower bound on the entries of binomial_table(L, A, ...), found in O(L):
- * each row takes at least one, and a row whose walk starts at count 0
- * ((1 - A)^n >= 1e-300, surely so where n ln(1 - A) >= -690) at least
- * min(floor((n + 1) A), n) + 1: up to that mode the pmf rises, so each p is
- * at least 1/(k + 1) of the sum and still moves it. */
-int64_t binomial_least(int64_t L, double A)
+/* A lower bound on the entries of binomial_table(L, A, ...), found in O(L).
+ * Each row takes at least one.  A row n whose walk starts at count 0
+ * ((1 - A)^n >= 1e-300, surely so where n ln(1 - A) >= -690) runs on until
+ * its p no longer moves the sum, and a p of pmf >= 2**-52 still moves it
+ * (the sum stays below 2).  With a = (n + 1) A, b = (n + 1)(1 - A) and
+ * M = floor(a), a mode: Chebyshev's inequality puts 3/4 of the mass within
+ * two standard deviations s of the mean, on at most 4 s + 1 counts, and
+ * s**2 = n A (1 - A) <= -n ln(1 - A) <= 690, so pmf(M) >= 3/4 / (4 s + 1)
+ * >= e**d 2**-52 below; past the mode, step x multiplies the pmf by at
+ * least (1 - x/b) / (1 + x/a), so for j <= b/2,
+ * ln pmf(M + j) >= ln pmf(M) - j (j + 1) / 2 (1/a + 2/b).  So the walk
+ * passes M + j where j (j + 1) / 2 (1/a + 2/b) <= d, and the row takes at
+ * least min(M + j + 1, n) + 1 entries.  Stops counting once the count
+ * exceeds cap. */
+int64_t binomial_least(int64_t L, double A, int64_t cap)
 {
-    int64_t at = L + 1;
     const double lq = -log1p(-A);
-    for (int64_t n = 0; A < 1.0 && n <= L && (double)n * lq <= 690.0; n++) {
-        const int64_t mode = (int64_t)((double)(n + 1) * A);
-        at += mode < n ? mode : n;
+    const double d = 52.0 * log(2.0) + log(0.75) - log(4.0 * sqrt(690.0) + 1.0);
+    int64_t at = L + 1;
+    for (int64_t n = 0; A < 1.0 && n <= L && (double)n * lq <= 690.0 && at <= cap; n++) {
+        const double a = (double)(n + 1) * A, b = (double)(n + 1) * (1.0 - A);
+        int64_t j = (int64_t)((sqrt(1.0 + 8.0 * d * a * b / (b + 2.0 * a)) - 1.0) / 2.0);
+        if (j > (int64_t)(b / 2.0))
+            j = (int64_t)(b / 2.0);
+        const int64_t past = (int64_t)a + j + 1;
+        at += past < n ? past : n;
     }
     return at;
 }
@@ -202,7 +232,7 @@ int64_t binomial_table(int64_t L, double A, int64_t cap, double *F, int64_t *g, 
 {
     const double r = A / (1.0 - A), lq = log1p(-A);
     if (!F) {  /* refused in O(L) where the bound suffices */
-        const int64_t least = binomial_least(L, A);
+        const int64_t least = binomial_least(L, A, cap);
         if (least > cap)
             return least;
     }
@@ -401,33 +431,40 @@ void path_outages(const double *u, int64_t K, const int64_t *config, const doubl
 __extension__ typedef unsigned __int128 u128;
 #define PCG_MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
 
-/* A worker thread's chunk of sim's paths in one call: path_outages under
- * the K configs of a group for each of the n path indices paths[0..n-1],
- * in any order, repeats allowed, each path jumped to from the seed state.
+/* A group of sim's paths: path_outages under the K configs of a group for
+ * each of the n path indices paths[0..n-1], in any order, repeats allowed,
+ * each path jumped to from the seed state.
  * seed:      the state and increment of the seed's PCG64, as numpy seeds it,
  *            high words first: (state >> 64, state mod 2**64, inc >> 64,
  *            inc mod 2**64);
- * u:         fill doubles, overwritten with each path's uniforms: path i is
- *            the block of 2**64 draws from the seed state's i * 2**64-th,
- *            reached by the LCG's jump (Brown, "Random number generation
- *            with arbitrary strides"), each uniform (next64 >> 11) * 2**-53
- *            as numpy's Generator.random draws it;
- * c:         the workspace of path_outages;
+ * u[w]:      worker w's fill doubles, overwritten with each of its paths'
+ *            uniforms: path i is the block of 2**64 draws from the seed
+ *            state's i * 2**64-th, reached by the LCG's jump (Brown, "Random
+ *            number generation with arbitrary strides"), each uniform
+ *            (next64 >> 11) * 2**-53 as numpy's Generator.random draws it;
+ * c[w]:      worker w's workspace of path_outages;
  * outages, tripped: n rows of path_outages' K counters and K trip slots,
  *            row j for paths[j]. */
-void chunk_outages(const uint64_t *seed, const uint64_t *paths, int64_t n, double *u, int64_t fill,
-                   int64_t K, const int64_t *config, const double *rate, int64_t *c,
-                   int64_t *outages, int64_t *tripped)
+struct job {
+    u128 state, inc, block, plus;  /* block, plus: the LCG's step of 2**64 draws */
+    const uint64_t *paths;
+    int64_t n, fill, K;
+    double *const *u;
+    int64_t *const *c;
+    const int64_t *config;
+    const double *rate;
+    int64_t *outages, *tripped;
+};
+
+/* Worker w's share of the job: it claims the next unserved path from *next
+ * until none is left, fills the path's uniforms and serves it. */
+static void serve_claims(const struct job *job, int64_t *next, int64_t w)
 {
-    const u128 state = (u128)seed[0] << 64 | seed[1], inc = (u128)seed[2] << 64 | seed[3];
-    u128 block = PCG_MULT, plus = inc;  /* the LCG's step of 2**64 draws */
-    for (int b = 0; b < 64; b++) {
-        plus *= block + 1;
-        block *= block;
-    }
-    for (int64_t j = 0; j < n; j++) {
-        u128 am = 1, ap = 0, m = block, p = plus;
-        for (uint64_t i = paths[j]; i; i >>= 1) {
+    double *u = job->u[w];
+    const int64_t K = job->K;
+    for (int64_t j; (j = __atomic_fetch_add(next, 1, __ATOMIC_RELAXED)) < job->n;) {
+        u128 am = 1, ap = 0, m = job->block, p = job->plus;
+        for (uint64_t i = job->paths[j]; i; i >>= 1) {
             if (i & 1) {
                 am *= m;
                 ap = ap * m + p;
@@ -435,15 +472,159 @@ void chunk_outages(const uint64_t *seed, const uint64_t *paths, int64_t n, doubl
             p *= m + 1;
             m *= m;
         }
-        u128 s = am * state + ap;
-        for (int64_t k = 0; k < fill; k++) {
-            s = s * PCG_MULT + inc;
+        u128 s = am * job->state + ap;
+        for (int64_t k = 0; k < job->fill; k++) {
+            s = s * PCG_MULT + job->inc;
             const uint64_t x = (uint64_t)(s >> 64) ^ (uint64_t)s;
             const unsigned rot = (unsigned)(s >> 122);
             u[k] = (double)((x >> rot | x << (-rot & 63)) >> 11) * (1.0 / 9007199254740992.0);
         }
-        path_outages(u, K, config, rate, c, outages + 3 * K * j, tripped + K * j);
+        path_outages(u, K, job->config, job->rate, job->c[w], job->outages + 3 * K * j,
+                     job->tripped + K * j);
     }
+}
+
+/* A helper waits this long for its group with the pause hint before it
+ * sleeps on the group's condition variable.  A canned figure's group plans
+ * for 0.2-0.6 ms, and a thread asleep on an idle vCPU of a 2-vCPU KVM guest
+ * takes ~200 us to wake; a group that plans for longer pays that wake, and
+ * a helper spends at most SPIN_NS of CPU waiting. */
+#define SPIN_NS 2000000
+#define BLOCK 128  /* the pair of cache lines adjacent-line prefetch fetches */
+
+enum { WAIT, RUN, QUIT };
+
+/* The go flag and the claim counter each own a 128-byte block, so that the
+ * spinning helpers' reads and the per-path claims touch nothing else. */
+struct group {
+    union { int go; char pad[BLOCK]; } flag;
+    union { int64_t next; char pad[BLOCK]; } claim;
+    struct job job;
+    pthread_mutex_t lock;
+    pthread_cond_t wake;
+    int64_t helpers;  /* started and not yet joined */
+    struct helper { pthread_t id; struct group *group; int64_t w; } helper[];
+};
+
+static inline void relax(void)
+{
+#if defined(__x86_64__)
+    __builtin_ia32_pause();
+#else
+    sched_yield();
+#endif
+}
+
+static void *helper_main(void *arg)
+{
+    const struct helper *h = arg;
+    struct group *g = h->group;
+    struct timespec t0, t;
+    int go;
+    clock_gettime(CLOCK_MONOTONIC, &t0);
+    for (int64_t i = 1; !(go = __atomic_load_n(&g->flag.go, __ATOMIC_ACQUIRE)); i++) {
+        relax();
+        if (i % 64 == 0) {
+            clock_gettime(CLOCK_MONOTONIC, &t);
+            if ((t.tv_sec - t0.tv_sec) * 1000000000LL + (t.tv_nsec - t0.tv_nsec) > SPIN_NS)
+                break;
+        }
+    }
+    if (!go) {
+        pthread_mutex_lock(&g->lock);
+        while (!(go = __atomic_load_n(&g->flag.go, __ATOMIC_ACQUIRE)))
+            pthread_cond_wait(&g->wake, &g->lock);
+        pthread_mutex_unlock(&g->lock);
+    }
+    if (go == RUN)
+        serve_claims(&g->job, &g->claim.next, h->w);
+    return NULL;
+}
+
+static void release(struct group *g, int go)
+{
+    pthread_mutex_lock(&g->lock);
+    __atomic_store_n(&g->flag.go, go, __ATOMIC_RELEASE);
+    pthread_cond_broadcast(&g->wake);
+    pthread_mutex_unlock(&g->lock);
+}
+
+/* A group of 1 + helpers workers, its helpers started and waiting; NULL for
+ * none, when the calling thread serves every path alone.  The helpers block
+ * every signal, so that a signal to the process lands on the calling
+ * thread.  A helper that cannot be started leaves fewer workers, which
+ * changes no count. */
+struct group *group_open(int64_t helpers)
+{
+    struct group *g;
+    if (helpers < 1 || posix_memalign((void **)&g, BLOCK,
+                                      sizeof *g + (size_t)helpers * sizeof *g->helper))
+        return NULL;
+    g->flag.go = WAIT;
+    g->claim.next = 0;
+    g->helpers = 0;
+    pthread_mutex_init(&g->lock, NULL);
+    pthread_cond_init(&g->wake, NULL);
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    for (struct helper *h = g->helper; g->helpers < helpers; h++, g->helpers++) {
+        h->group = g;
+        h->w = 1 + g->helpers;
+        if (pthread_create(&h->id, NULL, helper_main, h))
+            break;
+    }
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    return g;
+}
+
+static void join(struct group *g)
+{
+    for (int64_t w = 0; w < g->helpers; w++)
+        pthread_join(g->helper[w].id, NULL);
+    g->helpers = 0;
+}
+
+/* Serves the job (struct job) on the group g's workers, the calling thread
+ * worker 0, and returns once every path is served and the helpers joined;
+ * with g NULL, on the calling thread alone.  u and c hold a pointer per
+ * worker.  A group runs once. */
+void group_run(struct group *g, const uint64_t *seed, const uint64_t *paths, int64_t n,
+               double *const *u, int64_t fill, int64_t K, const int64_t *config,
+               const double *rate, int64_t *const *c, int64_t *outages, int64_t *tripped)
+{
+    struct job job = {.state = (u128)seed[0] << 64 | seed[1], .inc = (u128)seed[2] << 64 | seed[3],
+                      .block = PCG_MULT, .paths = paths, .n = n, .fill = fill, .K = K, .u = u,
+                      .c = c, .config = config, .rate = rate, .outages = outages,
+                      .tripped = tripped};
+    job.plus = job.inc;
+    for (int b = 0; b < 64; b++) {
+        job.plus *= job.block + 1;
+        job.block *= job.block;
+    }
+    int64_t next = 0;
+    if (!g) {
+        serve_claims(&job, &next, 0);
+        return;
+    }
+    g->job = job;
+    release(g, RUN);
+    serve_claims(&g->job, &g->claim.next, 0);
+    join(g);
+}
+
+/* Joins the group's helpers, releasing them first if the group never ran,
+ * and frees it. */
+void group_close(struct group *g)
+{
+    if (!g)
+        return;
+    if (__atomic_load_n(&g->flag.go, __ATOMIC_RELAXED) == WAIT)
+        release(g, QUIT);
+    join(g);
+    pthread_cond_destroy(&g->wake);
+    pthread_mutex_destroy(&g->lock);
+    free(g);
 }
 
 /* F[j] = P(X <= lo + j), j < m, for X ~ Poisson(mu), mu >= 0, over a window

@@ -6,8 +6,10 @@ slot).  Each slot, arrivals land, service is applied, requests still at
 residual 0 expire, and residual deadlines drop by one.  The slot is one C
 function of `_kernel.c`, compiled with `cc` on first use and cached next to
 this module: `serve_path` runs it over arrival matrices, `sim` over arrivals
-drawn from a path's uniforms, a worker thread's whole chunk of paths in one
-call that draws each path's uniforms as numpy's PCG64 does and holds no GIL.
+drawn from a path's uniforms, a whole group of paths in one call whose
+workers, the calling thread and helper threads started in C that never take
+the GIL, claim the paths one at a time and draw each path's uniforms as
+numpy's PCG64 does.
 The library also fills the cdf and guide tables through which `sim` inverts
 each count: `traffic.poisson_table` for a Poisson stream, and
 `traffic.binomial_table`, one per idle count, for a multicast fresh demand,
@@ -46,7 +48,7 @@ BACKLOG_OVERFLOW = 10**9
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 # fixed flags: no -march=native or -ffast-math, so results match across machines
-_CC = ("cc", "-O2", "-shared", "-fPIC")
+_CC = ("cc", "-O2", "-shared", "-fPIC", "-pthread")
 _lib = None  # the compiled kernels, loaded by the first simulation
 
 
@@ -107,15 +109,18 @@ def _kernel() -> ctypes.CDLL:
         i64, dbl, ptr, flag = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int
         lib.serve_path.argtypes = [ptr, ptr, dbl, i64, i64, i64, i64, dbl, ptr, flag, i64, ptr, ptr]
         lib.path_outages.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr]
-        lib.chunk_outages.argtypes = [ptr, ptr, i64, ptr, i64, i64, ptr, ptr, ptr, ptr, ptr]
+        lib.group_open.argtypes = [i64]
+        lib.group_open.restype = ptr
+        lib.group_run.argtypes = [ptr, ptr, ptr, i64, ptr, i64, i64, ptr, ptr, ptr, ptr, ptr]
+        lib.group_close.argtypes = [ptr]
         lib.poisson_cdf.argtypes = [dbl, i64, i64, ptr, ptr]
         lib.binomial_table.argtypes = [i64, dbl, i64, ptr, ptr, ptr]
-        lib.binomial_least.argtypes = [i64, dbl]
+        lib.binomial_least.argtypes = [i64, dbl, i64]
         lib.binomial_start.argtypes = [i64, dbl, ptr]
         lib.binomial_invert.argtypes = [ptr, i64, i64, dbl, ptr, ptr]
         lib.serve_path.restype = lib.binomial_table.restype = lib.binomial_least.restype = i64
-        for fn in (lib.path_outages, lib.chunk_outages, lib.poisson_cdf, lib.binomial_start,
-                   lib.binomial_invert):
+        for fn in (lib.path_outages, lib.group_run, lib.group_close, lib.poisson_cdf,
+                   lib.binomial_start, lib.binomial_invert):
             fn.restype = None
         _lib = lib
     return _lib

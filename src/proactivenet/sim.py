@@ -8,15 +8,16 @@ each slot's arrivals and serves them by the rules of `sched.serve_path`.  A
 slot is an outage for a class iff at least one request of that class
 expires in it; the per-path outage ratio divides by all post-warmup slots.
 Estimates average path ratios and report the standard error across paths;
-the paths of a large group run on up to min(usable CPUs, paths) threads,
-each thread's contiguous chunk of paths in one call of the compiled
-`chunk_outages`, which holds no GIL.
+the paths of a large group run on up to min(usable CPUs, paths) workers in
+one call of the compiled `group_run`: the calling thread and helper threads
+started in C before the group is planned, which never take the GIL, claim
+the paths one at a time.
 
 Path i of a seed is the i-th block of 2**64 draws of the seed's one PCG64
 stream (`path_rng`), so it sees the same randomness however many paths run.
-`chunk_outages` draws it with its own copy of numpy's PCG64, from the
-state numpy seeds for the seed (`SeedSequence`), jumped to the block: the
-same doubles as `path_rng(seed, i).random`.
+`group_run` draws it with its own copy of numpy's PCG64, from the state
+numpy seeds for the seed (`SeedSequence`), jumped to the block: the same
+doubles as `path_rng(seed, i).random`.
 A path draws in a fixed order (`_streams`, layout `DRAW_LAYOUT`): for the
 multicast policies one uniform per slot, its fresh demand Binomial(idle, A)
 by inversion; then one Poisson stream per unicast look-ahead column
@@ -34,7 +35,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 import warnings
 from dataclasses import dataclass, replace
 
@@ -64,17 +64,18 @@ POLICIES = (REACTIVE, EDF, SELFISH, DYNAMIC, MULTICAST, PI2)
 
 DRAW_LAYOUT = 3  # the order of a path's draws (module docstring), as manifests record it
 
-# A split costs a thread start and join: each worker's chunk is one C call
-# that holds no GIL.  On a 2-vCPU KVM Xeon (Python 3.11, gcc 12), serial
-# against two workers in process: reactive paths (the cheapest slot) broke
-# even at 2**15 path-slots (16 x 2048 slots: 213 us serial, 206 us split;
-# 20 x 1000: 149 against 175), and gained beyond (100 x 1000, simulate's
-# default estimate: 555 against 379 us; 1000 x 1000: 5.1 against 2.7 ms);
-# dearer slots gain sooner (20 selfish paths x 1000 slots: 278 against
-# 241 us).  So a worker takes at least 2**14 path-slots, summed over a
-# group's configs: every canned figure group and sweep runs on both CPUs,
-# a single canned capacity (20 x 1000) in the calling thread alone.
-_SLOTS_PER_WORKER = 1 << 14
+# A split costs a helper's wake, which overlaps the group's planning, and
+# its join.  On a 2-vCPU KVM Xeon (Python 3.11, gcc 12), each call after a
+# 1 ms busy-wait (the other vCPU idle, as between groups), serial against
+# two workers in process: reactive paths (the cheapest slot) broke even at
+# about 26 000 path-slots (26 x 1000 slots: 194 us serial, 195 split; 22 x
+# 1000: 174 against 181; 28 x 1000: 203 against 199) and gained beyond (100
+# x 1000, simulate's default estimate: 570 against 388 us; 1000 x 1000: 5.2
+# against 2.8 ms); dearer slots gain sooner (20 selfish paths x 1000 slots:
+# 256 against 222 us).  So a worker takes at least 13 000 path-slots, summed
+# over a group's configs: every canned figure group and sweep runs on both
+# CPUs, a single canned capacity (20 x 1000) in the calling thread alone.
+_SLOTS_PER_WORKER = 13_000
 # Each worker's workspace c, written every slot, owns its 128-byte block
 # (`_workspace`): with two workspaces 48 bytes apart, the two workers of
 # fig5a's group (15 configs x 20 paths) took 4.2 ms instead of 2.3 ms there,
@@ -307,30 +308,38 @@ def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
 
     A path is one pass of the compiled `path_outages`, from its block's
     uniforms in a reused buffer, filled at the group's longest layout, to
-    its counters under every config.  The paths are split into contiguous
-    chunks, one per worker (`_workers`), the calling thread the first, and
-    each chunk is one call of the compiled `chunk_outages`, which jumps its
-    PCG64 from the seed's state to each path's block, so paths may come in
-    any order and a path's counts depend only on (seed, path index), not on
-    the worker that runs it.  An error is the one a serial run of the
-    configs in turn, each over its paths in order, would raise: the first
-    config's that cannot be planned or whose path overflows, that of its
-    first overflowing path.
+    its counters under every config.  The group runs on `_workers` workers:
+    the helpers start in C before the configs are planned, so that they
+    wake while the calling thread plans, and then every worker, the calling
+    thread the first, claims the paths one at a time in the compiled
+    `group_run`, which jumps its PCG64 from the seed's state to each path's
+    block, so paths may come in any order and a path's counts depend only
+    on (seed, path index), not on the worker that runs it.  The helpers are
+    joined before this returns or raises.  An error is the one a serial run
+    of the configs in turn, each over its paths in order, would raise: the
+    first config's that cannot be planned or whose path overflows, that of
+    its first overflowing path.
     """
     if len({cfg.seed for cfg in cfgs}) > 1:
         raise SimConfigError("the configs of a group must share their seed")
-    plans, error = [], None
-    table = functools.cache(poisson_table)  # streams of one mean share a table
-    idle_table = functools.cache(binomial_table)  # configs of one (L, A) share its tables
+    index = np.array(paths, dtype=np.uint64)
+    W, kernel = _workers(index.size, sum(cfg.slots for cfg in cfgs)), sched._kernel()
+    group = kernel.group_open(W - 1)  # None for W = 1
     try:
-        for cfg in cfgs:
-            plans.append(_plan(cfg, table, idle_table))
-    except (ValueError, PathOverflowError) as exc:  # raised once the configs before it ran
-        error = exc
-    counts = np.zeros((len(paths), len(plans), 3), dtype=np.int64)
-    trips = np.zeros((len(paths), len(plans)), dtype=np.int64)
-    if plans:
-        _run_paths(cfgs[:len(plans)], plans, paths, counts, trips)
+        plans, error = [], None
+        table = functools.cache(poisson_table)  # streams of one mean share a table
+        idle_table = functools.cache(binomial_table)  # configs of one (L, A) share its tables
+        try:
+            for cfg in cfgs:
+                plans.append(_plan(cfg, table, idle_table))
+        except (ValueError, PathOverflowError) as exc:  # raised once the configs before it ran
+            error = exc
+        counts = np.zeros((index.size, len(plans), 3), dtype=np.int64)
+        trips = np.zeros((index.size, len(plans)), dtype=np.int64)
+        if plans:
+            _run_paths(group, W, cfgs[:len(plans)], plans, index, counts, trips)
+    finally:
+        kernel.group_close(group)
     for k in range(len(plans)):
         rows = np.flatnonzero(trips[:, k])
         if rows.size:
@@ -340,38 +349,24 @@ def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
     return counts
 
 
-def _run_paths(cfgs: list[SimConfig], plans: list, paths, counts: np.ndarray,
-               trips: np.ndarray) -> None:
-    """Fill counts and trips, rows by path, then by config: one
-    `chunk_outages` call per worker, over its contiguous chunk of the
-    paths, on `_workers` threads."""
+def _run_paths(group, W: int, cfgs: list[SimConfig], plans: list, index: np.ndarray,
+               counts: np.ndarray, trips: np.ndarray) -> None:
+    """Fill counts and trips, rows by path, then by config, in one
+    `group_run` call on the group's W workers, each with its own uniforms
+    and workspace."""
     records, rates, fills, _ = zip(*plans)
     records, rates = np.array(records, dtype=np.int64), np.array(rates)
-    index = np.array(paths, dtype=np.uint64)
-    n, W = index.size, _workers(index.size, sum(cfg.slots for cfg in cfgs))
     # the seed's PCG64 as numpy seeds it, whose blocks the kernel draws
     bits = np.random.PCG64(cfgs[0].seed).state["state"]
     seed = np.array(divmod(bits["state"], 1 << 64) + divmod(bits["inc"], 1 << 64), dtype=np.uint64)
-    kernel = sched._kernel().chunk_outages  # built and loaded before any worker starts
-    # per worker, allocated here before any starts: its uniforms and workspace
-    buffers = [(np.empty(max(fills)), _workspace(max(cfg.tmax for cfg in cfgs) + 1))
-               for _ in range(W)]
-    calls = []
-    for w, (u, c) in enumerate(buffers):
-        lo, hi = n * w // W, n * (w + 1) // W
-        calls.append((seed.ctypes.data, index.ctypes.data + index.strides[0] * lo, hi - lo,
-                      u.ctypes.data, u.size, len(cfgs), records.ctypes.data, rates.ctypes.data,
-                      c.ctypes.data, counts.ctypes.data + counts.strides[0] * lo,
-                      trips.ctypes.data + trips.strides[0] * lo))
-    # ctypes releases the GIL for the call: the workers run side by side
-    threads = [threading.Thread(target=kernel, args=call) for call in calls[1:]]
-    for t in threads:
-        t.start()
-    try:
-        kernel(*calls[0])
-    finally:
-        for t in threads:
-            t.join()
+    u = [np.empty(max(fills)) for _ in range(W)]
+    c = [_workspace(max(cfg.tmax for cfg in cfgs) + 1) for _ in range(W)]
+    # the kernel reads each worker's buffer through these addresses
+    u_at, c_at = (np.array([a.ctypes.data for a in bufs], dtype=np.uintp) for bufs in (u, c))
+    sched._kernel().group_run(group, seed.ctypes.data, index.ctypes.data, index.size,
+                              u_at.ctypes.data, u[0].size, len(cfgs), records.ctypes.data,
+                              rates.ctypes.data, c_at.ctypes.data, counts.ctypes.data,
+                              trips.ctypes.data)
 
 
 def _workspace(n: int) -> np.ndarray:

@@ -2,8 +2,10 @@ import ctypes
 import math
 import os
 import re
+import signal
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +18,7 @@ from proactivenet import sched, sim
 from proactivenet.analytic import poisson_tail
 from proactivenet.sim import (
     OutageEstimate,
+    PathOverflowError,
     SimConfig,
     estimate_diversity,
     estimate_outage,
@@ -54,8 +57,8 @@ def binomial_quantiles(u, L, A):
 
 def fresh_demand_uniforms(cfgs, paths):
     """The first cfgs[0].slots uniforms of the buffer of each path of the
-    group cfgs over paths, read where the kernel is handed them: each chunk
-    call runs as one call per path of its chunk, in order."""
+    group cfgs over paths, read where the kernel is handed them: the group's
+    call runs as one call per path, in order, on the calling thread."""
     lib, seen = sched._kernel(), []
 
     class Spy:
@@ -63,11 +66,12 @@ def fresh_demand_uniforms(cfgs, paths):
             return getattr(lib, name)
 
         @staticmethod
-        def chunk_outages(seed, paths, n, u, fill, K, config, rate, c, outages, tripped):
+        def group_run(group, seed, paths, n, u, fill, K, config, rate, c, outages, tripped):
             for j in range(n):
-                lib.chunk_outages(seed, paths + 8 * j, 1, u, fill, K, config, rate, c,
-                                  outages + 24 * K * j, tripped + 8 * K * j)
-                seen.append(np.array((ctypes.c_double * cfgs[0].slots).from_address(u)))
+                lib.group_run(None, seed, paths + 8 * j, 1, u, fill, K, config, rate, c,
+                              outages + 24 * K * j, tripped + 8 * K * j)
+                first = ctypes.c_void_p.from_address(u).value  # worker 0's buffer
+                seen.append(np.array((ctypes.c_double * cfgs[0].slots).from_address(first)))
 
     real, sched._kernel = sched._kernel, Spy
     try:
@@ -77,10 +81,11 @@ def fresh_demand_uniforms(cfgs, paths):
     return np.array(seen)
 
 
-def chunk_outages(seed, paths, fill, cfgs=()):
-    """(u, counts, trips) of one chunk_outages call over the path indices
-    `paths` under the group cfgs of `seed`, from the words of numpy's PCG64
-    state: u holds the last path's uniforms, at least `fill` of them."""
+def serial_group(seed, paths, fill, cfgs=()):
+    """(u, counts, trips) of one group_run call on the calling thread alone
+    over the path indices `paths` under the group cfgs of `seed`, from the
+    words of numpy's PCG64 state: u holds the last path's uniforms, at least
+    `fill` of them."""
     state = np.random.PCG64(seed).state["state"]
     words = np.array([state["state"] >> 64, state["state"] % 2**64, state["inc"] >> 64,
                       state["inc"] % 2**64], dtype=np.uint64)
@@ -90,12 +95,19 @@ def chunk_outages(seed, paths, fill, cfgs=()):
     records = np.array([plan[0] for plan in plans], dtype=np.int64)
     rates = np.array([plan[1] for plan in plans], dtype=float)
     u, c = np.empty(fill), np.empty(1 + max((cfg.tmax for cfg in cfgs), default=0), np.int64)
+    u_at, c_at = np.array([u.ctypes.data], np.uintp), np.array([c.ctypes.data], np.uintp)
     counts = np.zeros((index.size, len(cfgs), 3), dtype=np.int64)
     trips = np.zeros((index.size, len(cfgs)), dtype=np.int64)
-    sched._kernel().chunk_outages(words.ctypes.data, index.ctypes.data, index.size, u.ctypes.data,
-                                  fill, len(cfgs), records.ctypes.data, rates.ctypes.data,
-                                  c.ctypes.data, counts.ctypes.data, trips.ctypes.data)
+    sched._kernel().group_run(None, words.ctypes.data, index.ctypes.data, index.size,
+                              u_at.ctypes.data, fill, len(cfgs), records.ctypes.data,
+                              rates.ctypes.data, c_at.ctypes.data, counts.ctypes.data,
+                              trips.ctypes.data)
     return u, counts, trips
+
+
+def tasks():
+    """The threads of this process, as the kernel lists them."""
+    return set(os.listdir("/proc/self/task"))
 
 
 def reactive_cfg(C=4, slots=1100, **kw):
@@ -654,7 +666,7 @@ class TestSeeding:
            st.integers(0, 3000))
     def test_kernel_fill_is_the_path_stream(self, seed, index, n):
         # the kernel's own PCG64, from the seed's state words, draws numpy's doubles
-        u, _, _ = chunk_outages(seed, [index], n)
+        u, _, _ = serial_group(seed, [index], n)
         assert u.size == n
         assert np.array_equal(u, sim.path_rng(seed, index).random(n))
 
@@ -664,7 +676,7 @@ class TestSeeding:
     def test_a_chunk_in_any_order_reads_each_paths_block(self, seed, order):
         # with repeats: each path jumps from the seed state, not from the one before
         cfg = reactive_cfg(C=2, rate=1.5, regime=None, seed=seed, slots=300)
-        u, counts, trips = chunk_outages(seed, order, cfg.slots, [cfg])
+        u, counts, trips = serial_group(seed, order, cfg.slots, [cfg])
         assert not trips.any()
         assert np.array_equal(u, sim.path_rng(seed, order[-1]).random(cfg.slots))
         for row, i in zip(counts, order):
@@ -706,8 +718,8 @@ class TestSeeding:
         assert rows[:, 0].any()
         for order in ([5, 0, 3], [2, 2, 1], [4]):
             assert np.array_equal(sim._outage_counts([cfg], order)[:, 0], rows[order])
-        # above the floor, each worker's chunk in any order, with repeats
-        # across chunks
+        # above the floor, claimed by several workers, in any order, with
+        # repeats
         four_cpus(monkeypatch)
         cfg = replace(cfg, slots=40000)
         rows = sim._outage_counts([cfg], range(6))[:, 0]
@@ -739,8 +751,9 @@ def four_cpus(monkeypatch):
 
 
 class TestWorkers:
-    """An estimate's paths split into contiguous chunks, one per worker
-    thread; a path's counts depend only on (seed, path index)."""
+    """A group's workers, the calling thread and helper threads started in
+    C before the group is planned, claim its paths one at a time; a path's
+    counts depend only on (seed, path index)."""
 
     def test_workers_per_estimate(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -750,6 +763,8 @@ class TestWorkers:
         assert sim._workers(1000, 1000) == 2
         assert sim._workers(20, 10 * 1000) == 2  # and a figure of two curves
         assert sim._workers(8, 20000) == 2
+        assert sim._workers(26, 1000) == 2  # the measured break-even
+        assert sim._workers(24, 1000) == 1
         assert sim._workers(16, 2 * sim._SLOTS_PER_WORKER // 16) == 2
         assert sim._workers(16, 2 * sim._SLOTS_PER_WORKER // 16 - 1) == 1
         assert sim._workers(1, 10**7) == 1
@@ -770,9 +785,9 @@ class TestWorkers:
         four_cpus(monkeypatch)
         cfg = SimConfig(C=4, slots=60000, seed=3, warmup=100, **kw)
         assert sim._workers(5, cfg.slots) == 4
-        threads = threading.active_count()
+        threads = tasks()
         est = estimate_outage(cfg, 5)
-        assert threading.active_count() == threads
+        assert tasks() == threads
         counted = cfg.slots - cfg.effective_warmup
         for i in range(5):
             got = run_path(cfg, i).outage_slots
@@ -796,16 +811,18 @@ class TestWorkers:
         four_cpus(monkeypatch)
         made, real_workspace = [], sim._workspace
         monkeypatch.setattr(sim, "_workspace", lambda n: made.append(real_workspace(n)) or made[-1])
-        lib, handed = sched._kernel(), set()
+        lib, handed = sched._kernel(), []
 
         class Spy:
             def __getattr__(self, name):
                 return getattr(lib, name)
 
             @staticmethod
-            def chunk_outages(seed, paths, n, u, fill, K, config, rate, c, *rest):
-                handed.add(c)
-                return lib.chunk_outages(seed, paths, n, u, fill, K, config, rate, c, *rest)
+            def group_run(group, seed, paths, n, u, fill, K, config, rate, c, *rest):
+                # u and c hold one address per worker
+                handed.append([list((ctypes.c_void_p * len(made)).from_address(at))
+                               for at in (u, c)])
+                return lib.group_run(group, seed, paths, n, u, fill, K, config, rate, c, *rest)
 
         monkeypatch.setattr(sched, "_kernel", Spy)
         cfg = SimConfig(C=4, slots=40000, seed=3, warmup=100, policy="edf",
@@ -813,36 +830,136 @@ class TestWorkers:
         assert sim._workers(8, cfg.slots) == 4
         sim._outage_counts([cfg], range(8))
         assert len(made) == 4 and all(c.size == 6 for c in made)
-        assert handed == {c.ctypes.data for c in made}
+        [(uniforms, workspaces)] = handed
+        assert workspaces == [c.ctypes.data for c in made]
+        assert len(set(uniforms)) == 4  # and its own uniforms
 
     @pytest.mark.parametrize("cpus, n, slots, W", [(2, 1000, 1000, 2), (2, 100, 1000, 2),
                                                    (4, 7, 10000, 4), (4, 20, 1000, 1)])
     def test_one_kernel_call_per_worker(self, cpus, n, slots, W, monkeypatch):
-        # each worker hands its whole chunk, contiguous paths, to one C call
+        # the workers serve the whole group in one C call from the calling
+        # thread, with W - 1 helpers, started before it
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         cfg = reactive_cfg(C=8, regime=Regime("linear", 0.8), slots=slots)
         want = sim._outage_counts([cfg], range(n))
+        assert want[:, 0, 0].all()
         assert sim._workers(n, cfg.slots) == W
-        lib, calls = sched._kernel(), []
+        lib, calls, before = sched._kernel(), [], tasks()
 
         class Spy:
             def __getattr__(self, name):
                 return getattr(lib, name)
 
             @staticmethod
-            def chunk_outages(seed, paths, count, *rest):
-                chunk = list((ctypes.c_uint64 * count).from_address(paths))
-                calls.append((threading.get_ident(), chunk))
-                return lib.chunk_outages(seed, paths, count, *rest)
+            def group_run(group, seed, paths, count, *rest):
+                handed = list((ctypes.c_uint64 * count).from_address(paths))
+                calls.append((threading.get_ident(), handed, len(tasks() - before)))
+                return lib.group_run(group, seed, paths, count, *rest)
 
         monkeypatch.setattr(sched, "_kernel", Spy)
+        # the kernel adds each path's counts to zeroed rows: a path served
+        # twice would read doubled, one not served zero
         assert np.array_equal(sim._outage_counts([cfg], range(n)), want)
-        assert len(calls) == W
-        assert [ident for ident, _ in calls].count(threading.get_ident()) == 1
-        chunks = sorted(chunk for _, chunk in calls)
-        assert all(chunk == list(range(chunk[0], chunk[0] + len(chunk))) for chunk in chunks)
-        assert sum(chunks, []) == list(range(n))  # disjoint, and covering the paths
-        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+        assert calls == [(threading.get_ident(), list(range(n)), W - 1)]
+        assert tasks() == before
+
+    @pytest.mark.filterwarnings("ignore:offered load")
+    def test_helpers_start_before_planning_and_are_always_joined(self, monkeypatch):
+        # under a guard of 14, seed 51: rate 3.5 overflows at path 3; a rate
+        # of 2e9 is a mean above traffic's guard and cannot be planned
+        four_cpus(monkeypatch)
+        monkeypatch.setattr(sched, "BACKLOG_OVERFLOW", 14)
+        common = dict(C=5, policy="reactive", slots=30000, seed=51, warmup=100)
+        clean, also, late, unplanned, interrupted = (
+            SimConfig(**common, rate=r) for r in (1.0, 1.5, 3.5, 2e9, 2.0))
+        real_plan, before, helpers = sim._plan, tasks(), []
+
+        def plan(cfg, *tables):
+            helpers.append(len(tasks() - before))
+            if cfg is interrupted:
+                raise KeyboardInterrupt
+            return real_plan(cfg, *tables)
+
+        monkeypatch.setattr(sim, "_plan", plan)
+        assert sim._outage_counts([clean, also], range(5))[:, :, 0].all()
+        assert helpers == [3, 3] and tasks() == before
+        for cfgs, error, match in (([clean, also, unplanned], PathOverflowError, "Poisson mean"),
+                                   ([clean, late], PathOverflowError, "backlog overflow"),
+                                   ([clean, interrupted], KeyboardInterrupt, None)):
+            helpers.clear()
+            with pytest.raises(error, match=match):
+                sim._outage_counts(cfgs, range(5))
+            assert helpers == [3] * len(cfgs)
+            assert tasks() == before
+
+    def test_any_worker_count_gives_the_serial_counts(self, monkeypatch):
+        # 2, 4 and 8 workers on this machine, oversubscribed on a small one,
+        # each path claimed once whatever its index or repeats
+        common = dict(C=4, seed=6, slots=10000, warmup=100, law=LookaheadLaw.deterministic(1))
+        cfgs = [SimConfig(**common, policy="edf", regime=Regime("linear", 0.8)),
+                SimConfig(**common, policy="pi2", regime=Regime("linear", 0.05),
+                          multicast=MulticastSpec(0.9, 15.0))]
+        orders = [range(9), [2**63, 3, 3, 0, 2**63, 8, 1, 1, 5]]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        want = [sim._outage_counts(cfgs, order) for order in orders]
+        assert all(w[:, :, 0].all() for w in want)
+        before = tasks()
+        for cpus in (2, 4, 8):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            for order, counts in zip(orders, want):
+                assert sim._workers(len(order), 2 * common["slots"]) == cpus
+                got = []
+                worker = threading.Thread(
+                    target=lambda: got.extend((sim._outage_counts(cfgs, order), tasks())))
+                worker.start()
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+                assert np.array_equal(got[0], counts)
+                assert got[1] == before | {str(worker.native_id)}  # its helpers joined
+
+    def test_helpers_sleep_while_a_slow_group_is_planned(self, monkeypatch):
+        # a helper spins for a bounded time, then sleeps until the group runs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = reactive_cfg(regime=Regime("linear", 0.8), slots=20000)
+        assert sim._workers(8, cfg.slots) == 2
+        real_plan = sim._plan
+        monkeypatch.setattr(sim, "_plan", lambda *args: time.sleep(0.3) or real_plan(*args))
+        start = time.process_time()
+        sim._outage_counts([cfg], range(8))
+        assert time.process_time() - start < 0.1
+
+    def test_helpers_block_every_signal(self, monkeypatch):
+        # so a signal to the process lands on the Python main thread, which
+        # raises KeyboardInterrupt for SIGINT and joins the helpers
+        four_cpus(monkeypatch)
+        cfg = reactive_cfg(regime=Regime("linear", 0.8), slots=40000)
+        assert sim._workers(5, cfg.slots) == 4
+
+        def blocked(tid):
+            with open(f"/proc/self/task/{tid}/status") as status:
+                text = status.read()
+            return int(re.search(r"^SigBlk:\s*([0-9a-f]+)$", text, re.M).group(1), 16)
+
+        every = sum(1 << (sig - 1) for sig in signal.valid_signals()
+                    if sig not in (signal.SIGKILL, signal.SIGSTOP))
+        main, before, masks, real_plan = threading.get_native_id(), tasks(), [], sim._plan
+        main_mask = blocked(main)
+
+        def plan(*args):
+            masks.extend(blocked(tid) for tid in tasks() - before)
+            assert blocked(main) == main_mask
+            os.kill(os.getpid(), signal.SIGINT)
+            return real_plan(*args)
+
+        monkeypatch.setattr(sim, "_plan", plan)
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                sim._outage_counts([cfg], range(5))
+        finally:
+            signal.signal(signal.SIGINT, handler)
+        assert len(masks) == 3 and all(mask & every == every for mask in masks)
+        assert tasks() == before
 
     @pytest.mark.parametrize("order", [range(5), [4, 3, 2, 1, 0], [0, 0, 2, 1, 4]])
     def test_overflow_in_any_worker_raises_the_serial_error(self, order, monkeypatch):
@@ -860,11 +977,11 @@ class TestWorkers:
         errors = [serial_error(i) for i in order]
         assert [e is None for e in errors] == [i == 0 for i in order]
         assert len(set(errors) - {None}) == len(set(order) - {0})
-        threads = threading.active_count()
+        threads = tasks()
         with pytest.raises(sim.PathOverflowError) as exc:
             sim._outage_counts([cfg], order)
         assert str(exc.value) == next(e for e in errors if e)  # the first in path order
-        assert threading.active_count() == threads
+        assert tasks() == threads
 
 
 @st.composite
@@ -927,13 +1044,13 @@ class TestGroups:
         ]
         assert sim._workers(5, sum(cfg.slots for cfg in cfgs)) == 4
         assert all(sim._workers(5, cfg.slots) < 4 for cfg in cfgs)
-        threads, interval = threading.active_count(), sys.getswitchinterval()
+        threads, interval = tasks(), sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # workers switch often: a shared row or buffer would show
         try:
             group = estimate_outages(cfgs, 5)
         finally:
             sys.setswitchinterval(interval)
-        assert threading.active_count() == threads
+        assert tasks() == threads
         assert group == [estimate_outage(cfg, 5) for cfg in cfgs]
         assert all(e.p_hat > 0 for est in group for e in est.values())
 
@@ -984,9 +1101,9 @@ class TestGroups:
         for cfgs in ([clean, late, early], [clean, early, late], [late, unplanned],
                      [clean, unplanned, late], [unplanned, early]):
             want = serial_error(cfgs, range(5))
-            threads = threading.active_count()
+            threads = tasks()
             with pytest.raises(type(want)) as exc:
                 estimate_outages(cfgs, 5)
             assert str(exc.value) == str(want)
-            assert threading.active_count() == threads
+            assert tasks() == threads
         assert isinstance(serial_error([clean, unplanned, late], range(5)), TrafficSpecError)

@@ -385,5 +385,26 @@ class TestBinomialTables:
         # the tables' size: a config whose tables fit is never refused
         lib = sched._kernel()
         size = lib.binomial_table(L, A, 2**62, None, None, None)
-        assert L + 1 <= lib.binomial_least(L, A) <= size
+        assert L + 1 <= lib.binomial_least(L, A, 2**62) <= size
+        # counting stops past the cap, and only there
+        assert (lib.binomial_least(L, A, cap) > cap) == (lib.binomial_least(L, A, 2**62) > cap)
         assert (lib.binomial_table(L, A, cap, None, None, None) > cap) == (size > cap)
+
+    @pytest.mark.parametrize("A", [0.3, 0.5, 0.9, 0.99, 0.999])
+    def test_the_bound_holds_row_by_row_across_the_cutoff(self, A):
+        # least(L) - least(L - 1) is row L's own bound: at most its entries,
+        # within 10 % of them where the walk surely starts at count 0
+        # (L ln(1 - A) >= -690), and 1 beyond, where a row starts at 0 or
+        # (soon) just below its mode and takes far fewer entries
+        lib = sched._kernel()
+        cut = math.floor(690 / -math.log1p(-A))
+        L = cut + 4
+        size = lib.binomial_table(L, A, 2**62, None, None, None)
+        rows, F, g = np.empty((L + 1, 5), np.int64), np.empty(size), np.empty(size, np.int64)
+        lib.binomial_table(L, A, 2**62, F.ctypes.data, g.ctypes.data, rows.ctypes.data)
+        assert rows[L, 1] > 0  # the last row starts below its mode
+        for n in range(cut - 3, L + 1):
+            least = [lib.binomial_least(m, A, 2**62) for m in (n - 1, n)]
+            own, entries = least[1] - least[0], rows[n, 2]
+            assert own <= entries, (n, own, entries)
+            assert own >= 0.9 * entries if n <= cut else own == 1, (n, own, entries)
