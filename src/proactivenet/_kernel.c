@@ -30,8 +30,9 @@
  *   counts so depend on (seed, path index) alone, not on its worker.
  *
  * Each count is a uniform inverted through a cdf window and its guide table
- * (invert).  poisson_cdf builds a Poisson stream's, for
- * proactivenet.traffic, which checks every argument.  binomial_table builds
+ * (invert).  poisson_tables builds every Poisson stream's of a group in one
+ * call, back to back in one arena, for proactivenet.traffic, which checks
+ * every mean and sets each window.  binomial_table builds
  * a multicast config's, one per idle count, from the cdf values that
  * binomial's walk sums, so that a table draw is the walk's count bit for
  * bit; a config whose tables would exceed traffic's byte budget draws by
@@ -634,7 +635,7 @@ void group_close(struct group *g)
  * total: no exp(-mu) is formed, so nothing underflows at large mu, and
  * F[m - 1] = 1 exactly.  The mass outside the window is dropped; the caller
  * makes it negligible. */
-void poisson_cdf(double mu, int64_t lo, int64_t m, double *F, int64_t *g)
+static void poisson_cdf(double mu, int64_t lo, int64_t m, double *F, int64_t *g)
 {
     int64_t mode = (int64_t)mu - lo;
     F[mode] = 1.0;
@@ -650,4 +651,21 @@ void poisson_cdf(double mu, int64_t lo, int64_t m, double *F, int64_t *g)
     for (int64_t j = 0; j < m; j++)
         F[j] /= s;
     guide(F, m, g);
+}
+
+/* The tables of n Poisson means, back to back in one cdf arena F and one
+ * guide arena g: row i = (column, lo, m, F, g) of mean mu[i] arrives with
+ * its window [lo, lo + m) set, and leaves with its poisson_cdf and guide
+ * table filled at the arenas' next m entries, their addresses in the row,
+ * and 0 as its column. */
+void poisson_tables(int64_t n, const double *mu, int64_t *row, double *F, int64_t *g)
+{
+    for (int64_t i = 0; i < n; i++, row += 5) {
+        poisson_cdf(mu[i], row[1], row[2], F, g);
+        row[0] = 0;
+        row[3] = (int64_t)(uintptr_t)F;
+        row[4] = (int64_t)(uintptr_t)g;
+        F += row[2];
+        g += row[2];
+    }
 }

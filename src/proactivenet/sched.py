@@ -11,9 +11,10 @@ workers, the calling thread and helper threads started in C that never take
 the GIL, claim the paths one at a time and draw each path's uniforms as
 numpy's PCG64 does.
 The library also fills the cdf and guide tables through which `sim` inverts
-each count: `traffic.poisson_table` for a Poisson stream, and
-`traffic.binomial_table`, one per idle count, for a multicast fresh demand,
-whose sizing refuses most tables over its budget from an O(L) bound.
+each count: `traffic.poisson_tables`, those of every Poisson stream of a
+group in one call, and `traffic.binomial_table`, one per idle count, for a
+multicast fresh demand, whose sizing refuses most tables over its budget
+from an O(L) bound.
 EDF fixes how much each class is served before any request is touched, so
 the slot is one pass over c that serves, expires and shifts; `sim`'s slot
 loop is compiled once per policy shape, so no slot tests its policy.
@@ -113,13 +114,13 @@ def _kernel() -> ctypes.CDLL:
         lib.group_open.restype = ptr
         lib.group_run.argtypes = [ptr, ptr, ptr, i64, ptr, i64, i64, ptr, ptr, ptr, ptr, ptr]
         lib.group_close.argtypes = [ptr]
-        lib.poisson_cdf.argtypes = [dbl, i64, i64, ptr, ptr]
+        lib.poisson_tables.argtypes = [i64, ptr, ptr, ptr, ptr]
         lib.binomial_table.argtypes = [i64, dbl, i64, ptr, ptr, ptr]
         lib.binomial_least.argtypes = [i64, dbl, i64]
         lib.binomial_start.argtypes = [i64, dbl, ptr]
         lib.binomial_invert.argtypes = [ptr, i64, i64, dbl, ptr, ptr]
         lib.serve_path.restype = lib.binomial_table.restype = lib.binomial_least.restype = i64
-        for fn in (lib.path_outages, lib.group_run, lib.group_close, lib.poisson_cdf,
+        for fn in (lib.path_outages, lib.group_run, lib.group_close, lib.poisson_tables,
                    lib.binomial_start, lib.binomial_invert):
             fn.restype = None
         _lib = lib

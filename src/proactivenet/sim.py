@@ -7,8 +7,11 @@ to its outage counts under every config of the group.  Under each it draws
 each slot's arrivals and serves them by the rules of `sched.serve_path`.  A
 slot is an outage for a class iff at least one request of that class
 expires in it; the per-path outage ratio divides by all post-warmup slots.
-Estimates average path ratios and report the standard error across paths;
-the paths of a large group run on up to min(usable CPUs, paths) workers in
+Estimates average path ratios and report the standard error across paths.
+A group is planned in one pass (`_plan_group`) into whole arrays: its
+configs' records, their rates and their streams' rows, the cdf windows of
+all its distinct Poisson means built by one `traffic.poisson_tables` call.
+The paths of a large group run on up to min(usable CPUs, paths) workers in
 one call of the compiled `group_run`: the calling thread and helper threads
 started in C before the group is planned, which never take the GIL, claim
 the paths one at a time.
@@ -32,11 +35,11 @@ once, at its longest layout, and each config reads what it would alone.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +53,7 @@ from proactivenet.traffic import (
     TrafficSpecError,
     binomial_table,
     mean_rate,
-    poisson_table,
+    poisson_tables,
 )
 
 REACTIVE = "reactive"
@@ -275,30 +278,79 @@ def estimate_outages(cfgs: list[SimConfig], n_paths: int) -> list[dict[str, Outa
     ]
 
 
-def _plan(cfg: SimConfig, table, idle_table=binomial_table) -> tuple:
-    """(int64 record, double record, fill, arrays): cfg's records for
-    `path_outages`, their fields in the order of `_kernel.c`'s enum, the
-    uniforms a path of it reads, and the arrays the records hold the
-    addresses of, which must outlive every call.  `table(mu)` gives a
-    stream's cdf window and guide table, `idle_table(L, A)` a multicast
-    config's `binomial_table`."""
-    T, streams = _streams(cfg)
-    tables = [table(mu) for _, mu in streams]
-    rows = np.array([(k, lo, F.size, F.ctypes.data, g.ctypes.data)
-                     for (k, _), (lo, F, g) in zip(streams, tables)], dtype=np.int64)
-    L = cfg.multicast.num_sources(cfg.C) if cfg.policy in (MULTICAST, PI2) else 0
-    A = cfg.multicast.source_prob() if L else 0.0
-    idle = idle_table(L, A) if L else None
-    # without tables, the kernel walks the pmf from p0[idle] = (1 - A)^idle
-    p0 = np.empty(L + 1 if L and idle is None else 0)
-    if p0.size:
-        sched._kernel().binomial_start(L, A, p0.ctypes.data)
-    secondary = cfg.policy in (SELFISH, DYNAMIC, PI2)
-    record = (cfg.slots, L, rows.ctypes.data, len(streams) - secondary, secondary, T, cfg.C,
-              sched.BACKLOG_OVERFLOW, cfg.effective_warmup, idle[0].ctypes.data if idle else 0,
-              p0.ctypes.data if p0.size else 0)
-    rate = (A, {DYNAMIC: cfg.f, PI2: 0.0}.get(cfg.policy, 1.0))
-    return record, rate, cfg.slots * ((L > 0) + len(streams)), (tables, rows, idle, p0)
+class _Plan(NamedTuple):
+    """A group's configs planned for `group_run`, in order, up to the first
+    that cannot be planned."""
+
+    records: np.ndarray  # (K, 11) int64: per config, the fields of _kernel.c's enum
+    rates: np.ndarray  # (K, 2): per config, (A, f)
+    fill: int  # the uniforms a path of the group reads
+    window: int  # the largest config's T
+    arrays: tuple  # what the records hold the addresses of: they must outlive every call
+    error: Exception | None  # the first unplanned config's, raised once the others ran
+
+
+def _plan_group(cfgs: list[SimConfig]) -> _Plan:
+    """The group's records for `path_outages`, up to the first config whose
+    streams (`_streams`) or Poisson tables cannot be planned."""
+    planned, error = [], None
+    for cfg in cfgs:
+        try:
+            planned.append((cfg, *_streams(cfg)))
+        except (ValueError, PathOverflowError) as exc:
+            error = exc
+            break
+    try:
+        return _assemble(planned, error)
+    except (ValueError, PathOverflowError):  # a mean whose table cannot be built:
+        # the first config that draws one is the first that cannot be planned
+        for k, (_, _, streams) in enumerate(planned):
+            try:
+                poisson_tables([mu for _, mu in streams])
+            except (ValueError, PathOverflowError) as exc:
+                return _assemble(planned[:k], exc)
+        raise
+
+
+def _assemble(planned: list, error: Exception | None) -> _Plan:
+    """The plan of the configs of `planned`, each with its (T, streams).
+
+    The tables of all the group's Poisson streams come from one
+    `poisson_tables` call, one per distinct mean, and those of its
+    multicast configs from one `binomial_table` call per (L, A).  No table
+    outlives the plan.
+    """
+    means = {}  # streams of one mean share its table: each mean once, by first use
+    which = [means.setdefault(mu, len(means)) for _, _, streams in planned for _, mu in streams]
+    tables, F, g = poisson_tables(means)
+    rows = tables.take(which, axis=0)  # a (column, lo, m, F, g) row per stream, in draw order
+    rows[:, 0] = [k for _, _, streams in planned for k, _ in streams]
+    idle, records, rates, arrays = {}, [], [], [rows, F, g]
+    fill = window = 0
+    at, limit = rows.ctypes.data, sched.BACKLOG_OVERFLOW
+    for cfg, T, streams in planned:
+        L, A, draws = 0, 0.0, (0, 0)
+        if cfg.policy in (MULTICAST, PI2):
+            L, A = cfg.multicast.num_sources(cfg.C), cfg.multicast.source_prob()
+            if (L, A) not in idle:  # configs of one (L, A) share its tables
+                binomial = binomial_table(L, A)
+                if binomial is None:  # over the budget: the kernel walks from p0[idle] = (1 - A)^idle
+                    p0 = np.empty(L + 1)
+                    sched._kernel().binomial_start(L, A, p0.ctypes.data)
+                    arrays.append(p0)
+                    idle[L, A] = 0, p0.ctypes.data
+                else:
+                    arrays += binomial
+                    idle[L, A] = binomial[0].ctypes.data, 0
+            draws = idle[L, A]  # the record's IDLE and IDLE_P0
+        secondary = cfg.policy in (SELFISH, DYNAMIC, PI2)
+        records += (cfg.slots, L, at, len(streams) - secondary, secondary, T, cfg.C, limit,
+                    cfg.effective_warmup, *draws)
+        rates += (A, {DYNAMIC: cfg.f, PI2: 0.0}.get(cfg.policy, 1.0))
+        at += 40 * len(streams)
+        fill, window = max(fill, cfg.slots * ((L > 0) + len(streams))), max(window, T)
+    return _Plan(np.array(records, dtype=np.int64).reshape(-1, 11),
+                 np.array(rates).reshape(-1, 2), fill, window, tuple(arrays), error)
 
 
 def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
@@ -309,16 +361,16 @@ def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
     A path is one pass of the compiled `path_outages`, from its block's
     uniforms in a reused buffer, filled at the group's longest layout, to
     its counters under every config.  The group runs on `_workers` workers:
-    the helpers start in C before the configs are planned, so that they
-    wake while the calling thread plans, and then every worker, the calling
-    thread the first, claims the paths one at a time in the compiled
-    `group_run`, which jumps its PCG64 from the seed's state to each path's
-    block, so paths may come in any order and a path's counts depend only
-    on (seed, path index), not on the worker that runs it.  The helpers are
-    joined before this returns or raises.  An error is the one a serial run
-    of the configs in turn, each over its paths in order, would raise: the
-    first config's that cannot be planned or whose path overflows, that of
-    its first overflowing path.
+    the helpers start in C before the group is planned (`_plan_group`), so
+    that they wake while the calling thread plans, and then every worker,
+    the calling thread the first, claims the paths one at a time in the
+    compiled `group_run`, which jumps its PCG64 from the seed's state to
+    each path's block, so paths may come in any order and a path's counts
+    depend only on (seed, path index), not on the worker that runs it.  The
+    helpers are joined before this returns or raises.  An error is the one
+    a serial run of the configs in turn, each over its paths in order,
+    would raise: the first config's that cannot be planned or whose path
+    overflows, that of its first overflowing path.
     """
     if len({cfg.seed for cfg in cfgs}) > 1:
         raise SimConfigError("the configs of a group must share their seed")
@@ -326,47 +378,39 @@ def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
     W, kernel = _workers(index.size, sum(cfg.slots for cfg in cfgs)), sched._kernel()
     group = kernel.group_open(W - 1)  # None for W = 1
     try:
-        plans, error = [], None
-        table = functools.cache(poisson_table)  # streams of one mean share a table
-        idle_table = functools.cache(binomial_table)  # configs of one (L, A) share its tables
-        try:
-            for cfg in cfgs:
-                plans.append(_plan(cfg, table, idle_table))
-        except (ValueError, PathOverflowError) as exc:  # raised once the configs before it ran
-            error = exc
-        counts = np.zeros((index.size, len(plans), 3), dtype=np.int64)
-        trips = np.zeros((index.size, len(plans)), dtype=np.int64)
-        if plans:
-            _run_paths(group, W, cfgs[:len(plans)], plans, index, counts, trips)
+        plan = _plan_group(cfgs)
+        counts = np.zeros((index.size, len(plan.records), 3), dtype=np.int64)
+        trips = np.zeros((index.size, len(plan.records)), dtype=np.int64)
+        if len(plan.records):
+            _run_paths(group, W, cfgs[0].seed, plan, index, counts, trips)
     finally:
         kernel.group_close(group)
-    for k in range(len(plans)):
-        rows = np.flatnonzero(trips[:, k])
-        if rows.size:
-            raise PathOverflowError(f"backlog overflow at slot {trips[rows[0], k]}")
-    if error is not None:
-        raise error
+    tripped = np.flatnonzero(trips.T)  # by config, then by path: in the serial order
+    if tripped.size:
+        k, j = divmod(int(tripped[0]), index.size)
+        raise PathOverflowError(f"backlog overflow at slot {trips[j, k]}")
+    if plan.error is not None:
+        raise plan.error
     return counts
 
 
-def _run_paths(group, W: int, cfgs: list[SimConfig], plans: list, index: np.ndarray,
-               counts: np.ndarray, trips: np.ndarray) -> None:
+def _run_paths(group, W: int, seed: int, plan: _Plan, index: np.ndarray, counts: np.ndarray,
+               trips: np.ndarray) -> None:
     """Fill counts and trips, rows by path, then by config, in one
     `group_run` call on the group's W workers, each with its own uniforms
     and workspace."""
-    records, rates, fills, _ = zip(*plans)
-    records, rates = np.array(records, dtype=np.int64), np.array(rates)
     # the seed's PCG64 as numpy seeds it, whose blocks the kernel draws
-    bits = np.random.PCG64(cfgs[0].seed).state["state"]
-    seed = np.array(divmod(bits["state"], 1 << 64) + divmod(bits["inc"], 1 << 64), dtype=np.uint64)
-    u = [np.empty(max(fills)) for _ in range(W)]
-    c = [_workspace(max(cfg.tmax for cfg in cfgs) + 1) for _ in range(W)]
+    bits = np.random.PCG64(seed).state["state"]
+    words = np.array(divmod(bits["state"], 1 << 64) + divmod(bits["inc"], 1 << 64),
+                     dtype=np.uint64)
+    u = [np.empty(plan.fill) for _ in range(W)]
+    c = [_workspace(plan.window + 1) for _ in range(W)]
     # the kernel reads each worker's buffer through these addresses
     u_at, c_at = (np.array([a.ctypes.data for a in bufs], dtype=np.uintp) for bufs in (u, c))
-    sched._kernel().group_run(group, seed.ctypes.data, index.ctypes.data, index.size,
-                              u_at.ctypes.data, u[0].size, len(cfgs), records.ctypes.data,
-                              rates.ctypes.data, c_at.ctypes.data, counts.ctypes.data,
-                              trips.ctypes.data)
+    sched._kernel().group_run(group, words.ctypes.data, index.ctypes.data, index.size,
+                              u_at.ctypes.data, plan.fill, len(plan.records),
+                              plan.records.ctypes.data, plan.rates.ctypes.data,
+                              c_at.ctypes.data, counts.ctypes.data, trips.ctypes.data)
 
 
 def _workspace(n: int) -> np.ndarray:
@@ -392,6 +436,9 @@ def _workers(n_paths: int, slots: int) -> int:
     return max(1, min(cpus, n_paths, n_paths * slots // _SLOTS_PER_WORKER))
 
 
+_URGENT = LookaheadLaw.deterministic(0)  # a reactive path's look-ahead
+
+
 def _streams(cfg: SimConfig) -> tuple[int, list[tuple[int, float]]]:
     """(T, streams): the window of the path's pending-count vector, and the
     (look-ahead column, mean) of each Poisson stream the path draws.
@@ -406,10 +453,9 @@ def _streams(cfg: SimConfig) -> tuple[int, list[tuple[int, float]]]:
     if unicast and cfg.pred_error is not None:
         lam_pred, lam_miss = cfg.pred_error.rates(cfg.C)
         streams = [(T, lam_pred), (0, lam_miss)]
-    elif unicast and cfg.primary_rate is not None:
-        law = cfg.law if cfg.law and cfg.policy != REACTIVE else LookaheadLaw.deterministic(0)
-        ks = [k for k in range(law.tmin, law.tmax + 1) if law.pmf(k) > 0.0]
-        streams = [(k, law.pmf(k) * cfg.primary_rate) for k in ks]
+    elif unicast and (rate := cfg.primary_rate) is not None:
+        law = cfg.law if cfg.law and cfg.policy != REACTIVE else _URGENT
+        streams = [(k, p * rate) for k, p in enumerate(law.probs, law.tmin) if p > 0.0]
     if cfg.policy in (SELFISH, DYNAMIC):
         streams.append((-1, mean_rate(cfg.secondary, cfg.C)))
     elif cfg.policy == PI2:

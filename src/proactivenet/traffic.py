@@ -11,12 +11,13 @@ Two capacity-scaling regimes are supported: linear (mean gamma*C) and
 polynomial (mean C**gamma).  The tail events are the quantity under study,
 so no law is normal-approximated.  A Poisson count is one uniform u of the
 path's stream, inverted through the Poisson cdf F: count = min{k : F(k) > u}
-(`poisson_table`, inverted by `poisson` and by the path kernel of `sim`).
-The inversion is exact up to the 2**-53 resolution of u: F is summed over a
-window of about 24 sqrt(mu) + 60 counts around the mean, and the mass it
-leaves out, below 1e-30, is far under that resolution.  From the same
-uniforms, `unicast_counts` and `prediction_error_counts` draw the counts of
-a path's Poisson streams.
+(`poisson_table`, inverted by `poisson`; `poisson_tables` builds the
+tables of a whole group of streams in one kernel call, for the path kernel
+of `sim`).  The inversion is exact up to the 2**-53 resolution of u: F is
+summed over a window of about 24 sqrt(mu) + 60 counts around the mean,
+and the mass it leaves out, below 1e-30, is far under that resolution.
+From the same uniforms, `unicast_counts` and `prediction_error_counts`
+draw the counts of a path's Poisson streams.
 """
 
 from __future__ import annotations
@@ -217,26 +218,46 @@ def poisson(rng: np.random.Generator, mu: float, n: int) -> np.ndarray:
 
 
 def poisson_table(mu: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """(lo, F, g): F[j] = P(X <= lo + j) for X ~ Poisson(mu), mu >= 0, over
-    the counts within 12 sqrt(mu) + 30 of mu, normalised to end at 1, and g
-    its guide table, through which the kernels invert a uniform.
+    """(lo, F, g): F[j] = P(X <= lo + j) for X ~ Poisson(mu), and g its guide
+    table, through which the kernels invert a uniform: `poisson_tables`
+    for the one mean mu, and raising as it does."""
+    rows, F, g = poisson_tables([mu])
+    return int(rows[0, 1]), F, g
 
-    The mass outside the window is below 1e-30 at every mu: it lies beyond
-    12 standard deviations, and beyond 30 counts from the mean.  Raises
-    ValueError for a negative or non-finite mu, and PathOverflowError for mu
-    above BACKLOG_OVERFLOW, whose path would overflow at its first slot.
+
+def poisson_tables(means) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, F, g): the cdf window and guide table of each mean mu >= 0, back
+    to back in one cdf arena F and one guide arena g, filled by one kernel
+    call.
+
+    rows[i] = (0, lo, m, address of F[at], address of g[at]) for means[i]:
+    F[at + j] = P(X <= lo + j), j < m, for X ~ Poisson(mu), over the counts
+    within 12 sqrt(mu) + 30 of mu, normalised to end at 1, and g[at..at+m-1]
+    is its guide table.  The mass outside the window is below 1e-30 at
+    every mu: it lies beyond 12 standard deviations, and beyond 30 counts
+    from the mean.  A mean given twice is built twice.  Raises for the
+    first mean, in order, that cannot be built, before any is: ValueError
+    for a negative or non-finite mu, and PathOverflowError for mu above
+    BACKLOG_OVERFLOW, whose path would overflow at its first slot.
     """
-    mu = float(mu)
-    if not 0.0 <= mu < math.inf:
-        raise ValueError(f"Poisson mean must be finite and >= 0, got {mu}")
-    if mu > BACKLOG_OVERFLOW:
-        raise PathOverflowError(f"Poisson mean {mu:.6g} exceeds the backlog guard")
-    half = 12.0 * math.sqrt(mu) + 30.0
-    lo = max(0, math.floor(mu - half))
-    F = np.empty(math.floor(mu + half) + 1 - lo)
-    g = np.empty(F.size, dtype=np.int64)
-    sched._kernel().poisson_cdf(mu, lo, F.size, F.ctypes.data, g.ctypes.data)
-    return lo, F, g
+    mus, windows, size = [], [], 0
+    for mu in means:
+        mu = float(mu)
+        if not 0.0 <= mu < math.inf:
+            raise ValueError(f"Poisson mean must be finite and >= 0, got {mu}")
+        if mu > BACKLOG_OVERFLOW:
+            raise PathOverflowError(f"Poisson mean {mu:.6g} exceeds the backlog guard")
+        half = 12.0 * math.sqrt(mu) + 30.0
+        lo = max(0, math.floor(mu - half))
+        m = math.floor(mu + half) + 1 - lo
+        mus.append(mu)
+        windows.append((0, lo, m, 0, 0))
+        size += m
+    rows = np.array(windows, dtype=np.int64).reshape(-1, 5)
+    mu, F, g = np.array(mus), np.empty(size), np.empty(size, dtype=np.int64)
+    sched._kernel().poisson_tables(rows.shape[0], mu.ctypes.data, rows.ctypes.data,
+                                   F.ctypes.data, g.ctypes.data)
+    return rows, F, g
 
 
 # bytes the draw tables of one multicast config may take; a config whose

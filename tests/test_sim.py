@@ -3,7 +3,6 @@ import math
 import os
 import re
 import signal
-import sys
 import threading
 import time
 from dataclasses import replace
@@ -90,17 +89,16 @@ def serial_group(seed, paths, fill, cfgs=()):
     words = np.array([state["state"] >> 64, state["state"] % 2**64, state["inc"] >> 64,
                       state["inc"] % 2**64], dtype=np.uint64)
     index = np.array(paths, dtype=np.uint64)
-    plans = [sim._plan(cfg, poisson_table) for cfg in cfgs]
-    fill = max([fill] + [plan[2] for plan in plans])
-    records = np.array([plan[0] for plan in plans], dtype=np.int64)
-    rates = np.array([plan[1] for plan in plans], dtype=float)
-    u, c = np.empty(fill), np.empty(1 + max((cfg.tmax for cfg in cfgs), default=0), np.int64)
+    plan = sim._plan_group(list(cfgs))
+    assert plan.error is None
+    fill = max(fill, plan.fill)
+    u, c = np.empty(fill), np.empty(1 + plan.window, np.int64)
     u_at, c_at = np.array([u.ctypes.data], np.uintp), np.array([c.ctypes.data], np.uintp)
     counts = np.zeros((index.size, len(cfgs), 3), dtype=np.int64)
     trips = np.zeros((index.size, len(cfgs)), dtype=np.int64)
     sched._kernel().group_run(None, words.ctypes.data, index.ctypes.data, index.size,
-                              u_at.ctypes.data, fill, len(cfgs), records.ctypes.data,
-                              rates.ctypes.data, c_at.ctypes.data, counts.ctypes.data,
+                              u_at.ctypes.data, fill, len(cfgs), plan.records.ctypes.data,
+                              plan.rates.ctypes.data, c_at.ctypes.data, counts.ctypes.data,
                               trips.ctypes.data)
     return u, counts, trips
 
@@ -154,14 +152,12 @@ class TestRunPath:
         want = lo + np.searchsorted(F, u, side="right")
         cfgs = [SimConfig(C=C, policy="reactive", slots=u.size, seed=0, warmup=0, rate=mu)
                 for C in range(want.min(), want.max())]
-        plans = [sim._plan(cfg, poisson_table) for cfg in cfgs]
-        records = np.array([plan[0] for plan in plans], dtype=np.int64)
-        rates = np.array([plan[1] for plan in plans])
+        plan = sim._plan_group(cfgs)
         c = np.empty(1, dtype=np.int64)
         counts = np.zeros((len(cfgs), 3), dtype=np.int64)
         trips = np.zeros(len(cfgs), dtype=np.int64)
-        sched._kernel().path_outages(u.ctypes.data, len(cfgs), records.ctypes.data,
-                                     rates.ctypes.data, c.ctypes.data, counts.ctypes.data,
+        sched._kernel().path_outages(u.ctypes.data, len(cfgs), plan.records.ctypes.data,
+                                     plan.rates.ctypes.data, c.ctypes.data, counts.ctypes.data,
                                      trips.ctypes.data)
         assert not trips.any()
         assert counts[:, 0].tolist() == [int((want > cfg.C).sum()) for cfg in cfgs]
@@ -872,15 +868,15 @@ class TestWorkers:
         common = dict(C=5, policy="reactive", slots=30000, seed=51, warmup=100)
         clean, also, late, unplanned, interrupted = (
             SimConfig(**common, rate=r) for r in (1.0, 1.5, 3.5, 2e9, 2.0))
-        real_plan, before, helpers = sim._plan, tasks(), []
+        real_streams, before, helpers = sim._streams, tasks(), []
 
-        def plan(cfg, *tables):
+        def streams(cfg):  # each config's first step of planning
             helpers.append(len(tasks() - before))
             if cfg is interrupted:
                 raise KeyboardInterrupt
-            return real_plan(cfg, *tables)
+            return real_streams(cfg)
 
-        monkeypatch.setattr(sim, "_plan", plan)
+        monkeypatch.setattr(sim, "_streams", streams)
         assert sim._outage_counts([clean, also], range(5))[:, :, 0].all()
         assert helpers == [3, 3] and tasks() == before
         for cfgs, error, match in (([clean, also, unplanned], PathOverflowError, "Poisson mean"),
@@ -922,8 +918,8 @@ class TestWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         cfg = reactive_cfg(regime=Regime("linear", 0.8), slots=20000)
         assert sim._workers(8, cfg.slots) == 2
-        real_plan = sim._plan
-        monkeypatch.setattr(sim, "_plan", lambda *args: time.sleep(0.3) or real_plan(*args))
+        real_plan = sim._plan_group
+        monkeypatch.setattr(sim, "_plan_group", lambda *args: time.sleep(0.3) or real_plan(*args))
         start = time.process_time()
         sim._outage_counts([cfg], range(8))
         assert time.process_time() - start < 0.1
@@ -942,7 +938,7 @@ class TestWorkers:
 
         every = sum(1 << (sig - 1) for sig in signal.valid_signals()
                     if sig not in (signal.SIGKILL, signal.SIGSTOP))
-        main, before, masks, real_plan = threading.get_native_id(), tasks(), [], sim._plan
+        main, before, masks, real_plan = threading.get_native_id(), tasks(), [], sim._plan_group
         main_mask = blocked(main)
 
         def plan(*args):
@@ -951,7 +947,7 @@ class TestWorkers:
             os.kill(os.getpid(), signal.SIGINT)
             return real_plan(*args)
 
-        monkeypatch.setattr(sim, "_plan", plan)
+        monkeypatch.setattr(sim, "_plan_group", plan)
         handler = signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
             with pytest.raises(KeyboardInterrupt):
@@ -1028,9 +1024,10 @@ class TestGroups:
                     cls: v / counted for cls, v in got.items()}
 
     def test_threaded_group_is_its_configs_alone(self, monkeypatch):
-        # 5 paths of 19 000 slots summed over the group: 4 workers, where
-        # each config alone would run on fewer
-        four_cpus(monkeypatch)
+        # 8 paths of 19 000 slots summed over the group: 8 workers on 8
+        # faked CPUs, more threads than cores, so that they claim
+        # interleaved paths, where each config alone would run on fewer
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
         common = dict(C=4, seed=9, warmup=100)
         cfgs = [
             SimConfig(**common, slots=6000, policy="reactive", regime=Regime("linear", 0.8)),
@@ -1042,16 +1039,12 @@ class TestGroups:
                       regime=Regime("linear", 0.6), secondary=Regime("linear", 0.1),
                       law=LookaheadLaw.deterministic(2)),
         ]
-        assert sim._workers(5, sum(cfg.slots for cfg in cfgs)) == 4
-        assert all(sim._workers(5, cfg.slots) < 4 for cfg in cfgs)
-        threads, interval = tasks(), sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # workers switch often: a shared row or buffer would show
-        try:
-            group = estimate_outages(cfgs, 5)
-        finally:
-            sys.setswitchinterval(interval)
+        assert sim._workers(8, sum(cfg.slots for cfg in cfgs)) == 8
+        assert all(sim._workers(8, cfg.slots) < 8 for cfg in cfgs)
+        threads = tasks()
+        group = estimate_outages(cfgs, 8)
         assert tasks() == threads
-        assert group == [estimate_outage(cfg, 5) for cfg in cfgs]
+        assert group == [estimate_outage(cfg, 8) for cfg in cfgs]
         assert all(e.p_hat > 0 for est in group for e in est.values())
 
     def test_configs_under_and_over_the_table_budget_draw_as_the_walk(self, monkeypatch):
@@ -1064,7 +1057,7 @@ class TestGroups:
                       regime=Regime("linear", 0.05) if policy == "pi2" else None)
             for policy in ("multicast", "pi2") for theta in (15.0, 3000.0)
         ]
-        records = [sim._plan(cfg, poisson_table)[0] for cfg in cfgs]
+        records = sim._plan_group(cfgs).records
         # the record's IDLE (table rows) and IDLE_P0 (the walk's start)
         assert [(bool(r[-2]), bool(r[-1])) for r in records] == [(True, False), (False, True)] * 2
         counts = sim._outage_counts(cfgs, range(4))
@@ -1096,10 +1089,13 @@ class TestGroups:
         clean, late, early = (SimConfig(**common, rate=r) for r in (1.0, 3.5, 4.0))
         unplanned = SimConfig(C=0, policy="selfish", slots=30000, seed=51, warmup=100,
                               regime=Regime("linear", 0.6), secondary=Regime("linear", 0.1))
+        # Poisson means the table builder refuses: traffic's guard is 1e9
+        refused = [SimConfig(**common, rate=r) for r in (math.nan, -1.0, 2e9)]
         assert serial_error([late], range(3)) is None
         assert serial_error([early], range(1)) is not None
         for cfgs in ([clean, late, early], [clean, early, late], [late, unplanned],
-                     [clean, unplanned, late], [unplanned, early]):
+                     [clean, unplanned, late], [unplanned, early],
+                     *([first, mean, late] for first in (clean, early) for mean in refused)):
             want = serial_error(cfgs, range(5))
             threads = tasks()
             with pytest.raises(type(want)) as exc:
@@ -1107,3 +1103,32 @@ class TestGroups:
             assert str(exc.value) == str(want)
             assert tasks() == threads
         assert isinstance(serial_error([clean, unplanned, late], range(5)), TrafficSpecError)
+        assert [type(serial_error([clean, mean, late], range(5))) for mean in refused] == [
+            ValueError, ValueError, PathOverflowError]
+
+    def test_a_group_builds_each_mean_once_and_its_own_tables(self, monkeypatch):
+        # the reactive curve and each deterministic window draw the same
+        # mean at a capacity, as the curves of fig4a do; a binomial window
+        # draws one stream per column
+        built, real = [], sim.poisson_tables
+
+        def tables(means):
+            built.append((list(means), real(means)))
+            return built[-1][1]
+
+        monkeypatch.setattr(sim, "poisson_tables", tables)
+        common = dict(slots=1100, seed=3, warmup=100, regime=Regime("linear", 0.8))
+        cfgs = [SimConfig(**common, C=C, policy="reactive") for C in (4, 8)] + [
+            SimConfig(**common, C=C, policy="edf", law=law) for C in (4, 8)
+            for law in (LookaheadLaw.deterministic(1), LookaheadLaw.deterministic(5),
+                        LookaheadLaw.binomial(5, 0.5))]
+        counts = sim._outage_counts(cfgs, range(3))
+        streams = [mu for cfg in cfgs for _, mu in sim._streams(cfg)[1]]
+        ((means, (_, F, g)),) = built
+        assert means == list(dict.fromkeys(streams))  # each distinct mean once, by first use
+        # the binomial columns' 3.2 / 32 and 6.4 / 32 times 1, 5, 10, 10, 5, 1
+        assert means == [3.2, 6.4, 0.1, 0.5, 1.0, 0.2, 2.0] and len(streams) == 18
+        assert F.size == g.size == sum(poisson_table(mu)[1].size for mu in means)
+        # the next group builds its own tables, and counts as the first did
+        assert np.array_equal(sim._outage_counts(cfgs, range(3)), counts)
+        assert len(built) == 2 and built[1][0] == means and built[1][1][1] is not F

@@ -186,6 +186,8 @@ def exact_cdf(mu, lo, m):
 
 
 RATES = [0.05, 1.0, 6.4, 9.99, 10.0, 25.6, 1e4, 1e8]
+# the extremes of the means a table is built for
+EXTREMES = [0.0, 1e-300, 2e4, float(BACKLOG_OVERFLOW)]
 
 
 class TestPoissonInversion:
@@ -246,6 +248,34 @@ class TestPoissonInversion:
         with pytest.raises(ValueError, match="finite and >= 0"):
             tr.poisson(g, mu, 3)
         assert g.random() == rng().random()  # nothing drawn
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from(EXTREMES) | st.integers(0, 300) | st.floats(0.0, 1e5),
+                    max_size=12), st.randoms(use_true_random=False))
+    def test_one_call_gives_each_mean_its_own_table(self, drawn, order):
+        # duplicates are built twice, each bit for bit as poisson_table
+        # builds its mean alone, back to back in the arenas
+        means = drawn + EXTREMES + drawn[:3]
+        order.shuffle(means)
+        rows, F, g = tr.poisson_tables(means)
+        assert rows.shape == (len(means), 5)
+        at = 0
+        for mu, (column, lo, m, F_at, g_at) in zip(means, rows):
+            want_lo, want_F, want_g = tr.poisson_table(mu)
+            assert (column, lo, m) == (0, want_lo, want_F.size)
+            assert (F_at, g_at) == (F.ctypes.data + 8 * at, g.ctypes.data + 8 * at)
+            assert F[at:at + m].tobytes() == want_F.tobytes()
+            assert g[at:at + m].tobytes() == want_g.tobytes()
+            at += m
+        assert at == F.size == g.size
+
+    def test_the_first_refused_mean_raises_before_any_is_built(self):
+        with pytest.raises(ValueError, match="got nan"):
+            tr.poisson_tables([1.0, math.nan, 2e9])
+        with pytest.raises(PathOverflowError, match="2e\\+09"):
+            tr.poisson_tables([1.0, 2e9, -1.0])
+        rows, F, g = tr.poisson_tables([])
+        assert rows.shape == (0, 5) and F.size == g.size == 0
 
     def test_mean_beyond_the_backlog_guard_overflows(self):
         with pytest.raises(PathOverflowError):
