@@ -2,12 +2,14 @@
 
 The package is organized as:
 
-- ``traffic``  : arrival-process generators (unicast, imperfect prediction,
-  multicast) under linear and polynomial capacity scaling.
-- ``sched``    : one earliest-deadline-first path kernel over the vector of
-  pending requests per residual deadline, shared by all six policies.
-- ``sim``      : Monte Carlo paths (arrival draws, one kernel call each),
-  outage estimation, capacity sweeps and decay-rate fitting.
+- ``traffic``  : arrival-process specs (unicast, imperfect prediction,
+  multicast) under linear and polynomial capacity scaling, and the cdf
+  tables through which a path inverts its uniforms into counts.
+- ``sched``    : the compiled earliest-deadline-first slot loop over the
+  vector of pending requests per residual deadline, shared by all six
+  policies, and its overflow guard.
+- ``sim``      : Monte Carlo paths (a group of configs' paths in one kernel
+  call), outage estimation, capacity sweeps and decay-rate fitting.
 - ``analytic`` : closed-form decay-rate (diversity) bounds and a numeric
   Chernoff-exponent optimizer used as an independent cross-check.
 - ``oracle``   : exact ground truth (the deterministic-window EDF chain over

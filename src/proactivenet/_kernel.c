@@ -1,20 +1,16 @@
 /* The compiled kernels of proactivenet:
  *
  * serve_slot: one slot of earliest-deadline-first service over the vector c
- *   of pending requests per residual deadline, the model of
- *   proactivenet.sched.serve_path, as one fused pass over c that serves,
- *   expires and shifts, with no library call.  The arithmetic is the
- *   reference slot loop's (serve_path_by_slot in tests/test_sched.py), with
- *   the dynamic cap computed in double as Python does, so that outputs are
- *   bit-identical to it.  Two slot loops feed it a path's arrivals:
+ *   of pending requests per residual deadline, as one fused pass over c
+ *   that serves, expires and shifts, with no library call.  The arithmetic
+ *   is the reference slot loop's (serve_path_by_slot in
+ *   tests/test_sched.py), with the dynamic cap computed in double as Python
+ *   does, so that outputs are bit-identical to it.
  *
- * serve_path: arrivals given as count or presence matrices, for
- *   sched.serve_path, which checks every argument;
- *
- * path_outages: arrivals drawn from the path's uniforms, for sim: one call
- *   takes a path from its uniforms to its post-warm-up outage counts under
- *   each config of a group, each config through a copy of the slot loop
- *   compiled for its policy shape, with no per-slot policy test.
+ * path_outages: the one slot loop, for sim: one call takes a path from its
+ *   uniforms to its post-warm-up outage counts under each config of a
+ *   group, each config through a copy of the slot loop compiled for its
+ *   policy shape, with no per-slot policy test.
  *
  * group_open, group_run, group_close: path_outages over a group's paths on
  *   W workers, W - 1 of them helper threads that never take the GIL.
@@ -39,7 +35,6 @@
  * the walk itself, started from its table of (1 - A)^idle (binomial_start).
  * Sizing refuses most such configs from binomial_least, a lower bound on
  * the tables' entries found in O(L).
- * binomial_invert: either draw, for the tests.
  *
  * sched compiles this file with `cc -O2 -shared -fPIC -pthread` on first
  * use and loads it through ctypes.
@@ -97,23 +92,6 @@ static inline int64_t serve_slot(int64_t *c, int64_t T, int64_t total, int64_t C
     }
     c[T] = 0;
     return total - e[0];
-}
-
-/* Multicast fresh demand: the sources present (uniform below A) among the
- * idle ones, read as the first `idle` of the row's uniforms.  The counts are
- * kept in four doubles, exact far beyond any row width, which lets the
- * compiler compare two uniforms per instruction. */
-static int64_t present(const double *u, int64_t idle, double A)
-{
-    double m[4] = {0.0, 0.0, 0.0, 0.0};
-    int64_t j = 0;
-    for (; j + 4 <= idle; j += 4)
-        for (int k = 0; k < 4; k++)
-            m[k] += u[j + k] < A ? 1.0 : 0.0;
-    int64_t a = (int64_t)(m[0] + m[1] + m[2] + m[3]);
-    for (; j < idle; j++)
-        a += u[j] < A;
-    return a;
 }
 
 /* lo + min{j : F[j] > x} for a uniform x in [0, 1), with F a cdf window
@@ -269,59 +247,6 @@ void binomial_start(int64_t L, double A, double *p0)
     const double lq = log1p(-A);
     for (int64_t n = 0; n <= L; n++)
         p0[n] = exp((double)n * lq);
-}
-
-/* out[i] = binomial(u[i], n, A, ...) for count uniforms u[i] and
- * 0 <= A <= 1: by the walk, or with row non-NULL, through the rows of
- * binomial_table for A, at n. */
-void binomial_invert(const double *u, int64_t count, int64_t n, double A, const int64_t *row,
-                     int64_t *out)
-{
-    for (int64_t i = 0; i < count; i++)
-        out[i] = row ? draw(u[i], row + 5 * n)
-                     : binomial(u[i], n, A, A / (1.0 - A), exp((double)n * log1p(-A)));
-}
-
-/* counts:    (slots, T+1) non-negative arrival counts per look-ahead, or NULL
- *            for multicast;
- * presence:  with counts NULL, (slots, width) source uniforms, a source
- *            present iff its uniform is below A; the fresh demand of a
- *            slot is the present ones among the first width - pending of
- *            its row;
- * secondary: per-slot counts of the all-urgent class, or NULL;
- * c:         T+1 zeroed int64 entries of workspace;
- * expired:   (slots, secondary ? 2 : 1) output, C order.
- * Returns 0, or the 1-based slot whose pending backlog exceeded limit. */
-int64_t serve_path(const int64_t *counts, const double *presence, double A, int64_t slots,
-                   int64_t width, int64_t T, int64_t C, double f,
-                   const int64_t *secondary, int refill, int64_t limit,
-                   int64_t *c, int64_t *expired)
-{
-    const int64_t ncol = secondary ? 2 : 1;
-    int64_t total = 0, e[2];
-    for (int64_t n = 0; n < slots; n++) {
-        if (counts) {
-            const int64_t *row = counts + n * (T + 1);
-            for (int64_t k = 0; k <= T; k++) {
-                if (row[k] > limit - total)  /* total > limit, without overflow */
-                    return n + 1;
-                c[k] += row[k];
-                total += row[k];
-            }
-        } else {
-            int64_t a = present(presence + n * width, width - total, A);
-            c[T] += a;
-            total += a;
-            if (total > limit)
-                return n + 1;
-        }
-        total = serve_slot(c, T, total, C, f, f < 1.0, secondary != NULL,
-                           secondary ? secondary[n] : 0, refill, e);
-        expired[n * ncol] = e[0];
-        if (secondary)
-            expired[n * ncol + 1] = e[1];
-    }
-    return 0;
 }
 
 /* The fields of a config's int64 record in path_outages, in order; its

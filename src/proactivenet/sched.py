@@ -1,28 +1,29 @@
-"""Earliest-deadline-first service of one whole sample path.
+"""The compiled service kernel, and its guard against unstable paths.
 
 Every policy keeps the same state: the vector c of pending requests per
 residual deadline, c[i] = requests with i slots left (i = 0 is due this
 slot).  Each slot, arrivals land, service is applied, requests still at
 residual 0 expire, and residual deadlines drop by one.  The slot is one C
 function of `_kernel.c`, compiled with `cc` on first use and cached next to
-this module: `serve_path` runs it over arrival matrices, `sim` over arrivals
-drawn from a path's uniforms, a whole group of paths in one call whose
-workers, the calling thread and helper threads started in C that never take
-the GIL, claim the paths one at a time and draw each path's uniforms as
-numpy's PCG64 does.
+this module, and it has one driver, `path_outages`: `sim` runs a whole
+group of paths in one call whose workers, the calling thread and helper
+threads started in C that never take the GIL, claim the paths one at a
+time and draw each path's uniforms as numpy's PCG64 does, and serve each
+path's arrivals, drawn from its uniforms, under every config of the group.
 The library also fills the cdf and guide tables through which `sim` inverts
 each count: `traffic.poisson_tables`, those of every Poisson stream of a
 group in one call, and `traffic.binomial_table`, one per idle count, for a
 multicast fresh demand, whose sizing refuses most tables over its budget
 from an O(L) bound.
 EDF fixes how much each class is served before any request is touched, so
-the slot is one pass over c that serves, expires and shifts; `sim`'s slot
-loop is compiled once per policy shape, so no slot tests its policy.
+the slot is one pass over c that serves, expires and shifts; the slot loop
+is compiled once per policy shape, so no slot tests its policy.
 
 Policies differ only in
-  - the arrival source: a count matrix of new requests per look-ahead, or
-    multicast source presence (serving a pending source clears all of its
-    requests at unit cost, so a source is pending or idle);
+  - the arrival source: Poisson counts of new requests per look-ahead, or
+    multicast fresh demand over the idle sources (serving a pending source
+    clears all of its requests at unit cost, so a source is pending or
+    idle);
   - the primary capacity rule: C, or urgent + ceil(f * non-urgent) capped
     at C (the dynamic primary; f = 1 is selfish, i.e. plain C);
   - an optional all-urgent secondary stream served from the capacity the
@@ -39,8 +40,6 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
-
-import numpy as np
 
 
 # pending backlogs beyond this abort the path as pathologically unstable
@@ -100,15 +99,14 @@ def _build(source: Path, cache: Path) -> Path:
 
 
 def _kernel() -> ctypes.CDLL:
-    """The C kernels (the slot loops and the samplers), built and loaded on first use."""
+    """The C kernels (the slot loop and the samplers), built and loaded on first use."""
     global _lib
     if _lib is None:
         path = _build(_SOURCE, _CACHE)
         lib = ctypes.CDLL(str(path))
         if path.parent != _CACHE:  # a temporary build: loaded, it is no longer needed
             shutil.rmtree(path.parent, ignore_errors=True)
-        i64, dbl, ptr, flag = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int
-        lib.serve_path.argtypes = [ptr, ptr, dbl, i64, i64, i64, i64, dbl, ptr, flag, i64, ptr, ptr]
+        i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
         lib.path_outages.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr]
         lib.group_open.argtypes = [i64]
         lib.group_open.restype = ptr
@@ -118,71 +116,10 @@ def _kernel() -> ctypes.CDLL:
         lib.binomial_table.argtypes = [i64, dbl, i64, ptr, ptr, ptr]
         lib.binomial_least.argtypes = [i64, dbl, i64]
         lib.binomial_start.argtypes = [i64, dbl, ptr]
-        lib.binomial_invert.argtypes = [ptr, i64, i64, dbl, ptr, ptr]
-        lib.serve_path.restype = lib.binomial_table.restype = lib.binomial_least.restype = i64
+        lib.binomial_table.restype = lib.binomial_least.restype = i64
         for fn in (lib.path_outages, lib.group_run, lib.group_close, lib.poisson_tables,
-                   lib.binomial_start, lib.binomial_invert):
+                   lib.binomial_start):
             fn.restype = None
         _lib = lib
     return _lib
 
-
-def serve_path(
-    arrivals: np.ndarray,
-    C: int,
-    *,
-    multicast_T: int | None = None,
-    f: float = 1.0,
-    secondary: np.ndarray | None = None,
-    refill: bool = False,
-) -> np.ndarray:
-    """Run one path and return its per-slot expired counts per class.
-
-    arrivals: a (slots, T+1) matrix of non-negative integer counts, column k
-      holding the requests that arrive with look-ahead k; or, when
-      `multicast_T` is given, a (slots, L) boolean source-presence matrix.
-      Each idle source demanded in a slot becomes pending with deadline
-      `multicast_T`; demand for a pending source aligns with it.  Presence
-      of different sources is independent, so the fresh demand is read as
-      the present sources among the first L - pending columns.
-    f: the primary serves at most urgent + ceil(f * non-urgent), capped
-      at C; f >= 1 grants it all of C.
-    secondary: per-slot counts of an all-urgent class served from C minus
-      what the primary served.
-    refill: hand capacity left after the secondary back to the primary.
-
-    Raises PathOverflowError once the pending backlog of a slot exceeds
-    BACKLOG_OVERFLOW, and RuntimeError if the kernel cannot be compiled.
-
-    Returns a (slots, 1) int64 array, or (slots, 2) with a secondary; a slot
-    is an outage for a class iff its entry is positive.
-    """
-    # the kernel reads raw pointers: hand it C-ordered arrays of its dtypes
-    # only, and presence as booleans, so that at most L sources are pending
-    unicast = multicast_T is None
-    grid = np.ascontiguousarray(arrivals, dtype=np.int64 if unicast else np.bool_)
-    if grid.ndim != 2:
-        raise ValueError(f"arrivals must be a (slots, columns) matrix, got shape {grid.shape}")
-    slots, width = grid.shape
-    T = width - 1 if unicast else multicast_T
-    if T < 0 or not 0 <= C < 2**63:
-        raise ValueError(f"need a window T >= 0 and an int64 capacity C >= 0, got {T}, {C}")
-    if not f >= 0:
-        raise ValueError(f"need a service fraction f >= 0, got {f}")
-    if secondary is not None:
-        secondary = np.ascontiguousarray(secondary, dtype=np.int64)
-        if secondary.shape != (slots,):
-            raise ValueError(f"secondary must hold {slots} slot counts, got {secondary.shape}")
-    presence = None if unicast else np.where(grid, 0.0, 1.0)  # uniforms below 1/2
-    c = np.zeros(T + 1, dtype=np.int64)
-    expired = np.empty((slots, 1 if secondary is None else 2), dtype=np.int64)
-    tripped = _kernel().serve_path(
-        grid.ctypes.data if unicast else None,
-        None if unicast else presence.ctypes.data, 0.5,
-        slots, width, int(T), int(C), float(f),
-        None if secondary is None else secondary.ctypes.data,
-        int(refill), BACKLOG_OVERFLOW, c.ctypes.data, expired.ctypes.data,
-    )
-    if tripped:
-        raise PathOverflowError(f"backlog overflow at slot {tripped}")
-    return expired

@@ -4,7 +4,7 @@ The unit of simulation is a group of configs of one seed
 (`estimate_outages`): a path is one pass of the compiled `path_outages`
 (`_kernel.c`), from the uniforms of the path's random stream, filled once,
 to its outage counts under every config of the group.  Under each it draws
-each slot's arrivals and serves them by the rules of `sched.serve_path`.  A
+each slot's arrivals and serves them by the one EDF slot rule (`sched`).  A
 slot is an outage for a class iff at least one request of that class
 expires in it; the per-path outage ratio divides by all post-warmup slots.
 Estimates average path ratios and report the standard error across paths.
@@ -50,8 +50,8 @@ from proactivenet.traffic import (
     MulticastSpec,
     PredictionErrorSpec,
     Regime,
-    TrafficSpecError,
     binomial_table,
+    check_mean,
     mean_rate,
     poisson_tables,
 )
@@ -144,7 +144,12 @@ class SimConfig:
                 )
         if self.policy in (MULTICAST, PI2) and self.multicast is None:
             raise SimConfigError(f"policy {self.policy} needs a multicast spec")
-        self.check_stability()
+        try:  # and what planning checks: each Poisson mean, a secondary's at C >= 1
+            self.check_stability()
+            for _, mu in _streams(self)[1]:
+                check_mean(mu)
+        except (ValueError, PathOverflowError) as exc:
+            raise SimConfigError(str(exc)) from exc
 
     @property
     def tmax(self) -> int:
@@ -180,10 +185,7 @@ class SimConfig:
         if self.policy in (SELFISH, DYNAMIC):
             load += mean_rate(self.secondary, self.C)
         if self.pred_error is not None:
-            try:
-                rates = self.pred_error.rates(self.C)
-            except TrafficSpecError as exc:
-                raise SimConfigError(str(exc)) from exc
+            rates = self.pred_error.rates(self.C)
             if self.policy not in (MULTICAST, PI2):
                 load += sum(rates)
         if self.policy in (MULTICAST, PI2):
@@ -279,47 +281,25 @@ def estimate_outages(cfgs: list[SimConfig], n_paths: int) -> list[dict[str, Outa
 
 
 class _Plan(NamedTuple):
-    """A group's configs planned for `group_run`, in order, up to the first
-    that cannot be planned."""
+    """A group's configs planned for `group_run`, in order."""
 
     records: np.ndarray  # (K, 11) int64: per config, the fields of _kernel.c's enum
     rates: np.ndarray  # (K, 2): per config, (A, f)
     fill: int  # the uniforms a path of the group reads
     window: int  # the largest config's T
     arrays: tuple  # what the records hold the addresses of: they must outlive every call
-    error: Exception | None  # the first unplanned config's, raised once the others ran
 
 
 def _plan_group(cfgs: list[SimConfig]) -> _Plan:
-    """The group's records for `path_outages`, up to the first config whose
-    streams (`_streams`) or Poisson tables cannot be planned."""
-    planned, error = [], None
-    for cfg in cfgs:
-        try:
-            planned.append((cfg, *_streams(cfg)))
-        except (ValueError, PathOverflowError) as exc:
-            error = exc
-            break
-    try:
-        return _assemble(planned, error)
-    except (ValueError, PathOverflowError):  # a mean whose table cannot be built:
-        # the first config that draws one is the first that cannot be planned
-        for k, (_, _, streams) in enumerate(planned):
-            try:
-                poisson_tables([mu for _, mu in streams])
-            except (ValueError, PathOverflowError) as exc:
-                return _assemble(planned[:k], exc)
-        raise
-
-
-def _assemble(planned: list, error: Exception | None) -> _Plan:
-    """The plan of the configs of `planned`, each with its (T, streams).
+    """The group's records for `path_outages`, each config's from its
+    (T, streams) (`_streams`), which its construction checked.
 
     The tables of all the group's Poisson streams come from one
     `poisson_tables` call, one per distinct mean, and those of its
     multicast configs from one `binomial_table` call per (L, A).  No table
     outlives the plan.
     """
+    planned = [(cfg, *_streams(cfg)) for cfg in cfgs]
     means = {}  # streams of one mean share its table: each mean once, by first use
     which = [means.setdefault(mu, len(means)) for _, _, streams in planned for _, mu in streams]
     tables, F, g = poisson_tables(means)
@@ -350,7 +330,7 @@ def _assemble(planned: list, error: Exception | None) -> _Plan:
         at += 40 * len(streams)
         fill, window = max(fill, cfg.slots * ((L > 0) + len(streams))), max(window, T)
     return _Plan(np.array(records, dtype=np.int64).reshape(-1, 11),
-                 np.array(rates).reshape(-1, 2), fill, window, tuple(arrays), error)
+                 np.array(rates).reshape(-1, 2), fill, window, tuple(arrays))
 
 
 def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
@@ -367,10 +347,10 @@ def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
     compiled `group_run`, which jumps its PCG64 from the seed's state to
     each path's block, so paths may come in any order and a path's counts
     depend only on (seed, path index), not on the worker that runs it.  The
-    helpers are joined before this returns or raises.  An error is the one
-    a serial run of the configs in turn, each over its paths in order,
-    would raise: the first config's that cannot be planned or whose path
-    overflows, that of its first overflowing path.
+    helpers are joined before this returns or raises.  An overflow is the
+    one a serial run of the configs in turn, each over its paths in order,
+    would raise: that of the first overflowing config's first overflowing
+    path.
     """
     if len({cfg.seed for cfg in cfgs}) > 1:
         raise SimConfigError("the configs of a group must share their seed")
@@ -381,7 +361,7 @@ def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
         plan = _plan_group(cfgs)
         counts = np.zeros((index.size, len(plan.records), 3), dtype=np.int64)
         trips = np.zeros((index.size, len(plan.records)), dtype=np.int64)
-        if len(plan.records):
+        if cfgs:
             _run_paths(group, W, cfgs[0].seed, plan, index, counts, trips)
     finally:
         kernel.group_close(group)
@@ -389,8 +369,6 @@ def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
     if tripped.size:
         k, j = divmod(int(tripped[0]), index.size)
         raise PathOverflowError(f"backlog overflow at slot {trips[j, k]}")
-    if plan.error is not None:
-        raise plan.error
     return counts
 
 

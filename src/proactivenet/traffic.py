@@ -236,17 +236,11 @@ def poisson_tables(means) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is its guide table.  The mass outside the window is below 1e-30 at
     every mu: it lies beyond 12 standard deviations, and beyond 30 counts
     from the mean.  A mean given twice is built twice.  Raises for the
-    first mean, in order, that cannot be built, before any is: ValueError
-    for a negative or non-finite mu, and PathOverflowError for mu above
-    BACKLOG_OVERFLOW, whose path would overflow at its first slot.
+    first mean, in order, that cannot be built (`check_mean`), before any is.
     """
     mus, windows, size = [], [], 0
     for mu in means:
-        mu = float(mu)
-        if not 0.0 <= mu < math.inf:
-            raise ValueError(f"Poisson mean must be finite and >= 0, got {mu}")
-        if mu > BACKLOG_OVERFLOW:
-            raise PathOverflowError(f"Poisson mean {mu:.6g} exceeds the backlog guard")
+        mu = check_mean(mu)
         half = 12.0 * math.sqrt(mu) + 30.0
         lo = max(0, math.floor(mu - half))
         m = math.floor(mu + half) + 1 - lo
@@ -258,6 +252,18 @@ def poisson_tables(means) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sched._kernel().poisson_tables(rows.shape[0], mu.ctypes.data, rows.ctypes.data,
                                    F.ctypes.data, g.ctypes.data)
     return rows, F, g
+
+
+def check_mean(mu: float) -> float:
+    """mu as a float, if `poisson_tables` can build its table: raises
+    ValueError for a negative or non-finite mu, and PathOverflowError for mu
+    above BACKLOG_OVERFLOW, whose path would overflow at its first slot."""
+    mu = float(mu)
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"Poisson mean must be finite and >= 0, got {mu}")
+    if mu > BACKLOG_OVERFLOW:
+        raise PathOverflowError(f"Poisson mean {mu:.6g} exceeds the backlog guard")
+    return mu
 
 
 # bytes the draw tables of one multicast config may take; a config whose

@@ -7,6 +7,7 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_sched import expire
 
 from proactivenet import analytic, oracle
 from proactivenet.analytic import poisson_tail
@@ -17,7 +18,6 @@ from proactivenet.oracle import (
     exact_outage_stationary,
     verify_root,
 )
-from proactivenet.sched import serve_path
 from proactivenet.sim import SimConfig, estimate_outage
 from proactivenet.traffic import LookaheadLaw, MulticastSpec, PredictionErrorSpec, Regime
 
@@ -193,7 +193,7 @@ class TestEdfChain:
     )
     def test_walk_matches_serve_path(self, C, T, counts):
         # the chain's successor table, walked along a path, loses a slot's
-        # arrivals exactly when the kernel books an expiry T slots later
+        # arrivals exactly when the slot loop books an expiry T slots later
         K = C * (T + 1)
         ch = build_edf_chain(C, 1.0, T, K + 1)
         V, lost = 0, []
@@ -203,7 +203,7 @@ class TestEdfChain:
             V = ch.transition[V, q]
         arrivals = np.zeros((len(counts), T + 1), dtype=np.int64)
         arrivals[:, T] = counts
-        expired = serve_path(arrivals, C)[:, 0]
+        expired = expire(arrivals, C)[:, 0]
         assert not expired[:T].any()
         assert (expired[T:] > 0).tolist() == lost[: len(counts) - T]
 

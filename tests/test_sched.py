@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from proactivenet import cli, sched
-from proactivenet.sched import BACKLOG_OVERFLOW, PathOverflowError, serve_path
+from proactivenet import cli, sched, sim
+from proactivenet.sched import BACKLOG_OVERFLOW, PathOverflowError
+from proactivenet.sim import SimConfig
+from proactivenet.traffic import LookaheadLaw, MulticastSpec, Regime
 
 # a backlog c[0..T]: pending requests per residual deadline
 backlogs = st.lists(st.integers(0, 20), min_size=1, max_size=6)
@@ -23,23 +25,204 @@ paths = st.integers(0, 4).flatmap(
 )
 
 
+def edf_by_bucket(c, cap):
+    """Reference EDF step: serve up to `cap` of `c` by deadline; return the count."""
+    left = cap
+    for k, ck in enumerate(c):
+        if ck >= left:
+            c[k] = ck - left
+            return cap
+        c[k] = 0
+        left -= ck
+    return cap - left
+
+
+def serve_path_by_slot(arrivals, C, *, multicast_T=None, f=1.0, secondary=None,
+                       refill=False):
+    """Reference: the kernel run slot by slot over every slot of the path."""
+    arrivals = np.asarray(arrivals)
+    T = arrivals.shape[1] - 1 if multicast_T is None else multicast_T
+    slots = arrivals.shape[0]
+    limit = sched.BACKLOG_OVERFLOW
+    expired = np.zeros((slots, 1 if secondary is None else 2), dtype=np.int64)
+    if multicast_T is not None:
+        L = arrivals.shape[1]
+        idle_present = np.zeros((slots, L + 1), dtype=np.int64)
+        np.cumsum(arrivals, axis=1, out=idle_present[:, 1:])
+    c = [0] * (T + 1)
+    total = 0
+    for n in range(slots):
+        if multicast_T is None:
+            for k in range(T + 1):
+                a = int(arrivals[n, k])
+                c[k] += a
+                total += a
+        else:
+            a = int(idle_present[n, L - total])
+            c[T] += a
+            total += a
+        if total > limit:
+            raise PathOverflowError(f"backlog overflow at slot {n + 1}")
+        cap = C
+        if f < 1.0:
+            cap = min(C, c[0] + math.ceil(f * (total - c[0])))
+        if total <= cap:
+            served = total
+            c = [0] * (T + 1)
+        else:
+            served = edf_by_bucket(c, cap)
+        total -= served
+        if secondary is not None:
+            q, spare = int(secondary[n]), C - served
+            if q > spare:
+                expired[n, 1] = q - spare
+            elif refill and total and q < spare:
+                total -= edf_by_bucket(c, spare - q)
+        lost = c[0]
+        if lost:
+            expired[n, 0] = lost
+            total -= lost
+        del c[0]
+        c.append(0)
+    return expired
+
+
+def record(slots, C, *, T=0, warmup=0, L=0, streams=None, nprimary=0, secondary=False,
+           idle=None, p0=None):
+    """A config record of path_outages, its fields in the order of _kernel.c's
+    enum: the addresses of its stream rows, of its multicast draw rows
+    (`traffic.binomial_table`'s) and of its p0 (`binomial_start`'s), or 0."""
+    def at(a):
+        return 0 if a is None else a.ctypes.data
+
+    return (slots, L, at(streams), nprimary, int(secondary), T, C, sched.BACKLOG_OVERFLOW,
+            warmup, at(idle), at(p0))
+
+
+def run_configs(u, records, rates, T):
+    """(outages, tripped) of one path_outages call over the uniforms u under
+    the configs `records`, each with its (A, f) of `rates`: each config's
+    three outage counters and its trip slot or 0.  The workspace of T + 1
+    entries starts dirty, as a group's earlier configs leave it."""
+    u = np.ascontiguousarray(u, dtype=float)
+    records = np.array(records, dtype=np.int64)
+    rates = np.array(rates, dtype=float)
+    c = np.full(T + 1, 7, dtype=np.int64)
+    outages, tripped = np.zeros((len(records), 3), np.int64), np.zeros(len(records), np.int64)
+    sched._kernel().path_outages(u.ctypes.data, len(records), records.ctypes.data,
+                                 rates.ctypes.data, c.ctypes.data, outages.ctypes.data,
+                                 tripped.ctypes.data)
+    return outages, tripped
+
+
+def ranked_tables(values):
+    """Draw tables that feed the kernel chosen counts.
+
+    values is a (slots, width) count matrix whose distinct rows V[0], ...,
+    V[r - 1] are ordered entry by entry.  Returns (u, rows, arrays): slot
+    n's uniform u[n] = j / r, for its row V[j], and per column i a row (0,
+    lo, m, F, g) of path_outages, the cdf window F[k - lo] = #{l : V[l, i]
+    <= k} / r with its guide table g, both in `arrays`.  The kernel draws
+    min{k : F(k) > u}, so u = j / r = F(V[j, i] - 1) draws V[j, i], and u =
+    0 draws lo.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    # rows ordered entry by entry are ordered by their sums, equal where those are
+    _, first, rank = np.unique(values.sum(axis=1), return_index=True, return_inverse=True)
+    V = values[first]
+    assert np.array_equal(V[rank], values) and (np.diff(V, axis=0) >= 0).all()
+    r, rows, arrays = len(V), np.zeros((values.shape[1], 5), dtype=np.int64), []
+    for i, col in enumerate(V.T):
+        lo, m = col[0], col[-1] - col[0] + 1
+        F = np.searchsorted(col, np.arange(lo, lo + m), side="right") / r
+        g = np.searchsorted(np.floor(F * m), np.arange(m))  # min{j : floor(F[j] m) >= b}
+        rows[i] = 0, lo, m, F.ctypes.data, g.ctypes.data
+        arrays += F, g
+    return rank / r, rows, arrays
+
+
+def compiled(*, multicast_T=None, f=1.0, secondary=None, refill=False):
+    """Whether path_outages serves this shape as serve_path_by_slot does:
+    without a secondary the primary has all of C (f >= 1), and a secondary
+    is refilled after iff the primary is multicast (pi2)."""
+    if secondary is None:
+        return f >= 1.0
+    return refill == (multicast_T is not None)
+
+
+def kernel_outages(arrivals, C, *, multicast_T=None, f=1.0, secondary=None, refill=False):
+    """Per-slot outage indicators per class of the path serve_path_by_slot
+    serves, from the production path_outages, for a shape it compiles.
+
+    Config n is the path's first n + 1 slots with warm-up n, so it counts
+    slot n's outage alone.  Its records are written directly, and its
+    counts fed by inversion (`ranked_tables`): one Poisson stream per
+    look-ahead column, or a multicast fresh demand per idle count, the
+    present sources among the first idle columns (so the rows of these
+    counts must be ordered, as nested presence rows are).
+    """
+    assert compiled(multicast_T=multicast_T, f=f, secondary=secondary, refill=refill)
+    arrivals = np.asarray(arrivals, dtype=np.int64)
+    slots, width = arrivals.shape
+    if multicast_T is None:
+        T, L = width - 1, 0
+        draws = [ranked_tables(arrivals[:, [k]]) for k in range(width)]
+    else:
+        T, L = multicast_T, width
+        fresh = np.zeros((slots, L + 1), dtype=np.int64)
+        np.cumsum(arrivals, axis=1, out=fresh[:, 1:])
+        draws = [ranked_tables(fresh)]
+    if secondary is not None:
+        draws.append(ranked_tables(np.reshape(secondary, (-1, 1))))
+    fed = draws[1:] if L else draws  # the Poisson streams: all but a multicast fresh demand
+    streams = np.vstack([np.zeros((0, 5), np.int64)] + [rows for _, rows, _ in fed])
+    nprimary = 0 if L else width
+    streams[:nprimary, 0] = range(nprimary)  # each primary stream's look-ahead column
+    out = np.zeros((slots, 2), dtype=bool)
+    for n in range(slots):
+        u = np.concatenate([uniforms[:n + 1] for uniforms, _, _ in draws])
+        config = record(n + 1, C, T=T, warmup=n, L=L, streams=streams, nprimary=nprimary,
+                        secondary=secondary is not None, idle=draws[0][1] if L else None)
+        outages, tripped = run_configs(u, [config], [(0.5, f)], T)
+        if tripped[0]:
+            raise PathOverflowError(f"backlog overflow at slot {tripped[0]}")
+        out[n] = outages[0, :2] > 0
+    return out[:, :1 if secondary is None else 2]
+
+
+def expire(arrivals, C, **kw):
+    """serve_path_by_slot's per-slot expired counts, once the kernel
+    (`kernel_outages`) has reported an outage in exactly the slots and
+    classes where they are positive, for every shape it compiles."""
+    expired = serve_path_by_slot(arrivals, C, **kw)
+    if compiled(**kw):
+        assert np.array_equal(kernel_outages(arrivals, C, **kw), expired > 0)
+    return expired
+
+
 def one_slot(b, C, f=1.0, q=None, refill=False):
     """Expired counts of a one-slot path whose arrivals are the backlog b."""
     sec = None if q is None else [q]
-    return serve_path([b], C, f=f, secondary=sec, refill=refill)[0].tolist()
+    return expire([b], C, f=f, secondary=sec, refill=refill)[0].tolist()
 
 
 def served(b, C, f=1.0):
     """Primary requests served in one slot of backlog b.
 
     A probe secondary of C + 1 urgent requests takes whatever capacity the
-    primary leaves and always loses served + 1 of them.
+    primary leaves and always loses served + 1 of them.  The kernel tells
+    only whether a class lost any: a secondary of q requests loses some iff
+    q > C - served, so it serves as many iff q = C - served loses none and
+    q + 1 does.
     """
-    return one_slot(b, C, f, q=C + 1)[1] - 1
+    n = one_slot(b, C, f, q=C + 1)[1] - 1
+    lost = [kernel_outages([b], C, f=f, secondary=[q])[0, 1] for q in (C - n, C - n + 1)]
+    assert lost == [False, True]
+    return n
 
 
 def multicast(presence, C, T, **kw):
-    return serve_path(np.asarray(presence, dtype=bool), C, multicast_T=T, **kw)
+    return expire(np.asarray(presence, dtype=bool), C, multicast_T=T, **kw)
 
 
 class TestEdfServe:
@@ -72,8 +255,8 @@ class TestEdfServe:
 
     @given(paths, st.integers(0, 8))
     def test_expired_monotone_in_capacity_on_paths(self, arr, C):
-        small = serve_path(arr, C)[:, 0]
-        large = serve_path(arr, C + 1)[:, 0]
+        small = expire(arr, C)[:, 0]
+        large = expire(arr, C + 1)[:, 0]
         assert small.sum() >= large.sum()
 
 
@@ -83,8 +266,8 @@ def test_window_zero_matches_the_slot_loop(a, C, f, refill, data):
     # a window of length 0 has no busy period; the same arrivals, all
     # urgent, in a window of length 1 run through the slot loop
     q = data.draw(st.lists(st.integers(0, 6), min_size=len(a), max_size=len(a)))
-    flat = serve_path([[x] for x in a], C, f=f, secondary=q, refill=refill)
-    loop = serve_path([[x, 0] for x in a], C, f=f, secondary=q, refill=refill)
+    flat = expire([[x] for x in a], C, f=f, secondary=q, refill=refill)
+    loop = expire([[x, 0] for x in a], C, f=f, secondary=q, refill=refill)
     assert np.array_equal(flat, loop)
 
 
@@ -93,19 +276,20 @@ class TestAdvanceSlot:
     # residual deadline reaches 0
     def test_shift_and_insert(self):
         arr = [[0, 2], [0, 3], [0, 0]]
-        assert serve_path(arr, 0)[:, 0].tolist() == [0, 2, 3]
+        assert expire(arr, 0)[:, 0].tolist() == [0, 2, 3]
 
     def test_urgent_insertion(self):
-        assert serve_path([[4, 0, 0]], 0)[:, 0].tolist() == [4]
+        assert expire([[4, 0, 0]], 0)[:, 0].tolist() == [4]
 
     def test_zero_shift(self):
-        assert serve_path(np.zeros((5, 4), dtype=int), 0)[:, 0].tolist() == [0] * 5
+        assert expire(np.zeros((5, 4), dtype=int), 0)[:, 0].tolist() == [0] * 5
 
     def test_out_of_range_lookahead(self):
+        # a negative window or capacity is refused where a config is made
         with pytest.raises(ValueError):
-            multicast([[True]], 1, -1)
+            LookaheadLaw.deterministic(-1)
         with pytest.raises(ValueError):
-            serve_path([[1, 0]], -1)
+            SimConfig(C=-1, policy="reactive", slots=10, seed=0, warmup=0)
 
 
 class TestDynamicCapacity:
@@ -139,8 +323,8 @@ class TestTwoClass:
         # serves exactly what the selfish primary with all of C serves
         q = data.draw(st.lists(st.integers(0, 5), min_size=len(arr), max_size=len(arr)))
         f = math.nextafter(1.0, 0.0)
-        dyn = serve_path(arr, C, f=f, secondary=q)
-        selfish = serve_path(arr, C, secondary=q)
+        dyn = expire(arr, C, f=f, secondary=q)
+        selfish = expire(arr, C, secondary=q)
         assert np.array_equal(dyn, selfish)
 
     @given(backlogs, st.integers(0, 10), st.integers(1, 20))
@@ -212,7 +396,7 @@ class TestPi2:
         # EDF.  Slot 1 (no arrivals) reads off what is left at residual 1:
         # a probe of C + 1 unicast requests loses served + 1 of them.
         arr = [b, [0] * len(b)]
-        out = serve_path(arr, C, f=0.0, secondary=[q, C + 1], refill=True).tolist()
+        out = expire(arr, C, f=0.0, secondary=[q, C + 1], refill=True).tolist()
         urgent = min(b[0], C)
         leftover = max(C - urgent - q, 0)
         assert out[0] == [b[0] - urgent, max(q - (C - urgent), 0)]
@@ -228,7 +412,7 @@ def test_edf_equals_fcfs_under_deterministic_window():
 
     arr = np.zeros((slots, T + 1), dtype=np.int64)
     arr[:, T] = arrivals
-    edf_expired = serve_path(arr, C)[:, 0].tolist()
+    edf_expired = expire(arr, C)[:, 0].tolist()
 
     fifo_expired = []
     queue = []  # (arrival slot) per request, FIFO
@@ -243,75 +427,6 @@ def test_edf_equals_fcfs_under_deterministic_window():
         queue = [a for a in queue if a + T > n]
 
     assert edf_expired == fifo_expired
-
-
-def edf_by_bucket(c, cap):
-    """Reference EDF step: serve up to `cap` of `c` by deadline; return the count."""
-    left = cap
-    for k, ck in enumerate(c):
-        if ck >= left:
-            c[k] = ck - left
-            return cap
-        c[k] = 0
-        left -= ck
-    return cap - left
-
-
-def serve_path_by_slot(arrivals, C, *, multicast_T=None, f=1.0, secondary=None,
-                       refill=False):
-    """Reference: the kernel run slot by slot over every slot of the path."""
-    arrivals = np.asarray(arrivals)
-    T = arrivals.shape[1] - 1 if multicast_T is None else multicast_T
-    slots = arrivals.shape[0]
-    limit = sched.BACKLOG_OVERFLOW
-    expired = np.zeros((slots, 1 if secondary is None else 2), dtype=np.int64)
-    if multicast_T is not None:
-        L = arrivals.shape[1]
-        idle_present = np.zeros((slots, L + 1), dtype=np.int64)
-        np.cumsum(arrivals, axis=1, out=idle_present[:, 1:])
-    c = [0] * (T + 1)
-    total = 0
-    for n in range(slots):
-        if multicast_T is None:
-            for k in range(T + 1):
-                a = int(arrivals[n, k])
-                c[k] += a
-                total += a
-        else:
-            a = int(idle_present[n, L - total])
-            c[T] += a
-            total += a
-        if total > limit:
-            raise PathOverflowError(f"backlog overflow at slot {n + 1}")
-        cap = C
-        if f < 1.0:
-            cap = min(C, c[0] + math.ceil(f * (total - c[0])))
-        if total <= cap:
-            served = total
-            c = [0] * (T + 1)
-        else:
-            served = edf_by_bucket(c, cap)
-        total -= served
-        if secondary is not None:
-            q, spare = int(secondary[n]), C - served
-            if q > spare:
-                expired[n, 1] = q - spare
-            elif refill and total and q < spare:
-                total -= edf_by_bucket(c, spare - q)
-        lost = c[0]
-        if lost:
-            expired[n, 0] = lost
-            total -= lost
-        del c[0]
-        c.append(0)
-    return expired
-
-
-def assert_matches_slot_loop(arrivals, C, **kw):
-    got = serve_path(arrivals, C, **kw)
-    ref = serve_path_by_slot(arrivals, C, **kw)
-    assert got.dtype == ref.dtype
-    assert np.array_equal(got, ref)
 
 
 kernel_options = st.fixed_dictionaries({
@@ -330,7 +445,7 @@ def _options(data, slots, opts):
 
 
 class TestSettledSlots:
-    """The C kernel against the reference slot loop, on paths that mix slots an
+    """The kernel against the reference slot loop, on paths that mix slots an
     empty system clears with busy periods."""
 
     @given(st.integers(0, 4), st.integers(1, 40), st.integers(0, 8), kernel_options,
@@ -340,121 +455,128 @@ class TestSettledSlots:
         arr = np.asarray(data.draw(st.lists(
             st.lists(st.integers(0, max(C, 1)), min_size=T + 1, max_size=T + 1),
             min_size=slots, max_size=slots)))
-        assert_matches_slot_loop(arr, C, **_options(data, slots, opts))
+        expire(arr, C, **_options(data, slots, opts))
 
     @given(st.integers(0, 3), st.integers(1, 40), st.integers(1, 8), st.integers(0, 6),
            kernel_options, st.data())
     def test_multicast_presence(self, T, slots, L, C, opts, data):
-        pres = np.asarray(data.draw(st.lists(
-            st.lists(st.booleans(), min_size=L, max_size=L),
-            min_size=slots, max_size=slots)), dtype=bool)
-        assert_matches_slot_loop(pres, C, multicast_T=T, **_options(data, slots, opts))
+        # nested presence rows, a source present in a slot iff its weight
+        # lies below the slot's level, so that the kernel's fresh demand, a
+        # count per idle number of sources, can be fed them
+        weight = np.asarray(data.draw(st.lists(st.integers(0, 9), min_size=L, max_size=L)))
+        level = np.asarray(data.draw(st.lists(st.integers(0, 10), min_size=slots,
+                                              max_size=slots)))
+        pres = weight[None, :] < level[:, None]
+        expire(pres, C, multicast_T=T, **_options(data, slots, opts))
 
     def test_all_slots_settled(self):
         arr = [[1, 2], [0, 3], [2, 0], [0, 0]]
-        assert_matches_slot_loop(arr, 3)
-        assert_matches_slot_loop(arr, 3, secondary=np.array([4, 0, 2, 5]))
-        assert not serve_path(arr, 3).any()
+        expire(arr, 3, secondary=np.array([4, 0, 2, 5]))
+        assert not expire(arr, 3).any()
 
     def test_no_slot_settled(self):
         arr = [[3, 3]] * 6
-        assert_matches_slot_loop(arr, 2)
-        assert_matches_slot_loop(arr, 2, f=0.5, secondary=np.full(6, 2), refill=True)
-        assert serve_path(arr, 2)[:, 0].tolist() == [1, 4, 4, 4, 4, 4]
+        expire(arr, 2, f=0.5, secondary=np.full(6, 2))
+        assert expire(arr, 2)[:, 0].tolist() == [1, 4, 4, 4, 4, 4]
 
     def test_busy_period_open_at_the_last_slot(self):
         # the last slot leaves two requests pending: the path ends busy
         arr = [[0, 1], [0, 0], [0, 5]]
-        assert_matches_slot_loop(arr, 3)
-        assert_matches_slot_loop(arr, 3, secondary=np.array([0, 3, 1]))
-        assert serve_path(arr, 3)[:, 0].tolist() == [0, 0, 0]
+        expire(arr, 3, secondary=np.array([0, 3, 1]))
+        assert expire(arr, 3)[:, 0].tolist() == [0, 0, 0]
 
     def test_busy_periods_that_touch(self):
         # slot 0 ends its busy period with an expiry, and slot 1 opens the
         # next one from the empty state it leaves
         arr = [[3, 0], [0, 4], [0, 0], [0, 1]]
-        assert_matches_slot_loop(arr, 2)
-        assert_matches_slot_loop(arr, 2, secondary=np.array([1, 0, 1, 0]))
-        assert serve_path(arr, 2)[:, 0].tolist() == [1, 0, 0, 0]
+        expire(arr, 2, secondary=np.array([1, 0, 1, 0]))
+        assert expire(arr, 2)[:, 0].tolist() == [1, 0, 0, 0]
 
     def test_settled_slot_inside_a_busy_period(self):
         # slot 1 fits C from empty but meets slot 0's backlog: the secondary
         # loses what the empty-state outcome would not
         arr = [[0, 3], [0, 1], [0, 0]]
         q = np.array([0, 1, 0])
-        assert serve_path(arr, 2, secondary=q).tolist() == [[0, 0], [0, 1], [0, 0]]
-        assert_matches_slot_loop(arr, 2, secondary=q)
+        assert expire(arr, 2, secondary=q).tolist() == [[0, 0], [0, 1], [0, 0]]
 
 
 class TestOverflowSlot:
+    # the kernel's half runs under a guard of 40, whose counts it can tabulate
     @pytest.mark.parametrize("T", [0, 2])
-    def test_fresh_demand_beyond_the_guard_is_never_settled(self, T):
+    def test_fresh_demand_beyond_the_guard_is_never_settled(self, T, monkeypatch):
         # C covers the demand, yet the slot must reach the guard
-        arr = np.zeros((3, T + 1), dtype=np.int64)
-        arr[1, T] = BACKLOG_OVERFLOW + 1
-        for fn in (serve_path, serve_path_by_slot):
-            with pytest.raises(PathOverflowError, match="at slot 2$"):
-                fn(arr, 2 * BACKLOG_OVERFLOW)
+        for guard, runs in ((BACKLOG_OVERFLOW, [serve_path_by_slot]),
+                            (40, [serve_path_by_slot, kernel_outages])):
+            monkeypatch.setattr(sched, "BACKLOG_OVERFLOW", guard)
+            arr = np.zeros((3, T + 1), dtype=np.int64)
+            arr[1, T] = guard + 1
+            for fn in runs:
+                with pytest.raises(PathOverflowError, match="at slot 2$"):
+                    fn(arr, 2 * guard)
 
-    def test_backlog_built_in_a_busy_period(self):
-        half = BACKLOG_OVERFLOW // 2 + 1
-        arr = [[0, 0, 0], [0, 0, half], [0, 0, half], [0, 0, 0]]
-        for fn in (serve_path, serve_path_by_slot):
-            with pytest.raises(PathOverflowError, match="at slot 3$"):
-                fn(arr, 0)
+    def test_backlog_built_in_a_busy_period(self, monkeypatch):
+        for guard, runs in ((BACKLOG_OVERFLOW, [serve_path_by_slot]),
+                            (40, [serve_path_by_slot, kernel_outages])):
+            monkeypatch.setattr(sched, "BACKLOG_OVERFLOW", guard)
+            half = guard // 2 + 1
+            arr = [[0, 0, 0], [0, 0, half], [0, 0, half], [0, 0, 0]]
+            for fn in runs:
+                with pytest.raises(PathOverflowError, match="at slot 3$"):
+                    fn(arr, 0)
 
 
 class TestKernelInputs:
-    """Whatever layout the caller hands in, the kernel reads what the reference
-    reads: serve_path passes it C-ordered arrays of its own dtypes only."""
+    """Corners of the kernel's inputs: no capacity, and a workspace an earlier
+    path left busy."""
 
     rng = np.random.default_rng(5)
     counts = rng.poisson(1.5, (30, 3))
-    presence = rng.random((30, 21)) < 0.3  # wider than one 8-byte word
+    presence = np.arange(21)[None, :] < rng.integers(0, 22, 30)[:, None]  # nested rows
     q = rng.poisson(0.8, 30)
 
-    def test_fortran_order(self):
-        assert_matches_slot_loop(np.asfortranarray(self.counts), 2, secondary=self.q)
-        pres = np.asfortranarray(self.presence)
-        assert_matches_slot_loop(pres, 2, multicast_T=1, f=0.0, secondary=self.q, refill=True)
-
-    def test_non_contiguous_views(self):
-        assert_matches_slot_loop(self.counts[::2], 2, secondary=self.q[::2])
-        assert_matches_slot_loop(self.counts[:, 1:], 1, f=0.5, secondary=self.q)
-        assert_matches_slot_loop(self.presence[::3, ::2], 1, multicast_T=2)
-
-    def test_int32_counts(self):
-        arr = self.counts.astype(np.int32)
-        assert_matches_slot_loop(arr, 2, f=0.5, secondary=self.q.astype(np.int32))
-
-    def test_lists(self):
-        assert_matches_slot_loop(self.counts.tolist(), 2, secondary=self.q.tolist(),
-                                 refill=True)
-        assert_matches_slot_loop(self.presence.tolist(), 2, multicast_T=1,
-                                 secondary=self.q.tolist())
-
     def test_zero_capacity(self):
-        assert_matches_slot_loop(self.counts, 0, secondary=self.q, refill=True)
-        assert_matches_slot_loop(self.presence, 0, multicast_T=2, f=0.0)
+        # the secondary loses every request
+        assert expire(self.counts, 0, secondary=self.q)[:, 1].tolist() == self.q.tolist()
+        pi2 = expire(self.presence, 0, multicast_T=2, f=0.0, secondary=self.q, refill=True)
+        assert pi2[:, 1].tolist() == self.q.tolist()
+        expire(self.presence, 0, multicast_T=2)
 
     def test_interleaved_calls_leave_no_state(self):
-        # each call gets its own workspace: a path left busy at its last slot
-        # does not leak into the next call
-        busy = serve_path(self.counts, 1)
-        idle = serve_path(np.zeros((5, 3), dtype=np.int64), 1)
-        assert np.array_equal(serve_path(self.counts, 1), busy)
-        assert not idle.any()
-        assert np.array_equal(busy, serve_path_by_slot(self.counts, 1))
+        # each config of a call starts from an empty workspace, whatever an
+        # earlier one left in it: a path left busy at its last slot does not
+        # leak into the next
+        busy = expire(self.counts, 1)
+        outages, _ = run_configs(np.zeros(5), [record(5, 1, T=2)], [(0.0, 1.0)], 2)
+        assert not outages.any()
+        assert np.array_equal(expire(self.counts, 1), busy)
 
-    def test_malformed_inputs_are_refused(self):
-        with pytest.raises(ValueError, match="matrix"):
-            serve_path([1, 2, 3], 1)
-        with pytest.raises(ValueError, match="secondary"):
-            serve_path(self.counts, 1, secondary=self.q[:-1])
-        with pytest.raises(ValueError, match="f >= 0"):
-            serve_path(self.counts, 1, f=-0.5)
-        with pytest.raises(ValueError, match="capacity"):
-            serve_path(self.counts, 2**63)
+
+def test_the_library_exports_what_sim_and_traffic_call(monkeypatch):
+    # a group with every draw table: Poisson streams, and multicast fresh
+    # demand through per-idle tables and, over their budget, by the walk
+    lib, called = sched._kernel(), set()
+
+    class Spy:
+        def __getattr__(self, name):
+            called.add(name)
+            return getattr(lib, name)
+
+    monkeypatch.setattr(sched, "_kernel", Spy)
+    common = dict(C=4, seed=1, slots=300, warmup=100, law=LookaheadLaw.deterministic(1))
+    sim.estimate_outages([
+        SimConfig(**common, policy="dynamic", regime=Regime("linear", 0.6),
+                  secondary=Regime("linear", 0.1)),
+        *(SimConfig(**common, policy="pi2", regime=Regime("linear", 0.05),
+                    multicast=MulticastSpec(0.9, theta)) for theta in (15.0, 3000.0)),
+    ], 2)
+    monkeypatch.undo()
+    nm = subprocess.run(["nm", "-D", "--defined-only", lib._name], check=True,
+                        capture_output=True, text=True).stdout
+    exported = {line.split()[2] for line in nm.splitlines() if line.split()[1] == "T"}
+    assert exported == called | {
+        "path_outages",  # the hand traces run the slot loop on chosen counts
+        "binomial_least",  # its bound is checked against the tables' sizes
+    }
 
 
 @pytest.fixture
@@ -470,7 +592,7 @@ class TestKernelBuild:
     arr = [[0, 3], [1, 1], [2, 0]]
 
     def test_second_load_reuses_the_cached_library(self, fresh_cache, monkeypatch):
-        first = serve_path(self.arr, 1)
+        first = kernel_outages(self.arr, 1)
         built = list(fresh_cache.iterdir())
         assert [p.name.startswith("_kernel-") and p.suffix == ".so" for p in built] == [True]
 
@@ -479,7 +601,7 @@ class TestKernelBuild:
 
         monkeypatch.setattr(subprocess, "run", no_compiler)
         monkeypatch.setattr(sched, "_lib", None)
-        assert np.array_equal(serve_path(self.arr, 1), first)
+        assert np.array_equal(kernel_outages(self.arr, 1), first)
         assert list(fresh_cache.iterdir()) == built
 
     def test_edited_source_builds_a_new_library(self, tmp_path):
@@ -538,12 +660,12 @@ class TestKernelBuild:
         monkeypatch.setattr(sched, "_CACHE", blocker / "__pycache__")
         monkeypatch.setattr(sched, "_lib", None)
         monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-        assert_matches_slot_loop(self.arr, 1)
+        expire(self.arr, 1)
         assert list(scratch.iterdir()) == []  # removed once loaded
 
     def test_compile_error_names_the_compiler(self, tmp_path):
         broken = tmp_path / "_kernel.c"
-        broken.write_text("int serve_path(void) { return }\n")
+        broken.write_text("int path_outages(void) { return }\n")
         with pytest.raises(RuntimeError, match="'cc' failed on _kernel.c"):
             sched._build(broken, tmp_path / "cache")
         assert list((tmp_path / "cache").iterdir()) == []

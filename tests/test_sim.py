@@ -9,9 +9,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_sched import serve_path_by_slot
+from test_sched import expire, serve_path_by_slot
 
 from proactivenet import sched, sim
 from proactivenet.analytic import poisson_tail
@@ -90,7 +90,6 @@ def serial_group(seed, paths, fill, cfgs=()):
                       state["inc"] % 2**64], dtype=np.uint64)
     index = np.array(paths, dtype=np.uint64)
     plan = sim._plan_group(list(cfgs))
-    assert plan.error is None
     fill = max(fill, plan.fill)
     u, c = np.empty(fill), np.empty(1 + plan.window, np.int64)
     u_at, c_at = np.array([u.ctypes.data], np.uintp), np.array([c.ctypes.data], np.uintp)
@@ -165,7 +164,7 @@ class TestRunPath:
     def test_scripted_overflow_trace(self):
         # 5 arrivals with a 1-slot window into C=2: 4 servable over two
         # slots, exactly one outage in the second slot
-        outage = sched.serve_path(np.array([[0, 5], [0, 0], [0, 0]]), 2)[:, 0] > 0
+        outage = expire(np.array([[0, 5], [0, 0], [0, 0]]), 2)[:, 0] > 0
         assert outage.sum() == 1
         assert outage.tolist() == [False, True, False]
 
@@ -176,7 +175,7 @@ class TestRunPath:
         # per slot: path 3's arrivals, drawn and served twice
         law = LookaheadLaw.deterministic(0)
         outage = [
-            sched.serve_path(unicast_counts(2.0, law, sim.path_rng(cfg.seed, 3), cfg.slots), 4)
+            expire(unicast_counts(2.0, law, sim.path_rng(cfg.seed, 3), cfg.slots), 4)
             for _ in range(2)
         ]
         assert np.array_equal(outage[0], outage[1])
@@ -257,10 +256,8 @@ class TestPairing:
         rng = np.random.default_rng(17)
         arrivals = unicast_counts(4.8, LookaheadLaw.deterministic(1), rng, 2000)
         secondary = rng.poisson(0.6, 2000)
-        selfish = sched.serve_path(arrivals, 6, secondary=secondary)
-        dynamic = sched.serve_path(
-            arrivals, 6, f=np.nextafter(1.0, 0.0), secondary=secondary
-        )
+        selfish = expire(arrivals, 6, secondary=secondary)
+        dynamic = expire(arrivals, 6, f=np.nextafter(1.0, 0.0), secondary=secondary)
         assert selfish[:, 0].any() and selfish[:, 1].any()
         assert np.array_equal(selfish, dynamic)
 
@@ -457,7 +454,7 @@ class TestMulticastExactness:
             kw = {}
             if policy == "pi2":
                 kw = dict(f=0.0, secondary=poisson(rng, 0.2, 1000), refill=True)
-            outage = sched.serve_path(pres, cfg.C, multicast_T=0, **kw)[:, 0] > 0
+            outage = expire(pres, cfg.C, multicast_T=0, **kw)[:, 0] > 0
             assert np.array_equal(outage, pres.sum(axis=1) > cfg.C)
             assert run_path(cfg, i).outage_slots["multicast"] == outage.sum()
 
@@ -631,14 +628,15 @@ def path_configs(draw):
 @pytest.mark.filterwarnings("ignore:offered load")
 @settings(max_examples=300, deadline=None)
 @given(path_configs(), st.integers(2, 4))
-def test_fast_path_equals_the_generators_served_by_serve_path(cfg, n_paths):
+# paths whose counts the dynamic cap's ceiling, and pi2's refill, decide
+@example(SimConfig(C=2, policy="dynamic", f=0.5, slots=60, seed=0, warmup=0,
+                   regime=Regime("linear", 0.8), law=LookaheadLaw.deterministic(1),
+                   secondary=Regime("linear", 0.1)), 2)
+@example(SimConfig(C=2, policy="pi2", slots=60, seed=0, warmup=0, regime=Regime("linear", 0.3),
+                   law=LookaheadLaw.deterministic(1), multicast=MulticastSpec(0.9, 1.0)), 2)
+def test_fast_path_equals_the_generators_served_by_the_slot_loop(cfg, n_paths):
     counted = cfg.slots - cfg.effective_warmup
-    try:
-        want = [reference_counts(cfg, i) for i in range(n_paths)]
-    except TrafficSpecError:  # e.g. a secondary class at C = 0
-        with pytest.raises(TrafficSpecError):
-            estimate_outage(cfg, n_paths)
-        return
+    want = [reference_counts(cfg, i) for i in range(n_paths)]
     est = estimate_outage(cfg, n_paths)
     assert set(est) == set(want[0])
     for cls, e in est.items():
@@ -682,10 +680,7 @@ class TestSeeding:
     @settings(max_examples=60, deadline=None)
     @given(path_configs(), st.integers(2, 4), st.integers(1, 3))
     def test_more_paths_extend_the_estimate(self, cfg, n, k):
-        try:
-            few, more = estimate_outage(cfg, n), estimate_outage(cfg, n + k)
-        except TrafficSpecError:
-            return
+        few, more = estimate_outage(cfg, n), estimate_outage(cfg, n + k)
         for cls, e in few.items():
             assert more[cls].per_path_values[:n] == e.per_path_values
 
@@ -693,10 +688,7 @@ class TestSeeding:
     @settings(max_examples=60, deadline=None)
     @given(path_configs(), st.integers(0, 5))
     def test_run_path_is_the_estimates_path(self, cfg, index):
-        try:
-            est = estimate_outage(cfg, index + 2)
-        except TrafficSpecError:
-            return
+        est = estimate_outage(cfg, index + 2)
         counted = cfg.slots - cfg.effective_warmup
         got = run_path(cfg, index).outage_slots
         assert {cls: e.per_path_values[index] for cls, e in est.items()} == {
@@ -861,14 +853,20 @@ class TestWorkers:
 
     @pytest.mark.filterwarnings("ignore:offered load")
     def test_helpers_start_before_planning_and_are_always_joined(self, monkeypatch):
-        # under a guard of 14, seed 51: rate 3.5 overflows at path 3; a rate
-        # of 2e9 is a mean above traffic's guard and cannot be planned
+        # under a guard of 14, seed 51: rate 3.5 overflows at path 3; the
+        # table arena of rate 2.5 cannot be allocated, so its group cannot
+        # be planned
         four_cpus(monkeypatch)
         monkeypatch.setattr(sched, "BACKLOG_OVERFLOW", 14)
         common = dict(C=5, policy="reactive", slots=30000, seed=51, warmup=100)
         clean, also, late, unplanned, interrupted = (
-            SimConfig(**common, rate=r) for r in (1.0, 1.5, 3.5, 2e9, 2.0))
-        real_streams, before, helpers = sim._streams, tasks(), []
+            SimConfig(**common, rate=r) for r in (1.0, 1.5, 3.5, 2.5, 2.0))
+        real_streams, real_tables, before, helpers = sim._streams, sim.poisson_tables, tasks(), []
+
+        def tables(means):
+            if 2.5 in means:
+                raise MemoryError("no room for the tables")
+            return real_tables(means)
 
         def streams(cfg):  # each config's first step of planning
             helpers.append(len(tasks() - before))
@@ -877,9 +875,10 @@ class TestWorkers:
             return real_streams(cfg)
 
         monkeypatch.setattr(sim, "_streams", streams)
+        monkeypatch.setattr(sim, "poisson_tables", tables)
         assert sim._outage_counts([clean, also], range(5))[:, :, 0].all()
         assert helpers == [3, 3] and tasks() == before
-        for cfgs, error, match in (([clean, also, unplanned], PathOverflowError, "Poisson mean"),
+        for cfgs, error, match in (([clean, also, unplanned], MemoryError, "no room"),
                                    ([clean, late], PathOverflowError, "backlog overflow"),
                                    ([clean, interrupted], KeyboardInterrupt, None)):
             helpers.clear()
@@ -1007,14 +1006,7 @@ class TestGroups:
     @settings(max_examples=150, deadline=None)
     @given(groups(), st.integers(2, 4))
     def test_each_config_of_a_group_is_its_estimate_alone(self, cfgs, n_paths):
-        alone = []
-        for cfg in cfgs:
-            try:
-                alone.append(estimate_outage(cfg, n_paths))
-            except TrafficSpecError as exc:  # the first config that cannot run
-                with pytest.raises(TrafficSpecError, match=re.escape(str(exc))):
-                    estimate_outages(cfgs, n_paths)
-                return
+        alone = [estimate_outage(cfg, n_paths) for cfg in cfgs]
         assert estimate_outages(cfgs, n_paths) == alone
         for cfg, est in zip(cfgs, alone):
             counted = cfg.slots - cfg.effective_warmup
@@ -1082,29 +1074,38 @@ class TestGroups:
     @pytest.mark.filterwarnings("ignore:offered load")
     def test_errors_come_in_serial_order(self, monkeypatch):
         # under a guard of 14, seed 51: rate 3.5 overflows at path 3 alone,
-        # rate 4.0 at paths 0, 2 and 3; selfish at C = 0 cannot be planned
+        # rate 4.0 at paths 0, 2 and 3.  A config that planning would refuse
+        # is refused where it is made, with planning's message, before any
+        # path of its group runs: selfish at C = 0, and Poisson means the
+        # table builder refuses (traffic's guard is 1e9)
         four_cpus(monkeypatch)
         monkeypatch.setattr(sched, "BACKLOG_OVERFLOW", 14)
         common = dict(C=5, policy="reactive", slots=30000, seed=51, warmup=100)
-        clean, late, early = (SimConfig(**common, rate=r) for r in (1.0, 3.5, 4.0))
-        unplanned = SimConfig(C=0, policy="selfish", slots=30000, seed=51, warmup=100,
-                              regime=Regime("linear", 0.6), secondary=Regime("linear", 0.1))
-        # Poisson means the table builder refuses: traffic's guard is 1e9
-        refused = [SimConfig(**common, rate=r) for r in (math.nan, -1.0, 2e9)]
-        assert serial_error([late], range(3)) is None
-        assert serial_error([early], range(1)) is not None
-        for cfgs in ([clean, late, early], [clean, early, late], [late, unplanned],
+        clean, late, early = (({**common, "rate": r}, None) for r in (1.0, 3.5, 4.0))
+        unplanned = (dict(C=0, policy="selfish", slots=30000, seed=51, warmup=100,
+                          regime=Regime("linear", 0.6), secondary=Regime("linear", 0.1)),
+                     "capacity must be >= 1, got 0")
+        refused = [({**common, "rate": r}, refusal) for r, refusal in (
+            (math.nan, "Poisson mean must be finite and >= 0, got nan"),
+            (-1.0, "Poisson mean must be finite and >= 0, got -1.0"),
+            (2e9, "Poisson mean 2e+09 exceeds the backlog guard"))]
+        assert serial_error([SimConfig(**late[0])], range(3)) is None
+        assert serial_error([SimConfig(**early[0])], range(1)) is not None
+        for case in ([clean, late, early], [clean, early, late], [late, unplanned],
                      [clean, unplanned, late], [unplanned, early],
                      *([first, mean, late] for first in (clean, early) for mean in refused)):
-            want = serial_error(cfgs, range(5))
+            refusal = next((refusal for _, refusal in case if refusal), None)
             threads = tasks()
-            with pytest.raises(type(want)) as exc:
-                estimate_outages(cfgs, 5)
-            assert str(exc.value) == str(want)
+            if refusal:  # even where an earlier config would overflow
+                with pytest.raises(sim.SimConfigError, match=f"^{re.escape(refusal)}$"):
+                    estimate_outages([SimConfig(**kw) for kw, _ in case], 5)
+            else:
+                cfgs = [SimConfig(**kw) for kw, _ in case]
+                want = serial_error(cfgs, range(5))
+                with pytest.raises(type(want)) as exc:
+                    estimate_outages(cfgs, 5)
+                assert str(exc.value) == str(want)
             assert tasks() == threads
-        assert isinstance(serial_error([clean, unplanned, late], range(5)), TrafficSpecError)
-        assert [type(serial_error([clean, mean, late], range(5))) for mean in refused] == [
-            ValueError, ValueError, PathOverflowError]
 
     def test_a_group_builds_each_mean_once_and_its_own_tables(self, monkeypatch):
         # the reactive curve and each deterministic window draw the same

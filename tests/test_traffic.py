@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_sched import record, run_configs
 
 from proactivenet import analytic as an
 from proactivenet import sched
@@ -289,16 +290,35 @@ class TestPoissonInversion:
         assert abs(z) < 4
 
 
+def fresh_demand_outages(u, n, A, capacities, rows=None):
+    """Outage slots at each capacity of a multicast path of window 0 over n
+    sources, one slot per uniform of u, from path_outages with its records
+    written directly.  Every slot finds the n sources idle and draws its
+    fresh demand, Binomial(n, A), an outage iff it exceeds C: by the pmf
+    walk from p0 of binomial_start (the record's IDLE_P0), or through the
+    rows of `traffic.binomial_table` for A (its IDLE)."""
+    p0 = np.empty(n + 1)
+    sched._kernel().binomial_start(n, A, p0.ctypes.data)
+    walk = p0 if rows is None else None
+    configs = [record(len(u), C, L=n, idle=rows, p0=walk) for C in capacities]
+    outages, tripped = run_configs(u, configs, [(A, 1.0)] * len(configs), 0)
+    assert not tripped.any()
+    return outages[:, 0]
+
+
 def binomial_draws(u, n, A, rows=None):
     """The kernel's Binomial(n, A) count of each uniform, as a multicast
-    path draws its fresh demand from n idle sources: by the pmf walk, or
-    through the rows of `traffic.binomial_table` for A."""
-    u = np.ascontiguousarray(u, dtype=float)
-    out = np.empty(u.size, dtype=np.int64)
-    sched._kernel().binomial_invert(u.ctypes.data, u.size, n, A,
-                                    None if rows is None else rows.ctypes.data,
-                                    out.ctypes.data)
-    return out
+    path draws its fresh demand from n idle sources: the number of the
+    capacities 0..n - 1 at which a one-slot path of that uniform has an
+    outage (`fresh_demand_outages`)."""
+    return np.array([fresh_demand_outages([x], n, A, range(n), rows).sum() for x in u])
+
+
+def every_draw_is(u, n, A, v, rows=None):
+    """Whether the kernel draws v from every uniform of u: a path of them has
+    an outage in every slot at C = v - 1, and in none at C = v."""
+    want = [len(u), 0] if v else [0]
+    return fresh_demand_outages(u, n, A, [v - 1, v] if v else [v], rows).tolist() == want
 
 
 def table_rows(tables):
@@ -313,17 +333,20 @@ def table_rows(tables):
     return out
 
 
-def exact_binomial_cdf(n, A, top):
-    """P(X <= k), k <= top, for X ~ Binomial(n, A), in 60-digit decimal
-    arithmetic from (1 - A)^n, as floats."""
+def exact_binomial_cdf(n, A, beyond):
+    """P(X <= k) for X ~ Binomial(n, A), k = 0, 1, ... up to the first k where
+    it exceeds `beyond`, or n, in 60-digit decimal arithmetic from (1 - A)^n,
+    as floats."""
     with localcontext() as ctx:
         ctx.prec = 60
         a = Decimal(A)
         p, total, out = (1 - a) ** n, Decimal(0), []
-        for k in range(top + 1):
+        for k in range(n + 1):
             total += p
             out.append(float(total))
-            p = p * (n - k) / (k + 1) * a / (1 - a) if k < n else Decimal(0)
+            if total > Decimal(beyond):
+                break
+            p = p * (n - k) / (k + 1) * a / (1 - a)
     return np.array(out)
 
 
@@ -343,15 +366,16 @@ class TestBinomialInversion:
         # each draw is min{k : F(k) > u}; only a u within 1e-12 of a cdf
         # value may go either way
         u = rng(12).random(10**5)
-        got = binomial_draws(u, n, A)
-        cdf = exact_binomial_cdf(n, A, min(n, int(got.max()) + 1))
+        cdf = exact_binomial_cdf(n, A, u.max())
         want = np.searchsorted(cdf, u, side="right")
         edges = np.concatenate([[-np.inf], cdf, [np.inf]])
         j = np.searchsorted(cdf, u)
         near = np.minimum(u - edges[j], edges[j + 1] - u) < 1e-12
         print(f"n = {n}, A = {A!r}: {near.sum()} of {u.size} uniforms within 1e-12 of a cdf value")
         assert near.sum() <= 10
-        assert np.array_equal(got[~near], want[~near])
+        # the walk draws each count from every uniform the exact cdf inverts to it
+        for v in np.unique(want[~near]):
+            assert every_draw_is(u[~near & (want == v)], n, A, v), v
 
     def test_a_uniform_on_a_cdf_value_draws_the_next_count(self):
         # min{k : F(k) > u}, at the cdf values of Binomial(1, 1/2) and
@@ -362,8 +386,8 @@ class TestBinomialInversion:
     @pytest.mark.parametrize("n", [0, 1, 7, 5000])
     def test_certain_and_impossible_sources(self, n):
         u = rng(13).random(1000)
-        assert (binomial_draws(u, n, 1.0) == n).all()
-        assert (binomial_draws(u, n, 0.0) == 0).all()
+        assert every_draw_is(u, n, 1.0, n)
+        assert every_draw_is(u, n, 0.0, 0)
 
 
 class TestBinomialTables:
@@ -386,8 +410,11 @@ class TestBinomialTables:
                 assert np.array_equal(g, [np.argmax(np.floor(F * m) >= b) for b in range(m)])
                 u = np.concatenate([F, np.nextafter(F, 0.0), random_u])
                 u = u[u < 1.0]
-                assert np.array_equal(binomial_draws(u, idle, A, tables[0]),
-                                      binomial_draws(u, idle, A)), (n, A, idle)
+                # both draw min{k : F(k) > u}, F the cdf values the walk sums
+                want = lo + np.searchsorted(F, u, side="right")
+                for v in np.unique(want):
+                    assert every_draw_is(u[want == v], idle, A, v, tables[0]), (n, A, idle)
+                    assert every_draw_is(u[want == v], idle, A, v), (n, A, idle)
                 mode_starts += lo > 0
         # (40, 1 - 1e-12): (1 - A)^idle < 1e-300 from idle 25 on, so the
         # walk starts below the mode
