@@ -7,7 +7,7 @@ The package is organized as:
   tables through which a path inverts its uniforms into counts.
 - ``sched``    : the compiled earliest-deadline-first slot loop over the
   vector of pending requests per residual deadline, shared by all six
-  policies, and its overflow guard.
+  policies.
 - ``sim``      : Monte Carlo paths (a group of configs' paths in one kernel
   call), outage estimation, capacity sweeps and decay-rate fitting.
 - ``analytic`` : closed-form decay-rate (diversity) bounds and a numeric

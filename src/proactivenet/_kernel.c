@@ -28,13 +28,13 @@
  * Each count is a uniform inverted through a cdf window and its guide table
  * (invert).  poisson_tables builds every Poisson stream's of a group in one
  * call, back to back in one arena, for proactivenet.traffic, which checks
- * every mean and sets each window.  binomial_table builds
- * a multicast config's, one per idle count, from the cdf values that
- * binomial's walk sums, so that a table draw is the walk's count bit for
- * bit; a config whose tables would exceed traffic's byte budget draws by
- * the walk itself, started from its table of (1 - A)^idle (binomial_start).
- * Sizing refuses most such configs from binomial_least, a lower bound on
- * the tables' entries found in O(L).
+ * every mean (traffic.check_mean) and sets each window.  binomial_table
+ * builds a multicast config's, one per idle count, in one pass from the cdf
+ * values that binomial's walk sums, so that a table draw is the walk's count
+ * bit for bit; a config whose tables would exceed traffic's byte budget
+ * draws by the walk itself, started from its table of (1 - A)^idle
+ * (binomial_start).  binomial_least, a lower bound on the tables' entries
+ * found in O(L), refuses most such configs before the fill.
  *
  * sched compiles this file with `cc -O2 -shared -fPIC -pthread` on first
  * use and loads it through ctypes.
@@ -204,38 +204,32 @@ int64_t binomial_least(int64_t L, double A, int64_t cap)
  * each count it may pass, and 1.0 at the count where it stops whatever x is
  * (n, or where p no longer moves F); g[at..at+m-1] is its guide table.  So
  * draw(x, row + 5n) = binomial(x, n, ...) for every x in [0, 1).
- * Returns the entries of F (and of g) the tables take.  With F NULL, fills
- * nothing and stops counting once the count exceeds cap, or returns
- * binomial_least at once where that exceeds it. */
+ * F and g hold min(cap, (L + 1)(L + 2) / 2) entries, row n at most n + 1.
+ * Returns the entries the tables take, or a count above cap once they would
+ * take more, writing nothing past F[cap - 1]. */
 int64_t binomial_table(int64_t L, double A, int64_t cap, double *F, int64_t *g, int64_t *row)
 {
     const double r = A / (1.0 - A), lq = log1p(-A);
-    if (!F) {  /* refused in O(L) where the bound suffices */
-        const int64_t least = binomial_least(L, A, cap);
-        if (least > cap)
-            return least;
-    }
     int64_t at = 0;
-    for (int64_t n = 0; n <= L && (F || at <= cap); n++) {
+    for (int64_t n = 0; n <= L; n++) {
         double p = 1.0, s;
         int64_t lo = A >= 1.0 ? n : walk_start(n, A, r, exp((double)n * lq), &p), k = lo;
-        for (s = p; k < n && s + p > s; s += p) {
-            if (F)
-                F[at + k - lo] = s;
+        for (s = p; k < n && s + p > s && at + k - lo < cap; s += p) {
+            F[at + k - lo] = s;
             p *= r * (double)(n - k) / (double)(k + 1);
             k++;
         }
         const int64_t m = k - lo + 1;
-        if (F) {
-            F[at + m - 1] = 1.0;
-            guide(F + at, m, g + at);
-            int64_t *w = row + 5 * n;
-            w[0] = 0;
-            w[1] = lo;
-            w[2] = m;
-            w[3] = (int64_t)(uintptr_t)(F + at);
-            w[4] = (int64_t)(uintptr_t)(g + at);
-        }
+        if (at + m > cap)
+            return at + m;
+        F[at + m - 1] = 1.0;
+        guide(F + at, m, g + at);
+        int64_t *w = row + 5 * n;
+        w[0] = 0;
+        w[1] = lo;
+        w[2] = m;
+        w[3] = (int64_t)(uintptr_t)(F + at);
+        w[4] = (int64_t)(uintptr_t)(g + at);
         at += m;
     }
     return at;
@@ -251,8 +245,8 @@ void binomial_start(int64_t L, double A, double *p0)
 
 /* The fields of a config's int64 record in path_outages, in order; its
  * double record is (A, f). */
-enum { SLOTS, SOURCES, STREAMS, NPRIMARY, SECONDARY, WINDOW, CAPACITY, LIMIT, WARMUP, IDLE,
-       IDLE_P0, FIELDS };
+enum { SLOTS, SOURCES, STREAMS, NPRIMARY, SECONDARY, WINDOW, CAPACITY, WARMUP, IDLE, IDLE_P0,
+       FIELDS };
 
 /* One sample path under one config, from its uniforms to its outage counts.
  * u:         the path's uniforms in the config's draw order: with L > 0
@@ -269,19 +263,18 @@ enum { SLOTS, SOURCES, STREAMS, NPRIMARY, SECONDARY, WINDOW, CAPACITY, LIMIT, WA
  *            `secondary`;
  * c:         T+1 int64 entries of workspace;
  * outages:   3 int64 counters, incremented by the slots from `warmup` on in
- *            which a primary, a secondary, or any request expired (left as
- *            they were if the path overflows).
+ *            which a primary, a secondary, or any request expired.
  * multicast, secondary, capped: the config's shape, constants in each copy.
- * Returns 0, or the 1-based slot whose pending backlog exceeded limit.  The
- * backlog is checked once per slot: with the means traffic.poisson_table
- * admits, no count exceeds ~1e9, so total cannot overflow before it. */
-static inline __attribute__((always_inline)) int64_t config_outages(
+ * A request expires within T + 1 slots, so total never exceeds the arrivals
+ * of the last T + 1 slots: L with L > 0 sources, else at most T + 1 times the
+ * largest counts of the primary streams' cdf windows, which sim.SimConfig
+ * keeps below 2**62.  So no count overflows. */
+static inline __attribute__((always_inline)) void config_outages(
     const double *u, const int64_t *cfg, double A, double f, int64_t *c, int64_t *outages,
     const int multicast, const int secondary, const int capped)
 {
     const int64_t slots = cfg[SLOTS], L = cfg[SOURCES], nprimary = cfg[NPRIMARY];
-    const int64_t T = cfg[WINDOW], C = cfg[CAPACITY], limit = cfg[LIMIT];
-    const int64_t warmup = cfg[WARMUP];
+    const int64_t T = cfg[WINDOW], C = cfg[CAPACITY], warmup = cfg[WARMUP];
     const int64_t *stream = (const int64_t *)(uintptr_t)cfg[STREAMS];
     const int64_t *idle = (const int64_t *)(uintptr_t)cfg[IDLE];
     const double *p0 = (const double *)(uintptr_t)cfg[IDLE_P0];
@@ -302,8 +295,6 @@ static inline __attribute__((always_inline)) int64_t config_outages(
             c[row[0]] += a;
             total += a;
         }
-        if (total > limit)
-            return n + 1;
         if (secondary)
             q = draw(draws[nprimary * slots + n], stream + 5 * nprimary);
         /* pi2, the one two-class multicast policy, refills */
@@ -316,7 +307,6 @@ static inline __attribute__((always_inline)) int64_t config_outages(
     }
     for (int i = 0; i < 3; i++)
         outages[i] += o[i];
-    return 0;
 }
 
 /* One sample path of sim under each of the K configs of a group, all
@@ -327,27 +317,26 @@ static inline __attribute__((always_inline)) int64_t config_outages(
  *            binomial_start (the other 0), among them;
  * rate:      K double records (A, f);
  * c:         1 + the largest window's T int64 entries of workspace;
- * outages:   K rows of the 3 counters of config_outages;
- * tripped:   per config, 0 or the 1-based slot whose backlog overflowed.
+ * outages:   K rows of the 3 counters of config_outages.
  * Each config runs a copy of config_outages compiled for its shape: L > 0
  * sources (multicast), a secondary class, and a capped primary (f < 1). */
 void path_outages(const double *u, int64_t K, const int64_t *config, const double *rate,
-                  int64_t *c, int64_t *outages, int64_t *tripped)
+                  int64_t *c, int64_t *outages)
 {
     for (int64_t k = 0; k < K; k++) {
         const int64_t *cfg = config + FIELDS * k;
         const double A = rate[2 * k], f = rate[2 * k + 1];
         int64_t *o = outages + 3 * k;
         if (cfg[SOURCES] && cfg[SECONDARY])  /* pi2: its f is 0, so capped */
-            tripped[k] = config_outages(u, cfg, A, f, c, o, 1, 1, 1);
+            config_outages(u, cfg, A, f, c, o, 1, 1, 1);
         else if (cfg[SOURCES])
-            tripped[k] = config_outages(u, cfg, A, f, c, o, 1, 0, 0);
+            config_outages(u, cfg, A, f, c, o, 1, 0, 0);
         else if (cfg[SECONDARY] && f < 1.0)
-            tripped[k] = config_outages(u, cfg, A, f, c, o, 0, 1, 1);
+            config_outages(u, cfg, A, f, c, o, 0, 1, 1);
         else if (cfg[SECONDARY])
-            tripped[k] = config_outages(u, cfg, A, f, c, o, 0, 1, 0);
+            config_outages(u, cfg, A, f, c, o, 0, 1, 0);
         else
-            tripped[k] = config_outages(u, cfg, A, f, c, o, 0, 0, 0);
+            config_outages(u, cfg, A, f, c, o, 0, 0, 0);
     }
 }
 
@@ -369,8 +358,7 @@ __extension__ typedef unsigned __int128 u128;
  *            number generation with arbitrary strides"), each uniform
  *            (next64 >> 11) * 2**-53 as numpy's Generator.random draws it;
  * c[w]:      worker w's workspace of path_outages;
- * outages, tripped: n rows of path_outages' K counters and K trip slots,
- *            row j for paths[j]. */
+ * outages:   n rows of path_outages' K counters, row j for paths[j]. */
 struct job {
     u128 state, inc, block, plus;  /* block, plus: the LCG's step of 2**64 draws */
     const uint64_t *paths;
@@ -379,7 +367,7 @@ struct job {
     int64_t *const *c;
     const int64_t *config;
     const double *rate;
-    int64_t *outages, *tripped;
+    int64_t *outages;
 };
 
 /* Worker w's share of the job: it claims the next unserved path from *next
@@ -405,8 +393,7 @@ static void serve_claims(const struct job *job, int64_t *next, int64_t w)
             const unsigned rot = (unsigned)(s >> 122);
             u[k] = (double)((x >> rot | x << (-rot & 63)) >> 11) * (1.0 / 9007199254740992.0);
         }
-        path_outages(u, K, job->config, job->rate, job->c[w], job->outages + 3 * K * j,
-                     job->tripped + K * j);
+        path_outages(u, K, job->config, job->rate, job->c[w], job->outages + 3 * K * j);
     }
 }
 
@@ -517,12 +504,11 @@ static void join(struct group *g)
  * worker.  A group runs once. */
 void group_run(struct group *g, const uint64_t *seed, const uint64_t *paths, int64_t n,
                double *const *u, int64_t fill, int64_t K, const int64_t *config,
-               const double *rate, int64_t *const *c, int64_t *outages, int64_t *tripped)
+               const double *rate, int64_t *const *c, int64_t *outages)
 {
     struct job job = {.state = (u128)seed[0] << 64 | seed[1], .inc = (u128)seed[2] << 64 | seed[3],
                       .block = PCG_MULT, .paths = paths, .n = n, .fill = fill, .K = K, .u = u,
-                      .c = c, .config = config, .rate = rate, .outages = outages,
-                      .tripped = tripped};
+                      .c = c, .config = config, .rate = rate, .outages = outages};
     job.plus = job.inc;
     for (int b = 0; b < 64; b++) {
         job.plus *= job.block + 1;

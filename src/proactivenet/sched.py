@@ -1,4 +1,4 @@
-"""The compiled service kernel, and its guard against unstable paths.
+"""The compiled service kernel.
 
 Every policy keeps the same state: the vector c of pending requests per
 residual deadline, c[i] = requests with i slots left (i = 0 is due this
@@ -13,8 +13,8 @@ path's arrivals, drawn from its uniforms, under every config of the group.
 The library also fills the cdf and guide tables through which `sim` inverts
 each count: `traffic.poisson_tables`, those of every Poisson stream of a
 group in one call, and `traffic.binomial_table`, one per idle count, for a
-multicast fresh demand, whose sizing refuses most tables over its budget
-from an O(L) bound.
+multicast fresh demand, in one pass that an O(L) bound skips for most
+tables over its budget.
 EDF fixes how much each class is served before any request is touched, so
 the slot is one pass over c that serves, expires and shifts; the slot loop
 is compiled once per policy shape, so no slot tests its policy.
@@ -41,19 +41,11 @@ import shutil
 import tempfile
 from pathlib import Path
 
-
-# pending backlogs beyond this abort the path as pathologically unstable
-BACKLOG_OVERFLOW = 10**9
-
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE = Path(__file__).with_name("__pycache__")
 # fixed flags: no -march=native or -ffast-math, so results match across machines
 _CC = ("cc", "-O2", "-shared", "-fPIC", "-pthread")
 _lib = None  # the compiled kernels, loaded by the first simulation
-
-
-class PathOverflowError(RuntimeError):
-    """A path's backlog exceeded the overflow guard (unstable run)."""
 
 
 def _build(source: Path, cache: Path) -> Path:
@@ -107,10 +99,10 @@ def _kernel() -> ctypes.CDLL:
         if path.parent != _CACHE:  # a temporary build: loaded, it is no longer needed
             shutil.rmtree(path.parent, ignore_errors=True)
         i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        lib.path_outages.argtypes = [ptr, i64, ptr, ptr, ptr, ptr, ptr]
+        lib.path_outages.argtypes = [ptr, i64, ptr, ptr, ptr, ptr]
         lib.group_open.argtypes = [i64]
         lib.group_open.restype = ptr
-        lib.group_run.argtypes = [ptr, ptr, ptr, i64, ptr, i64, i64, ptr, ptr, ptr, ptr, ptr]
+        lib.group_run.argtypes = [ptr, ptr, ptr, i64, ptr, i64, i64, ptr, ptr, ptr, ptr]
         lib.group_close.argtypes = [ptr]
         lib.poisson_tables.argtypes = [i64, ptr, ptr, ptr, ptr]
         lib.binomial_table.argtypes = [i64, dbl, i64, ptr, ptr, ptr]

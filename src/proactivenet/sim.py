@@ -44,7 +44,6 @@ from typing import NamedTuple
 import numpy as np
 
 from proactivenet import sched
-from proactivenet.sched import PathOverflowError
 from proactivenet.traffic import (
     LookaheadLaw,
     MulticastSpec,
@@ -142,13 +141,23 @@ class SimConfig:
                     f"secondary rate factor {self.secondary.gamma} must be below "
                     f"primary {self.regime.gamma}"
                 )
-        if self.policy in (MULTICAST, PI2) and self.multicast is None:
-            raise SimConfigError(f"policy {self.policy} needs a multicast spec")
+        if self.policy in (MULTICAST, PI2):  # a fixed window, and no prediction error
+            if self.multicast is None:
+                raise SimConfigError(f"policy {self.policy} needs a multicast spec")
+            if self.pred_error is not None:
+                raise SimConfigError(f"pred_error: policy {self.policy} draws no prediction error")
+            if self.law is not None and self.law.pmf(self.law.tmax) < 1.0:
+                raise SimConfigError(f"law: policy {self.policy} needs a deterministic "
+                                     f"look-ahead, got one on [{self.law.tmin}, {self.law.tmax}]")
         try:  # and what planning checks: each Poisson mean, a secondary's at C >= 1
-            self.check_stability()
-            for _, mu in _streams(self)[1]:
-                check_mean(mu)
-        except (ValueError, PathOverflowError) as exc:
+            T, streams = _streams(self)
+            self.check_stability(streams)
+            largest = [(k, check_mean(mu)[2]) for k, mu in streams]
+            # a request pends at most T + 1 slots, the secondary's none
+            if (T + 1) * sum(hi for k, hi in largest if k >= 0) >= 2**62:
+                raise ValueError(f"T + 1 = {T + 1} slots of the primary's largest counts "
+                                 "reach 2**62 pending requests")
+        except ValueError as exc:
             raise SimConfigError(str(exc)) from exc
 
     @property
@@ -176,21 +185,14 @@ class SimConfig:
             return self.warmup
         return default_warmup(self.tmax)
 
-    def check_stability(self) -> None:
-        """Warn when the rates of the streams the policy draws exceed
-        capacity; reject inconsistent pred_error rates."""
+    def check_stability(self, streams: list[tuple[int, float]]) -> None:
+        """Warn when the mean arrivals of the streams the policy draws, its
+        `_streams`, and its multicast demand exceed capacity."""
         if self.C == 0:
             return
-        load = 0.0 if self.policy == MULTICAST else (self.primary_rate or 0.0)
-        if self.policy in (SELFISH, DYNAMIC):
-            load += mean_rate(self.secondary, self.C)
-        if self.pred_error is not None:
-            rates = self.pred_error.rates(self.C)
-            if self.policy not in (MULTICAST, PI2):
-                load += sum(rates)
+        load = sum(mu for _, mu in streams)
         if self.policy in (MULTICAST, PI2):
-            L = self.multicast.num_sources(self.C)
-            load += L * self.multicast.source_prob()
+            load += self.multicast.num_sources(self.C) * self.multicast.source_prob()
         if load >= self.C:
             warnings.warn(
                 f"offered load {load:.4g} >= capacity {self.C}; run is unstable "
@@ -245,8 +247,7 @@ _CLASSES = {
 def run_path(cfg: SimConfig, seed_index: int = 0) -> PathResult:
     """Execute one sample path and count post-warmup outage slots per class.
 
-    Deterministic given (cfg.seed, seed_index).  Raises PathOverflowError if
-    the pending backlog exceeds the overflow guard.
+    Deterministic given (cfg.seed, seed_index).
     """
     # the seed's stream has 2**64 blocks, so path_rng's index counts modulo 2**64
     counts = map(int, _outage_counts([cfg], [int(seed_index) % (1 << 64)])[0, 0])
@@ -283,7 +284,7 @@ def estimate_outages(cfgs: list[SimConfig], n_paths: int) -> list[dict[str, Outa
 class _Plan(NamedTuple):
     """A group's configs planned for `group_run`, in order."""
 
-    records: np.ndarray  # (K, 11) int64: per config, the fields of _kernel.c's enum
+    records: np.ndarray  # (K, 10) int64: per config, the fields of _kernel.c's enum
     rates: np.ndarray  # (K, 2): per config, (A, f)
     fill: int  # the uniforms a path of the group reads
     window: int  # the largest config's T
@@ -307,7 +308,7 @@ def _plan_group(cfgs: list[SimConfig]) -> _Plan:
     rows[:, 0] = [k for _, _, streams in planned for k, _ in streams]
     idle, records, rates, arrays = {}, [], [], [rows, F, g]
     fill = window = 0
-    at, limit = rows.ctypes.data, sched.BACKLOG_OVERFLOW
+    at = rows.ctypes.data
     for cfg, T, streams in planned:
         L, A, draws = 0, 0.0, (0, 0)
         if cfg.policy in (MULTICAST, PI2):
@@ -324,12 +325,12 @@ def _plan_group(cfgs: list[SimConfig]) -> _Plan:
                     idle[L, A] = binomial[0].ctypes.data, 0
             draws = idle[L, A]  # the record's IDLE and IDLE_P0
         secondary = cfg.policy in (SELFISH, DYNAMIC, PI2)
-        records += (cfg.slots, L, at, len(streams) - secondary, secondary, T, cfg.C, limit,
+        records += (cfg.slots, L, at, len(streams) - secondary, secondary, T, cfg.C,
                     cfg.effective_warmup, *draws)
         rates += (A, {DYNAMIC: cfg.f, PI2: 0.0}.get(cfg.policy, 1.0))
         at += 40 * len(streams)
         fill, window = max(fill, cfg.slots * ((L > 0) + len(streams))), max(window, T)
-    return _Plan(np.array(records, dtype=np.int64).reshape(-1, 11),
+    return _Plan(np.array(records, dtype=np.int64).reshape(-1, 10),
                  np.array(rates).reshape(-1, 2), fill, window, tuple(arrays))
 
 
@@ -347,10 +348,7 @@ def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
     compiled `group_run`, which jumps its PCG64 from the seed's state to
     each path's block, so paths may come in any order and a path's counts
     depend only on (seed, path index), not on the worker that runs it.  The
-    helpers are joined before this returns or raises.  An overflow is the
-    one a serial run of the configs in turn, each over its paths in order,
-    would raise: that of the first overflowing config's first overflowing
-    path.
+    helpers are joined before this returns or raises.
     """
     if len({cfg.seed for cfg in cfgs}) > 1:
         raise SimConfigError("the configs of a group must share their seed")
@@ -360,23 +358,17 @@ def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
     try:
         plan = _plan_group(cfgs)
         counts = np.zeros((index.size, len(plan.records), 3), dtype=np.int64)
-        trips = np.zeros((index.size, len(plan.records)), dtype=np.int64)
         if cfgs:
-            _run_paths(group, W, cfgs[0].seed, plan, index, counts, trips)
+            _run_paths(group, W, cfgs[0].seed, plan, index, counts)
     finally:
         kernel.group_close(group)
-    tripped = np.flatnonzero(trips.T)  # by config, then by path: in the serial order
-    if tripped.size:
-        k, j = divmod(int(tripped[0]), index.size)
-        raise PathOverflowError(f"backlog overflow at slot {trips[j, k]}")
     return counts
 
 
-def _run_paths(group, W: int, seed: int, plan: _Plan, index: np.ndarray, counts: np.ndarray,
-               trips: np.ndarray) -> None:
-    """Fill counts and trips, rows by path, then by config, in one
-    `group_run` call on the group's W workers, each with its own uniforms
-    and workspace."""
+def _run_paths(group, W: int, seed: int, plan: _Plan, index: np.ndarray,
+               counts: np.ndarray) -> None:
+    """Fill counts, rows by path, then by config, in one `group_run` call
+    on the group's W workers, each with its own uniforms and workspace."""
     # the seed's PCG64 as numpy seeds it, whose blocks the kernel draws
     bits = np.random.PCG64(seed).state["state"]
     words = np.array(divmod(bits["state"], 1 << 64) + divmod(bits["inc"], 1 << 64),
@@ -388,7 +380,7 @@ def _run_paths(group, W: int, seed: int, plan: _Plan, index: np.ndarray, counts:
     sched._kernel().group_run(group, words.ctypes.data, index.ctypes.data, index.size,
                               u_at.ctypes.data, plan.fill, len(plan.records),
                               plan.records.ctypes.data, plan.rates.ctypes.data,
-                              c_at.ctypes.data, counts.ctypes.data, trips.ctypes.data)
+                              c_at.ctypes.data, counts.ctypes.data)
 
 
 def _workspace(n: int) -> np.ndarray:

@@ -28,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from proactivenet import sched
-from proactivenet.sched import BACKLOG_OVERFLOW, PathOverflowError
 
 LINEAR = "linear"
 POLY = "poly"
+# the largest Poisson mean a table is built for, far below the int64 counts
+MAX_MEAN = 1e9
 
 
 class TrafficSpecError(ValueError):
@@ -240,13 +241,10 @@ def poisson_tables(means) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     mus, windows, size = [], [], 0
     for mu in means:
-        mu = check_mean(mu)
-        half = 12.0 * math.sqrt(mu) + 30.0
-        lo = max(0, math.floor(mu - half))
-        m = math.floor(mu + half) + 1 - lo
+        mu, lo, hi = check_mean(mu)
         mus.append(mu)
-        windows.append((0, lo, m, 0, 0))
-        size += m
+        windows.append((0, lo, hi + 1 - lo, 0, 0))
+        size += hi + 1 - lo
     rows = np.array(windows, dtype=np.int64).reshape(-1, 5)
     mu, F, g = np.array(mus), np.empty(size), np.empty(size, dtype=np.int64)
     sched._kernel().poisson_tables(rows.shape[0], mu.ctypes.data, rows.ctypes.data,
@@ -254,16 +252,18 @@ def poisson_tables(means) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, F, g
 
 
-def check_mean(mu: float) -> float:
-    """mu as a float, if `poisson_tables` can build its table: raises
-    ValueError for a negative or non-finite mu, and PathOverflowError for mu
-    above BACKLOG_OVERFLOW, whose path would overflow at its first slot."""
+def check_mean(mu: float) -> tuple[float, int, int]:
+    """(mu, lo, hi): mu as a float and its `poisson_tables` window, the
+    counts lo..hi within 12 sqrt(mu) + 30 of mu, if the table can be built:
+    raises ValueError for a negative or non-finite mu, or one above
+    MAX_MEAN."""
     mu = float(mu)
     if not 0.0 <= mu < math.inf:
         raise ValueError(f"Poisson mean must be finite and >= 0, got {mu}")
-    if mu > BACKLOG_OVERFLOW:
-        raise PathOverflowError(f"Poisson mean {mu:.6g} exceeds the backlog guard")
-    return mu
+    if mu > MAX_MEAN:
+        raise ValueError(f"Poisson mean {mu:.6g} exceeds the largest, {MAX_MEAN:.6g}")
+    half = 12.0 * math.sqrt(mu) + 30.0
+    return mu, max(0, math.floor(mu - half)), math.floor(mu + half)
 
 
 # bytes the draw tables of one multicast config may take; a config whose
@@ -283,14 +283,13 @@ def binomial_table(L: int, A: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     comparison.  Fig-multicast's L = 120 takes 3123 entries (50 KB); the
     entries grow about as L**1.5, so L = 1500 takes 2.5 MB.
     """
-    lib = sched._kernel()
-    cap = (TABLE_BYTES - 40 * (L + 1)) // 16  # 40 bytes a row, 16 an entry
-    size = lib.binomial_table(L, A, cap, None, None, None)
-    if size > cap:
+    cap, lib = (TABLE_BYTES - 40 * (L + 1)) // 16, sched._kernel()  # 40 bytes a row, 16 an entry
+    if lib.binomial_least(L, A, cap) > cap:  # refused in O(L), as most tables over it are
         return None
-    rows, F, g = np.empty((L + 1, 5), dtype=np.int64), np.empty(size), np.empty(size, np.int64)
-    lib.binomial_table(L, A, cap, F.ctypes.data, g.ctypes.data, rows.ctypes.data)
-    return rows, F, g
+    n = min(cap, (L + 1) * (L + 2) // 2)  # row idle takes at most idle + 1
+    rows, F, g = np.empty((L + 1, 5), dtype=np.int64), np.empty(n), np.empty(n, np.int64)
+    size = lib.binomial_table(L, A, cap, F.ctypes.data, g.ctypes.data, rows.ctypes.data)
+    return None if size > cap else (rows, F[:size], g[:size])
 
 
 def unicast_counts(

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proactivenet import cli, sched, sim
+from proactivenet import cli
 from proactivenet.analytic import div_nonpred, poisson_tail
 from proactivenet.cli import (
     CSV_HEADER,
@@ -415,26 +415,18 @@ class TestExitCodes:
         assert main(["simulate", "--C", "4", "--gamma", "0.5"]) == 1
         assert "failure" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["4,5", "5,6"])
-    def test_an_overflow_is_1_with_the_serial_runs_error(self, grid, tmp_path, capsys,
-                                                          monkeypatch):
-        # under a guard of 14, seed 51: paths of rate 4.0 (C = 5) overflow
-        monkeypatch.setattr(sched, "BACKLOG_OVERFLOW", 14)
-        p = {"regime": "linear", "gamma": 0.8, "policy": "reactive", "slots": 30000,
-             "seed": 51}
-        want = None
-        for C in map(int, grid.split(",")):
-            for i in range(5):
-                try:
-                    sim.run_path(cli._sim_config({**p, "C": C}), i)
-                except sim.PathOverflowError as exc:
-                    want = want or str(exc)
-        assert want is not None
-        out = tmp_path / "sweep.csv"
-        rc = main(["sweep", "--gamma", "0.8", "--C-grid", grid, "--paths", "5",
-                   "--slots", "30000", "--seed", "51", "--out", str(out)])
-        assert rc == 1 and not out.exists()
-        assert capsys.readouterr().err == f"failure: {want}\n"
+    @pytest.mark.parametrize("policy", ["multicast", "pi2"])
+    @pytest.mark.parametrize("flags, name", [
+        (["--lookahead", "binom:1,0.5"], "law"), (["--lookahead", "pmf:0.9,0.1"], "law"),
+        (["--alpha-pred", "0.9", "--alpha-miss", "0.3", "--gamma", "0.6"], "pred_error")])
+    def test_an_input_multicast_would_ignore_is_2(self, policy, flags, name, tmp_path, capsys):
+        # a multicast path draws a window of --T slots and no prediction error
+        out = tmp_path / "run.csv"
+        rc = main(["simulate", "--C", "4", "--policy", policy, "--gamma-m", "0.9", "--theta",
+                   "15", "--gamma-u", "0.05", "--T", "1", "--paths", "2", "--slots", "300",
+                   *flags, "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {name}: policy {policy} ")
 
     def test_a_config_that_cannot_be_planned_is_2(self, tmp_path, capsys):
         # a secondary class has no rate at C = 0

@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from proactivenet import cli, sched, sim
-from proactivenet.sched import BACKLOG_OVERFLOW, PathOverflowError
 from proactivenet.sim import SimConfig
 from proactivenet.traffic import LookaheadLaw, MulticastSpec, Regime
 
@@ -38,12 +37,14 @@ def edf_by_bucket(c, cap):
 
 
 def serve_path_by_slot(arrivals, C, *, multicast_T=None, f=1.0, secondary=None,
-                       refill=False):
-    """Reference: the kernel run slot by slot over every slot of the path."""
+                       refill=False, pending=None):
+    """Reference: the kernel run slot by slot over every slot of the path.
+
+    A list `pending` receives, per slot, the primary requests that arrive
+    in it and the pending total once they have."""
     arrivals = np.asarray(arrivals)
     T = arrivals.shape[1] - 1 if multicast_T is None else multicast_T
     slots = arrivals.shape[0]
-    limit = sched.BACKLOG_OVERFLOW
     expired = np.zeros((slots, 1 if secondary is None else 2), dtype=np.int64)
     if multicast_T is not None:
         L = arrivals.shape[1]
@@ -52,6 +53,7 @@ def serve_path_by_slot(arrivals, C, *, multicast_T=None, f=1.0, secondary=None,
     c = [0] * (T + 1)
     total = 0
     for n in range(slots):
+        before = total
         if multicast_T is None:
             for k in range(T + 1):
                 a = int(arrivals[n, k])
@@ -61,8 +63,8 @@ def serve_path_by_slot(arrivals, C, *, multicast_T=None, f=1.0, secondary=None,
             a = int(idle_present[n, L - total])
             c[T] += a
             total += a
-        if total > limit:
-            raise PathOverflowError(f"backlog overflow at slot {n + 1}")
+        if pending is not None:
+            pending.append((total - before, total))
         cap = C
         if f < 1.0:
             cap = min(C, c[0] + math.ceil(f * (total - c[0])))
@@ -95,24 +97,22 @@ def record(slots, C, *, T=0, warmup=0, L=0, streams=None, nprimary=0, secondary=
     def at(a):
         return 0 if a is None else a.ctypes.data
 
-    return (slots, L, at(streams), nprimary, int(secondary), T, C, sched.BACKLOG_OVERFLOW,
-            warmup, at(idle), at(p0))
+    return (slots, L, at(streams), nprimary, int(secondary), T, C, warmup, at(idle), at(p0))
 
 
 def run_configs(u, records, rates, T):
-    """(outages, tripped) of one path_outages call over the uniforms u under
-    the configs `records`, each with its (A, f) of `rates`: each config's
-    three outage counters and its trip slot or 0.  The workspace of T + 1
-    entries starts dirty, as a group's earlier configs leave it."""
+    """The outages of one path_outages call over the uniforms u under the
+    configs `records`, each with its (A, f) of `rates`: each config's three
+    outage counters.  The workspace of T + 1 entries starts dirty, as a
+    group's earlier configs leave it."""
     u = np.ascontiguousarray(u, dtype=float)
     records = np.array(records, dtype=np.int64)
     rates = np.array(rates, dtype=float)
     c = np.full(T + 1, 7, dtype=np.int64)
-    outages, tripped = np.zeros((len(records), 3), np.int64), np.zeros(len(records), np.int64)
+    outages = np.zeros((len(records), 3), np.int64)
     sched._kernel().path_outages(u.ctypes.data, len(records), records.ctypes.data,
-                                 rates.ctypes.data, c.ctypes.data, outages.ctypes.data,
-                                 tripped.ctypes.data)
-    return outages, tripped
+                                 rates.ctypes.data, c.ctypes.data, outages.ctypes.data)
+    return outages
 
 
 def ranked_tables(values):
@@ -183,10 +183,7 @@ def kernel_outages(arrivals, C, *, multicast_T=None, f=1.0, secondary=None, refi
         u = np.concatenate([uniforms[:n + 1] for uniforms, _, _ in draws])
         config = record(n + 1, C, T=T, warmup=n, L=L, streams=streams, nprimary=nprimary,
                         secondary=secondary is not None, idle=draws[0][1] if L else None)
-        outages, tripped = run_configs(u, [config], [(0.5, f)], T)
-        if tripped[0]:
-            raise PathOverflowError(f"backlog overflow at slot {tripped[0]}")
-        out[n] = outages[0, :2] > 0
+        out[n] = run_configs(u, [config], [(0.5, f)], T)[0, :2] > 0
     return out[:, :1 if secondary is None else 2]
 
 
@@ -500,29 +497,36 @@ class TestSettledSlots:
         assert expire(arr, 2, secondary=q).tolist() == [[0, 0], [0, 1], [0, 0]]
 
 
-class TestOverflowSlot:
-    # the kernel's half runs under a guard of 40, whose counts it can tabulate
-    @pytest.mark.parametrize("T", [0, 2])
-    def test_fresh_demand_beyond_the_guard_is_never_settled(self, T, monkeypatch):
-        # C covers the demand, yet the slot must reach the guard
-        for guard, runs in ((BACKLOG_OVERFLOW, [serve_path_by_slot]),
-                            (40, [serve_path_by_slot, kernel_outages])):
-            monkeypatch.setattr(sched, "BACKLOG_OVERFLOW", guard)
-            arr = np.zeros((3, T + 1), dtype=np.int64)
-            arr[1, T] = guard + 1
-            for fn in runs:
-                with pytest.raises(PathOverflowError, match="at slot 2$"):
-                    fn(arr, 2 * guard)
+class TestPendingBound:
+    """A request expires T + 1 slots after it arrives at the latest, so the
+    pending total never exceeds the arrivals of the last T + 1 slots: the
+    bound the kernel's int64 counts rest on, under any load."""
 
-    def test_backlog_built_in_a_busy_period(self, monkeypatch):
-        for guard, runs in ((BACKLOG_OVERFLOW, [serve_path_by_slot]),
-                            (40, [serve_path_by_slot, kernel_outages])):
-            monkeypatch.setattr(sched, "BACKLOG_OVERFLOW", guard)
-            half = guard // 2 + 1
-            arr = [[0, 0, 0], [0, 0, half], [0, 0, half], [0, 0, 0]]
-            for fn in runs:
-                with pytest.raises(PathOverflowError, match="at slot 3$"):
-                    fn(arr, 0)
+    @staticmethod
+    def assert_bounded(T, pending, L=None):
+        landed = np.array([a for a, _ in pending])
+        window = [landed[max(0, n - T):n + 1].sum() for n in range(len(pending))]
+        assert all(total <= w for (_, total), w in zip(pending, window))
+        assert L is None or max(total for _, total in pending) <= L
+
+    @given(st.integers(0, 4), st.integers(1, 30), st.integers(0, 4), kernel_options, st.data())
+    def test_unicast_paths_beyond_capacity(self, T, slots, C, opts, data):
+        # counts up to 5 C + 5 a slot: rates far above C as well as below it
+        arr = np.asarray(data.draw(st.lists(
+            st.lists(st.integers(0, 5 * C + 5), min_size=T + 1, max_size=T + 1),
+            min_size=slots, max_size=slots)))
+        pending = []
+        serve_path_by_slot(arr, C, pending=pending, **_options(data, slots, opts))
+        self.assert_bounded(T, pending)
+
+    @given(st.integers(0, 3), st.integers(1, 30), st.integers(1, 12), st.integers(0, 3),
+           kernel_options, st.data())
+    def test_multicast_paths_beyond_capacity(self, T, slots, L, C, opts, data):
+        pres = np.asarray(data.draw(st.lists(st.lists(st.booleans(), min_size=L, max_size=L),
+                                             min_size=slots, max_size=slots)))
+        pending = []
+        serve_path_by_slot(pres, C, multicast_T=T, pending=pending, **_options(data, slots, opts))
+        self.assert_bounded(T, pending, L)
 
 
 class TestKernelInputs:
@@ -546,7 +550,7 @@ class TestKernelInputs:
         # earlier one left in it: a path left busy at its last slot does not
         # leak into the next
         busy = expire(self.counts, 1)
-        outages, _ = run_configs(np.zeros(5), [record(5, 1, T=2)], [(0.0, 1.0)], 2)
+        outages = run_configs(np.zeros(5), [record(5, 1, T=2)], [(0.0, 1.0)], 2)
         assert not outages.any()
         assert np.array_equal(expire(self.counts, 1), busy)
 
@@ -573,10 +577,8 @@ def test_the_library_exports_what_sim_and_traffic_call(monkeypatch):
     nm = subprocess.run(["nm", "-D", "--defined-only", lib._name], check=True,
                         capture_output=True, text=True).stdout
     exported = {line.split()[2] for line in nm.splitlines() if line.split()[1] == "T"}
-    assert exported == called | {
-        "path_outages",  # the hand traces run the slot loop on chosen counts
-        "binomial_least",  # its bound is checked against the tables' sizes
-    }
+    # the hand traces run the slot loop on chosen counts
+    assert exported == called | {"path_outages"}
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import re
 import signal
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,6 @@ from proactivenet import sched, sim
 from proactivenet.analytic import poisson_tail
 from proactivenet.sim import (
     OutageEstimate,
-    PathOverflowError,
     SimConfig,
     estimate_diversity,
     estimate_outage,
@@ -65,10 +65,10 @@ def fresh_demand_uniforms(cfgs, paths):
             return getattr(lib, name)
 
         @staticmethod
-        def group_run(group, seed, paths, n, u, fill, K, config, rate, c, outages, tripped):
+        def group_run(group, seed, paths, n, u, fill, K, config, rate, c, outages):
             for j in range(n):
                 lib.group_run(None, seed, paths + 8 * j, 1, u, fill, K, config, rate, c,
-                              outages + 24 * K * j, tripped + 8 * K * j)
+                              outages + 24 * K * j)
                 first = ctypes.c_void_p.from_address(u).value  # worker 0's buffer
                 seen.append(np.array((ctypes.c_double * cfgs[0].slots).from_address(first)))
 
@@ -81,7 +81,7 @@ def fresh_demand_uniforms(cfgs, paths):
 
 
 def serial_group(seed, paths, fill, cfgs=()):
-    """(u, counts, trips) of one group_run call on the calling thread alone
+    """(u, counts) of one group_run call on the calling thread alone
     over the path indices `paths` under the group cfgs of `seed`, from the
     words of numpy's PCG64 state: u holds the last path's uniforms, at least
     `fill` of them."""
@@ -94,12 +94,10 @@ def serial_group(seed, paths, fill, cfgs=()):
     u, c = np.empty(fill), np.empty(1 + plan.window, np.int64)
     u_at, c_at = np.array([u.ctypes.data], np.uintp), np.array([c.ctypes.data], np.uintp)
     counts = np.zeros((index.size, len(cfgs), 3), dtype=np.int64)
-    trips = np.zeros((index.size, len(cfgs)), dtype=np.int64)
     sched._kernel().group_run(None, words.ctypes.data, index.ctypes.data, index.size,
                               u_at.ctypes.data, fill, len(cfgs), plan.records.ctypes.data,
-                              plan.rates.ctypes.data, c_at.ctypes.data, counts.ctypes.data,
-                              trips.ctypes.data)
-    return u, counts, trips
+                              plan.rates.ctypes.data, c_at.ctypes.data, counts.ctypes.data)
+    return u, counts
 
 
 def tasks():
@@ -154,11 +152,8 @@ class TestRunPath:
         plan = sim._plan_group(cfgs)
         c = np.empty(1, dtype=np.int64)
         counts = np.zeros((len(cfgs), 3), dtype=np.int64)
-        trips = np.zeros(len(cfgs), dtype=np.int64)
         sched._kernel().path_outages(u.ctypes.data, len(cfgs), plan.records.ctypes.data,
-                                     plan.rates.ctypes.data, c.ctypes.data, counts.ctypes.data,
-                                     trips.ctypes.data)
-        assert not trips.any()
+                                     plan.rates.ctypes.data, c.ctypes.data, counts.ctypes.data)
         assert counts[:, 0].tolist() == [int((want > cfg.C).sum()) for cfg in cfgs]
 
     def test_scripted_overflow_trace(self):
@@ -491,22 +486,57 @@ class TestMulticastExactness:
                 assert abs(d.mean() / se) < 4, cls
 
 
-@pytest.mark.filterwarnings("ignore:offered load")
-@pytest.mark.parametrize("policy", sim.POLICIES)
-def test_overflow_guard_covers_every_policy(policy, monkeypatch):
-    monkeypatch.setattr(sched, "BACKLOG_OVERFLOW", 2)
-    cfg = SimConfig(
-        C=8, policy=policy, slots=500, seed=0, warmup=10,
-        regime=Regime("linear", 0.6), law=LookaheadLaw.deterministic(1),
-        secondary=Regime("linear", 0.1), multicast=MulticastSpec(0.9, 15.0),
-    )
-    with pytest.raises(sim.PathOverflowError, match="backlog overflow at slot"):
-        run_path(cfg)
-
-
 def test_unstable_config_warns_not_raises():
     with pytest.warns(UserWarning, match="unstable"):
         SimConfig(C=2, policy="reactive", slots=500, seed=0, warmup=10, rate=2.0)
+
+
+def test_the_load_is_that_of_the_streams_drawn():
+    # the prediction-error streams (5.4 + 1.8 at C = 10) replace the
+    # regime's 8, so the load is 7.2, not 15.2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        SimConfig(C=10, policy="edf", slots=300, seed=0, warmup=100,
+                  regime=Regime("linear", 0.8),
+                  pred_error=PredictionErrorSpec(0.9, 0.3, 2, Regime("linear", 0.6)))
+
+
+def test_a_stable_run_of_a_billion_requests_a_slot_estimates():
+    # a load of 83 % of C = 1.2e9 in a window of 2 slots: every request
+    # expires within 3 slots, so no pending count nears the int64 range
+    cfg = SimConfig(C=1_200_000_000, policy="edf", slots=200, seed=0, warmup=10,
+                    regime=Regime("linear", 0.8333), law=LookaheadLaw.deterministic(2))
+    assert estimate_outage(cfg, 2)["default"].p_hat == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:offered load")
+def test_a_config_that_may_pend_2_to_the_62_requests_is_refused():
+    # the pending count is at most T + 1 slots of the primary's largest
+    # count, floor(mu + 12 sqrt(mu) + 30); (T + 1) hi first reaches 2**62 at T
+    mu = 1e9
+    hi = math.floor(mu + 12 * math.sqrt(mu) + 30)
+    T = 2**62 // hi
+    common = dict(C=4, policy="edf", slots=2, seed=0, warmup=0, rate=mu)
+    SimConfig(**common, law=LookaheadLaw.deterministic(T - 1))
+    with pytest.raises(sim.SimConfigError, match=r"^T \+ 1 = \d+ slots .* reach 2\*\*62"):
+        SimConfig(**common, law=LookaheadLaw.deterministic(T))
+
+
+@pytest.mark.parametrize("policy", ["multicast", "pi2"])
+def test_multicast_refuses_what_it_would_ignore(policy):
+    # a multicast path draws a window of the law's tmax and no prediction
+    # error, so another law or a prediction-error spec is refused
+    common = dict(C=4, policy=policy, slots=300, seed=0, warmup=100,
+                  multicast=MulticastSpec(0.9, 15.0), regime=Regime("linear", 0.05))
+    for law in (LookaheadLaw.binomial(1, 0.5), LookaheadLaw.finite({0: 0.9, 1: 0.1}),
+                LookaheadLaw.binomial(5, 0.0)):
+        with pytest.raises(sim.SimConfigError, match=f"^law: policy {policy} needs a determ"):
+            SimConfig(**common, law=law)
+    # all of the law's mass on its tmax: the window it simulates
+    SimConfig(**common, law=LookaheadLaw.finite({0: 0.0, 1: 1.0}))
+    with pytest.raises(sim.SimConfigError, match=f"^pred_error: policy {policy} draws no"):
+        SimConfig(**common, law=LookaheadLaw.deterministic(1),
+                  pred_error=PredictionErrorSpec(0.9, 0.3, 1, Regime("linear", 0.6)))
 
 
 class TestDrawLayout:
@@ -660,7 +690,7 @@ class TestSeeding:
            st.integers(0, 3000))
     def test_kernel_fill_is_the_path_stream(self, seed, index, n):
         # the kernel's own PCG64, from the seed's state words, draws numpy's doubles
-        u, _, _ = serial_group(seed, [index], n)
+        u, _ = serial_group(seed, [index], n)
         assert u.size == n
         assert np.array_equal(u, sim.path_rng(seed, index).random(n))
 
@@ -670,8 +700,7 @@ class TestSeeding:
     def test_a_chunk_in_any_order_reads_each_paths_block(self, seed, order):
         # with repeats: each path jumps from the seed state, not from the one before
         cfg = reactive_cfg(C=2, rate=1.5, regime=None, seed=seed, slots=300)
-        u, counts, trips = serial_group(seed, order, cfg.slots, [cfg])
-        assert not trips.any()
+        u, counts = serial_group(seed, order, cfg.slots, [cfg])
         assert np.array_equal(u, sim.path_rng(seed, order[-1]).random(cfg.slots))
         for row, i in zip(counts, order):
             assert np.array_equal(row, sim._outage_counts([cfg], [i])[0])
@@ -853,14 +882,12 @@ class TestWorkers:
 
     @pytest.mark.filterwarnings("ignore:offered load")
     def test_helpers_start_before_planning_and_are_always_joined(self, monkeypatch):
-        # under a guard of 14, seed 51: rate 3.5 overflows at path 3; the
-        # table arena of rate 2.5 cannot be allocated, so its group cannot
-        # be planned
+        # the table arena of rate 2.5 cannot be allocated, so its group
+        # cannot be planned
         four_cpus(monkeypatch)
-        monkeypatch.setattr(sched, "BACKLOG_OVERFLOW", 14)
         common = dict(C=5, policy="reactive", slots=30000, seed=51, warmup=100)
-        clean, also, late, unplanned, interrupted = (
-            SimConfig(**common, rate=r) for r in (1.0, 1.5, 3.5, 2.5, 2.0))
+        clean, also, unplanned, interrupted = (
+            SimConfig(**common, rate=r) for r in (1.0, 1.5, 2.5, 2.0))
         real_streams, real_tables, before, helpers = sim._streams, sim.poisson_tables, tasks(), []
 
         def tables(means):
@@ -879,7 +906,6 @@ class TestWorkers:
         assert sim._outage_counts([clean, also], range(5))[:, :, 0].all()
         assert helpers == [3, 3] and tasks() == before
         for cfgs, error, match in (([clean, also, unplanned], MemoryError, "no room"),
-                                   ([clean, late], PathOverflowError, "backlog overflow"),
                                    ([clean, interrupted], KeyboardInterrupt, None)):
             helpers.clear()
             with pytest.raises(error, match=match):
@@ -956,28 +982,6 @@ class TestWorkers:
         assert len(masks) == 3 and all(mask & every == every for mask in masks)
         assert tasks() == before
 
-    @pytest.mark.parametrize("order", [range(5), [4, 3, 2, 1, 0], [0, 0, 2, 1, 4]])
-    def test_overflow_in_any_worker_raises_the_serial_error(self, order, monkeypatch):
-        # path 0 runs clean; paths 1-4 trip the guard at different slots
-        four_cpus(monkeypatch)
-        monkeypatch.setattr(sched, "BACKLOG_OVERFLOW", 14)
-        cfg = SimConfig(C=5, policy="reactive", slots=60000, seed=7, warmup=100, rate=4.0)
-
-        def serial_error(i):
-            try:
-                run_path(cfg, i)
-            except sim.PathOverflowError as exc:
-                return str(exc)
-
-        errors = [serial_error(i) for i in order]
-        assert [e is None for e in errors] == [i == 0 for i in order]
-        assert len(set(errors) - {None}) == len(set(order) - {0})
-        threads = tasks()
-        with pytest.raises(sim.PathOverflowError) as exc:
-            sim._outage_counts([cfg], order)
-        assert str(exc.value) == next(e for e in errors if e)  # the first in path order
-        assert tasks() == threads
-
 
 @st.composite
 def groups(draw):
@@ -985,16 +989,6 @@ def groups(draw):
     seed = draw(st.integers(0, 2**32))
     return [replace(cfg, seed=seed) for cfg in draw(st.lists(path_configs(), min_size=1,
                                                               max_size=5))]
-
-
-def serial_error(cfgs, paths):
-    """The error of running each config in turn, each path in order."""
-    for cfg in cfgs:
-        for i in paths:
-            try:
-                run_path(cfg, i)
-            except Exception as exc:
-                return exc
 
 
 class TestGroups:
@@ -1073,13 +1067,11 @@ class TestGroups:
 
     @pytest.mark.filterwarnings("ignore:offered load")
     def test_errors_come_in_serial_order(self, monkeypatch):
-        # under a guard of 14, seed 51: rate 3.5 overflows at path 3 alone,
-        # rate 4.0 at paths 0, 2 and 3.  A config that planning would refuse
-        # is refused where it is made, with planning's message, before any
-        # path of its group runs: selfish at C = 0, and Poisson means the
-        # table builder refuses (traffic's guard is 1e9)
+        # a config that planning would refuse is refused where it is made,
+        # with planning's message, before any path of its group runs:
+        # selfish at C = 0, and Poisson means the table builder refuses
+        # (traffic.MAX_MEAN is 1e9); the first refused config in group order
         four_cpus(monkeypatch)
-        monkeypatch.setattr(sched, "BACKLOG_OVERFLOW", 14)
         common = dict(C=5, policy="reactive", slots=30000, seed=51, warmup=100)
         clean, late, early = (({**common, "rate": r}, None) for r in (1.0, 3.5, 4.0))
         unplanned = (dict(C=0, policy="selfish", slots=30000, seed=51, warmup=100,
@@ -1088,23 +1080,13 @@ class TestGroups:
         refused = [({**common, "rate": r}, refusal) for r, refusal in (
             (math.nan, "Poisson mean must be finite and >= 0, got nan"),
             (-1.0, "Poisson mean must be finite and >= 0, got -1.0"),
-            (2e9, "Poisson mean 2e+09 exceeds the backlog guard"))]
-        assert serial_error([SimConfig(**late[0])], range(3)) is None
-        assert serial_error([SimConfig(**early[0])], range(1)) is not None
-        for case in ([clean, late, early], [clean, early, late], [late, unplanned],
-                     [clean, unplanned, late], [unplanned, early],
+            (2e9, "Poisson mean 2e+09 exceeds the largest, 1e+09"))]
+        for case in ([late, unplanned], [clean, unplanned, late], [unplanned, early],
                      *([first, mean, late] for first in (clean, early) for mean in refused)):
-            refusal = next((refusal for _, refusal in case if refusal), None)
+            refusal = next(refusal for _, refusal in case if refusal)
             threads = tasks()
-            if refusal:  # even where an earlier config would overflow
-                with pytest.raises(sim.SimConfigError, match=f"^{re.escape(refusal)}$"):
-                    estimate_outages([SimConfig(**kw) for kw, _ in case], 5)
-            else:
-                cfgs = [SimConfig(**kw) for kw, _ in case]
-                want = serial_error(cfgs, range(5))
-                with pytest.raises(type(want)) as exc:
-                    estimate_outages(cfgs, 5)
-                assert str(exc.value) == str(want)
+            with pytest.raises(sim.SimConfigError, match=f"^{re.escape(refusal)}$"):
+                estimate_outages([SimConfig(**kw) for kw, _ in case], 5)
             assert tasks() == threads
 
     def test_a_group_builds_each_mean_once_and_its_own_tables(self, monkeypatch):

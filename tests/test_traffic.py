@@ -10,7 +10,6 @@ from test_sched import record, run_configs
 from proactivenet import analytic as an
 from proactivenet import sched
 from proactivenet import traffic as tr
-from proactivenet.sched import BACKLOG_OVERFLOW, PathOverflowError
 
 
 def rng(seed=0):
@@ -188,7 +187,7 @@ def exact_cdf(mu, lo, m):
 
 RATES = [0.05, 1.0, 6.4, 9.99, 10.0, 25.6, 1e4, 1e8]
 # the extremes of the means a table is built for
-EXTREMES = [0.0, 1e-300, 2e4, float(BACKLOG_OVERFLOW)]
+EXTREMES = [0.0, 1e-300, 2e4, tr.MAX_MEAN]
 
 
 class TestPoissonInversion:
@@ -273,20 +272,22 @@ class TestPoissonInversion:
     def test_the_first_refused_mean_raises_before_any_is_built(self):
         with pytest.raises(ValueError, match="got nan"):
             tr.poisson_tables([1.0, math.nan, 2e9])
-        with pytest.raises(PathOverflowError, match="2e\\+09"):
+        with pytest.raises(ValueError, match="2e\\+09 exceeds the largest, 1e\\+09"):
             tr.poisson_tables([1.0, 2e9, -1.0])
         rows, F, g = tr.poisson_tables([])
         assert rows.shape == (0, 5) and F.size == g.size == 0
 
-    def test_mean_beyond_the_backlog_guard_overflows(self):
-        with pytest.raises(PathOverflowError):
-            tr.poisson(rng(), math.nextafter(BACKLOG_OVERFLOW, math.inf), 3)
+    def test_mean_beyond_the_largest_is_refused(self):
+        g = rng()
+        with pytest.raises(ValueError, match="exceeds the largest"):
+            tr.poisson(g, math.nextafter(tr.MAX_MEAN, math.inf), 3)
+        assert g.random() == rng().random()  # nothing drawn
 
     def test_largest_mean_keeps_a_small_table(self):
-        lo, F, _ = tr.poisson_table(float(BACKLOG_OVERFLOW))
+        lo, F, _ = tr.poisson_table(tr.MAX_MEAN)
         assert F.size <= 10**6
-        counts = tr.poisson(rng(), float(BACKLOG_OVERFLOW), 10**4)
-        z = (counts.mean() - BACKLOG_OVERFLOW) / math.sqrt(BACKLOG_OVERFLOW / 10**4)
+        counts = tr.poisson(rng(), tr.MAX_MEAN, 10**4)
+        z = (counts.mean() - tr.MAX_MEAN) / math.sqrt(tr.MAX_MEAN / 10**4)
         assert abs(z) < 4
 
 
@@ -301,9 +302,7 @@ def fresh_demand_outages(u, n, A, capacities, rows=None):
     sched._kernel().binomial_start(n, A, p0.ctypes.data)
     walk = p0 if rows is None else None
     configs = [record(len(u), C, L=n, idle=rows, p0=walk) for C in capacities]
-    outages, tripped = run_configs(u, configs, [(A, 1.0)] * len(configs), 0)
-    assert not tripped.any()
-    return outages[:, 0]
+    return run_configs(u, configs, [(A, 1.0)] * len(configs), 0)[:, 0]
 
 
 def binomial_draws(u, n, A, rows=None):
@@ -331,6 +330,20 @@ def table_rows(tables):
         assert column == 0 and g_at == g.ctypes.data + 8 * at
         out.append((lo, F[at:at + m], g[at:at + m]))
     return out
+
+
+def sized_tables(L, A, cap):
+    """(size, rows, F, g) of one compiled binomial_table call under `cap`,
+    into arenas of min(cap, (L + 1)(L + 2) / 2) entries, row idle taking at
+    most idle + 1: size is above cap iff the tables would take more, and no
+    entry past the arenas is written."""
+    n = max(0, min(cap, (L + 1) * (L + 2) // 2))
+    rows = np.empty((L + 1, 5), np.int64)
+    F, g = np.full(n + 8, -1.0), np.full(n + 8, -1, np.int64)
+    size = sched._kernel().binomial_table(L, A, cap, F.ctypes.data, g.ctypes.data,
+                                          rows.ctypes.data)
+    assert (F[n:] == -1.0).all() and (g[n:] == -1).all()
+    return size, rows, F[:n], g[:n]
 
 
 def exact_binomial_cdf(n, A, beyond):
@@ -438,14 +451,14 @@ class TestBinomialTables:
            st.floats(0.0, 1.0) | st.sampled_from([1e-300, 1e-12, 0.058, 0.49, 1 - 1e-12]),
            st.integers(0, 10**6))
     def test_the_quick_refusal_refuses_only_tables_over_the_cap(self, L, A, cap):
-        # binomial_least, with which the sizing refuses in O(L), is at most
+        # binomial_least, with which the fill refuses in O(L), is at most
         # the tables' size: a config whose tables fit is never refused
         lib = sched._kernel()
-        size = lib.binomial_table(L, A, 2**62, None, None, None)
+        size = sized_tables(L, A, 2**62)[0]
         assert L + 1 <= lib.binomial_least(L, A, 2**62) <= size
-        # counting stops past the cap, and only there
+        # counting and filling stop past the cap, and only there
         assert (lib.binomial_least(L, A, cap) > cap) == (lib.binomial_least(L, A, 2**62) > cap)
-        assert (lib.binomial_table(L, A, cap, None, None, None) > cap) == (size > cap)
+        assert (sized_tables(L, A, cap)[0] > cap) == (size > cap)
 
     @pytest.mark.parametrize("A", [0.3, 0.5, 0.9, 0.99, 0.999])
     def test_the_bound_holds_row_by_row_across_the_cutoff(self, A):
@@ -456,9 +469,7 @@ class TestBinomialTables:
         lib = sched._kernel()
         cut = math.floor(690 / -math.log1p(-A))
         L = cut + 4
-        size = lib.binomial_table(L, A, 2**62, None, None, None)
-        rows, F, g = np.empty((L + 1, 5), np.int64), np.empty(size), np.empty(size, np.int64)
-        lib.binomial_table(L, A, 2**62, F.ctypes.data, g.ctypes.data, rows.ctypes.data)
+        rows = sized_tables(L, A, 2**62)[1]
         assert rows[L, 1] > 0  # the last row starts below its mode
         for n in range(cut - 3, L + 1):
             least = [lib.binomial_least(m, A, 2**62) for m in (n - 1, n)]
