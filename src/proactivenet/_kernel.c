@@ -32,9 +32,9 @@
  * builds a multicast config's, one per idle count, in one pass from the cdf
  * values that binomial's walk sums, so that a table draw is the walk's count
  * bit for bit; a config whose tables would exceed traffic's byte budget
- * draws by the walk itself, started from its table of (1 - A)^idle
- * (binomial_start).  binomial_least, a lower bound on the tables' entries
- * found in O(L), refuses most such configs before the fill.
+ * draws by the walk itself, which needs no memory.  binomial_least, a lower
+ * bound on the tables' entries found in O(L), refuses most such configs
+ * before the fill.
  *
  * sched compiles this file with `cc -O2 -shared -fPIC -pthread` on first
  * use and loads it through ctypes.
@@ -132,14 +132,14 @@ static void guide(const double *F, int64_t m, int64_t *g)
 }
 
 /* The start of binomial's walk for X ~ Binomial(n, A), 0 <= A < 1,
- * r = A / (1 - A) and p0 = (1 - A)^n: k = 0 with p(0) = p0 or, where that
- * nears underflow, the k below a mode where the pmf falls below 1e-40 of
- * the mode's, p there normalised as in poisson_cdf.  Returns k and sets *p
- * to p there. */
-static int64_t walk_start(int64_t n, double A, double r, double p0, double *p)
+ * r = A / (1 - A) and lq = log1p(-A): k = 0 with p(0) = (1 - A)^n or, where
+ * that nears underflow, the k below a mode where the pmf falls below 1e-40
+ * of the mode's, p there normalised as in poisson_cdf.  Returns k and sets
+ * *p to p there. */
+static int64_t walk_start(int64_t n, double A, double r, double lq, double *p)
 {
     int64_t k = 0;
-    *p = p0;
+    *p = exp((double)n * lq);
     if (*p < 1e-300) {
         int64_t m = (int64_t)((double)(n + 1) * A);  /* a mode, at most n */
         double s = 1.0, t = 1.0, v = 1.0;
@@ -155,12 +155,12 @@ static int64_t walk_start(int64_t n, double A, double r, double p0, double *p)
 /* min{k : P(X <= k) > x} for X ~ Binomial(n, A): a walk up the pmf from
  * walk_start, summing the cdf F.  The walk ends where p no longer moves F:
  * the mass left out is far under the 2**-53 resolution of x. */
-static int64_t binomial(double x, int64_t n, double A, double r, double p0)
+static int64_t binomial(double x, int64_t n, double A, double r, double lq)
 {
     if (A >= 1.0)
         return n;
     double p;
-    int64_t k = walk_start(n, A, r, p0, &p);
+    int64_t k = walk_start(n, A, r, lq, &p);
     for (double F = p; x >= F && k < n && F + p > F; F += p) {
         p *= r * (double)(n - k) / (double)(k + 1);
         k++;
@@ -213,7 +213,7 @@ int64_t binomial_table(int64_t L, double A, int64_t cap, double *F, int64_t *g, 
     int64_t at = 0;
     for (int64_t n = 0; n <= L; n++) {
         double p = 1.0, s;
-        int64_t lo = A >= 1.0 ? n : walk_start(n, A, r, exp((double)n * lq), &p), k = lo;
+        int64_t lo = A >= 1.0 ? n : walk_start(n, A, r, lq, &p), k = lo;
         for (s = p; k < n && s + p > s && at + k - lo < cap; s += p) {
             F[at + k - lo] = s;
             p *= r * (double)(n - k) / (double)(k + 1);
@@ -235,27 +235,17 @@ int64_t binomial_table(int64_t L, double A, int64_t cap, double *F, int64_t *g, 
     return at;
 }
 
-/* p0[n] = (1 - A)^n for n = 0..L, binomial's p0 at n idle sources. */
-void binomial_start(int64_t L, double A, double *p0)
-{
-    const double lq = log1p(-A);
-    for (int64_t n = 0; n <= L; n++)
-        p0[n] = exp((double)n * lq);
-}
-
 /* The fields of a config's int64 record in path_outages, in order; its
  * double record is (A, f). */
-enum { SLOTS, SOURCES, STREAMS, NPRIMARY, SECONDARY, WINDOW, CAPACITY, WARMUP, IDLE, IDLE_P0,
-       FIELDS };
+enum { SLOTS, SOURCES, STREAMS, NPRIMARY, SECONDARY, WINDOW, CAPACITY, WARMUP, IDLE, FIELDS };
 
 /* One sample path under one config, from its uniforms to its outage counts.
  * u:         the path's uniforms in the config's draw order: with L > 0
  *            sources, one per slot for its multicast fresh demand, the
  *            Binomial(idle, A) count of binomial over the idle = L - pending
  *            sources, drawn through row idle of the config's binomial_table
- *            or, without one, by the walk from p0[idle] of its
- *            binomial_start; then slots uniforms per Poisson
- *            stream, one per count;
+ *            or, without one, by binomial's walk; then slots uniforms per
+ *            Poisson stream, one per count;
  * stream:    a row (column, lo, m, F, g) per Poisson stream, in draw order,
  *            F and g the addresses of its cdf window and guide table:
  *            nprimary primary streams, whose count invert(u, F, g, lo, m)
@@ -267,8 +257,8 @@ enum { SLOTS, SOURCES, STREAMS, NPRIMARY, SECONDARY, WINDOW, CAPACITY, WARMUP, I
  * multicast, secondary, capped: the config's shape, constants in each copy.
  * A request expires within T + 1 slots, so total never exceeds the arrivals
  * of the last T + 1 slots: L with L > 0 sources, else at most T + 1 times the
- * largest counts of the primary streams' cdf windows, which sim.SimConfig
- * keeps below 2**62.  So no count overflows. */
+ * largest counts of the primary streams' cdf windows, either of which
+ * sim.SimConfig keeps below 2**62.  So no count overflows. */
 static inline __attribute__((always_inline)) void config_outages(
     const double *u, const int64_t *cfg, double A, double f, int64_t *c, int64_t *outages,
     const int multicast, const int secondary, const int capped)
@@ -277,15 +267,14 @@ static inline __attribute__((always_inline)) void config_outages(
     const int64_t T = cfg[WINDOW], C = cfg[CAPACITY], warmup = cfg[WARMUP];
     const int64_t *stream = (const int64_t *)(uintptr_t)cfg[STREAMS];
     const int64_t *idle = (const int64_t *)(uintptr_t)cfg[IDLE];
-    const double *p0 = (const double *)(uintptr_t)cfg[IDLE_P0];
     const double *draws = multicast ? u + slots : u;
-    const double r = A / (1.0 - A);
+    const double r = A / (1.0 - A), lq = log1p(-A);
     int64_t total = 0, q = 0, e[2], o[3] = {0, 0, 0};
     memset(c, 0, (size_t)(T + 1) * sizeof *c);
     for (int64_t n = 0; n < slots; n++) {
         if (multicast) {
             int64_t a = idle ? draw(u[n], idle + 5 * (L - total))
-                             : binomial(u[n], L - total, A, r, p0[L - total]);
+                             : binomial(u[n], L - total, A, r, lq);
             c[T] += a;
             total += a;
         }
@@ -312,9 +301,8 @@ static inline __attribute__((always_inline)) void config_outages(
 /* One sample path of sim under each of the K configs of a group, all
  * reading prefixes of the same uniforms u, each in its own layout.
  * config:    K int64 records of FIELDS entries, the addresses of the
- *            config's stream rows and, with L > 0 sources, either of the
- *            rows of its binomial_table or of its p0[0..L] from
- *            binomial_start (the other 0), among them;
+ *            config's stream rows and, with L > 0 sources, of the rows of
+ *            its binomial_table (0 for the walk) among them;
  * rate:      K double records (A, f);
  * c:         1 + the largest window's T int64 entries of workspace;
  * outages:   K rows of the 3 counters of config_outages.

@@ -204,7 +204,7 @@ def _missing(params: dict, command: str) -> list[str]:
     else:
         if "alpha_pred" in params or "alpha_miss" in params:
             need += ["alpha_pred", "alpha_miss", "gamma"]
-        if any(k in params for k in ("gamma", "gp", "gs")):
+        if any(k in params for k in ("gamma", "gp", "gs", "gamma_u")):
             need.append("regime")
     return [k for k in dict.fromkeys(need) if params.get(k) is None]
 
@@ -283,7 +283,7 @@ def _sim_config(p: dict) -> SimConfig:
     if p.get("gamma_m") is not None and p.get("theta") is not None:
         multicast = MulticastSpec(gamma_m=p["gamma_m"], theta=p["theta"])
         if p.get("gamma_u") is not None:
-            regime = Regime("linear", p["gamma_u"])
+            regime = Regime(p["regime"], p["gamma_u"])
     return SimConfig(
         C=p["C"],
         policy=p["policy"],
@@ -434,8 +434,8 @@ def run(manifest: dict) -> int:
     if errors:
         return 2
     with warnings.catch_warnings():
-        # "default": each distinct message once, though a sweep builds the
-        # config of its first capacity twice
+        # "default": each distinct message once, though curves of one
+        # group may warn alike at a capacity
         warnings.simplefilter("default")
         warnings.showwarning = _print_warning
         try:

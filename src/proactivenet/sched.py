@@ -14,7 +14,7 @@ The library also fills the cdf and guide tables through which `sim` inverts
 each count: `traffic.poisson_tables`, those of every Poisson stream of a
 group in one call, and `traffic.binomial_table`, one per idle count, for a
 multicast fresh demand, in one pass that an O(L) bound skips for most
-tables over its budget.
+tables over its budget, past which the slot walks the pmf with no table.
 EDF fixes how much each class is served before any request is touched, so
 the slot is one pass over c that serves, expires and shifts; the slot loop
 is compiled once per policy shape, so no slot tests its policy.
@@ -107,10 +107,8 @@ def _kernel() -> ctypes.CDLL:
         lib.poisson_tables.argtypes = [i64, ptr, ptr, ptr, ptr]
         lib.binomial_table.argtypes = [i64, dbl, i64, ptr, ptr, ptr]
         lib.binomial_least.argtypes = [i64, dbl, i64]
-        lib.binomial_start.argtypes = [i64, dbl, ptr]
         lib.binomial_table.restype = lib.binomial_least.restype = i64
-        for fn in (lib.path_outages, lib.group_run, lib.group_close, lib.poisson_tables,
-                   lib.binomial_start):
+        for fn in (lib.path_outages, lib.group_run, lib.group_close, lib.poisson_tables):
             fn.restype = None
         _lib = lib
     return _lib

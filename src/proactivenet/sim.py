@@ -153,10 +153,12 @@ class SimConfig:
             T, streams = _streams(self)
             self.check_stability(streams)
             largest = [(k, check_mean(mu)[2]) for k, mu in streams]
-            # a request pends at most T + 1 slots, the secondary's none
-            if (T + 1) * sum(hi for k, hi in largest if k >= 0) >= 2**62:
-                raise ValueError(f"T + 1 = {T + 1} slots of the primary's largest counts "
-                                 "reach 2**62 pending requests")
+            # a request pends at most T + 1 slots, the secondary's none, and a
+            # multicast path (no primary stream) at most its L sources
+            L = self.multicast.num_sources(self.C) if self.policy in (MULTICAST, PI2) else 0
+            if L + (T + 1) * sum(hi for k, hi in largest if k >= 0) >= 2**62:
+                raise ValueError((f"L = {L} sources" if L else f"T + 1 = {T + 1} slots of the "
+                                  "primary's largest counts") + " reach 2**62 pending requests")
         except ValueError as exc:
             raise SimConfigError(str(exc)) from exc
 
@@ -284,7 +286,7 @@ def estimate_outages(cfgs: list[SimConfig], n_paths: int) -> list[dict[str, Outa
 class _Plan(NamedTuple):
     """A group's configs planned for `group_run`, in order."""
 
-    records: np.ndarray  # (K, 10) int64: per config, the fields of _kernel.c's enum
+    records: np.ndarray  # (K, 9) int64: per config, _kernel.c's enum fields (IDLE 0: walk)
     rates: np.ndarray  # (K, 2): per config, (A, f)
     fill: int  # the uniforms a path of the group reads
     window: int  # the largest config's T
@@ -297,8 +299,8 @@ def _plan_group(cfgs: list[SimConfig]) -> _Plan:
 
     The tables of all the group's Poisson streams come from one
     `poisson_tables` call, one per distinct mean, and those of its
-    multicast configs from one `binomial_table` call per (L, A).  No table
-    outlives the plan.
+    multicast configs from one `binomial_table` call per (L, A), none past
+    its budget, where the kernel walks the pmf.  No table outlives the plan.
     """
     planned = [(cfg, *_streams(cfg)) for cfg in cfgs]
     means = {}  # streams of one mean share its table: each mean once, by first use
@@ -310,27 +312,21 @@ def _plan_group(cfgs: list[SimConfig]) -> _Plan:
     fill = window = 0
     at = rows.ctypes.data
     for cfg, T, streams in planned:
-        L, A, draws = 0, 0.0, (0, 0)
+        L, A, draws = 0, 0.0, 0
         if cfg.policy in (MULTICAST, PI2):
             L, A = cfg.multicast.num_sources(cfg.C), cfg.multicast.source_prob()
             if (L, A) not in idle:  # configs of one (L, A) share its tables
-                binomial = binomial_table(L, A)
-                if binomial is None:  # over the budget: the kernel walks from p0[idle] = (1 - A)^idle
-                    p0 = np.empty(L + 1)
-                    sched._kernel().binomial_start(L, A, p0.ctypes.data)
-                    arrays.append(p0)
-                    idle[L, A] = 0, p0.ctypes.data
-                else:
-                    arrays += binomial
-                    idle[L, A] = binomial[0].ctypes.data, 0
-            draws = idle[L, A]  # the record's IDLE and IDLE_P0
+                binomial = binomial_table(L, A)  # None over the budget: the kernel walks
+                arrays += binomial or ()
+                idle[L, A] = binomial[0].ctypes.data if binomial else 0
+            draws = idle[L, A]  # the record's IDLE
         secondary = cfg.policy in (SELFISH, DYNAMIC, PI2)
         records += (cfg.slots, L, at, len(streams) - secondary, secondary, T, cfg.C,
-                    cfg.effective_warmup, *draws)
+                    cfg.effective_warmup, draws)
         rates += (A, {DYNAMIC: cfg.f, PI2: 0.0}.get(cfg.policy, 1.0))
         at += 40 * len(streams)
         fill, window = max(fill, cfg.slots * ((L > 0) + len(streams))), max(window, T)
-    return _Plan(np.array(records, dtype=np.int64).reshape(-1, 10),
+    return _Plan(np.array(records, dtype=np.int64).reshape(-1, 9),
                  np.array(rates).reshape(-1, 2), fill, window, tuple(arrays))
 
 
@@ -416,7 +412,8 @@ def _streams(cfg: SimConfig) -> tuple[int, list[tuple[int, float]]]:
     A path draws in a fixed order: one multicast uniform per slot, or one
     stream per primary column (by look-ahead, predicted before missed);
     then the secondary's, column -1.  A reactive path sees every request
-    as urgent: T = 0.
+    as urgent: T = 0.  T is at most the path's slots: a later deadline
+    never comes within the path, and EDF serves it after every earlier one.
     """
     T, streams = (0 if cfg.policy == REACTIVE else cfg.tmax), []
     unicast = cfg.policy not in (MULTICAST, PI2)
@@ -430,7 +427,7 @@ def _streams(cfg: SimConfig) -> tuple[int, list[tuple[int, float]]]:
         streams.append((-1, mean_rate(cfg.secondary, cfg.C)))
     elif cfg.policy == PI2:
         streams.append((-1, cfg.primary_rate or 0.0))
-    return T, streams
+    return min(T, cfg.slots), [(min(k, cfg.slots), mu) for k, mu in streams]
 
 
 def sweep_capacity(
@@ -441,10 +438,10 @@ def sweep_capacity(
 
 
 def capacity_configs(cfg: SimConfig, C_grid: list[int]) -> list[SimConfig]:
-    """cfg at each capacity of a strictly ascending grid."""
+    """cfg at each capacity of a strictly ascending grid, cfg itself at its own."""
     if any(b <= a for a, b in zip(C_grid, C_grid[1:])):
         raise SimConfigError("capacity grid must be strictly ascending")
-    return [replace(cfg, C=C) for C in C_grid]
+    return [cfg if C == cfg.C else replace(cfg, C=C) for C in C_grid]
 
 
 def estimate_diversity(curve: list[tuple[int, float]], regime: Regime) -> float:

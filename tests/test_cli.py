@@ -18,6 +18,7 @@ from proactivenet.cli import (
     _parse_policy,
     main,
 )
+from proactivenet.sim import DRAW_LAYOUT, SimConfig
 from proactivenet.traffic import Regime
 
 
@@ -310,6 +311,29 @@ class TestCommands:
             (f"fig6a:{label}", str(C), cls)
             for label in ("a", "b") for C in (2, 4, 6) for cls in ("primary", "secondary")]
 
+    def test_a_figure_builds_each_config_once(self, tmp_path, monkeypatch):
+        built, real = [], SimConfig.__post_init__
+        monkeypatch.setattr(SimConfig, "__post_init__", lambda cfg: built.append(cfg) or real(cfg))
+        assert main(["reproduce-figure", "fig4a", "--out", str(tmp_path / "fig.csv")]) == 0
+        assert len(built) == 20  # 4 curves x 5 capacities
+
+    def test_the_unicast_rate_follows_the_regime(self, capsys):
+        # pi2's unicast stream: --gamma-u under --regime, as --gamma is
+        argv = ["simulate", "--C", "8", "--policy", "pi2", "--gamma-m", "0.9", "--theta", "15",
+                "--T", "1", "--paths", "3", "--slots", "300", "--seed", "1"]
+        outputs = []
+        for flags in (["--regime", "poly", "--gamma-u", "0.3"], ["--regime", "poly", "--gamma",
+                      "0.3"], ["--gamma-u", "0.3"]):
+            assert main([*argv, *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != outputs[2]
+        # so a manifest with a unicast rate needs its regime
+        params = {"C": 8, "policy": "pi2", "gamma_m": 0.9, "theta": 15.0, "gamma_u": 0.3,
+                  "paths": 3, "slots": 300, "seed": 1}
+        assert cli.run({"command": "simulate", "params": params, "out": None,
+                        "draw_layout": DRAW_LAYOUT}) == 2
+        assert capsys.readouterr().err == "error: regime: required parameter missing\n"
+
     @pytest.mark.parametrize("argv, rows", [
         (["pred-det", "--gamma", "0.8", "--T", "2", "--regime", "poly"],
          [("exact", 0.6)]),
@@ -468,6 +492,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.splitlines() == [line] and "UserWarning" not in err
 
+    def test_a_multicast_config_of_2_to_the_62_sources_is_2(self, tmp_path, capsys):
+        # L = 15 C sources, each of which may pend
+        out = tmp_path / "run.csv"
+        rc = main(["simulate", "--C", str(10**18), "--policy", "multicast", "--gamma-m", "0.9",
+                   "--theta", "15", "--T", "1", "--paths", "2", "--slots", "200", "--warmup",
+                   "10", "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "error: L = 15000000000000000000 sources reach 2**62 pending requests\n")
+
     def test_unknown_policy_is_2(self, capsys):
         rc = main(["simulate", "--C", "4", "--gamma", "0.5", "--policy", "lifo"])
         assert rc == 2
@@ -593,6 +627,40 @@ class TestFlags:
         old.write_text(json.dumps(manifest))
         assert main(["rerun-from-manifest", str(old), "--out", str(tmp_path / "again.csv")]) == 0
         assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
+
+
+def peak_rss_kib(argv, out):
+    """The exit code and peak resident set (KiB) of a fresh process that runs
+    `simulate` on argv, writing its CSV to out."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    script = ("import resource, sys\nfrom proactivenet.cli import main\n"
+              "rc = main(sys.argv[1:])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\nsys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", script, "simulate", *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, int(proc.stdout.split()[-1])
+
+
+MULTICAST_WALK = ["--policy", "multicast", "--gamma-m", "0.9", "--theta", "15", "--T", "1",
+                  "--paths", "2", "--slots", "200", "--warmup", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    # L = 1.8e10 sources, far over the table budget: the walk needs no
+    # memory per source
+    ["--C", "1200000000", *MULTICAST_WALK],
+    # a window of 5e9 slots on a path of 2: the pending counts span 2 slots
+    ["--C", "4", "--gamma", "0.5", "--policy", "edf", "--T", "5000000000", "--warmup", "0",
+     "--slots", "2", "--paths", "2"],
+], ids=["sources", "window"])
+def test_memory_does_not_grow_with_sources_or_window(tmp_path, argv):
+    # against a small walk: C = 200, L = 3000 sources, just over the budget
+    base = peak_rss_kib(["--C", "200", *MULTICAST_WALK], tmp_path / "small.csv")
+    rc, peak = peak_rss_kib(argv, tmp_path / "large.csv")
+    assert base[0] == rc == 0
+    assert peak - base[1] < 10 * 1024
 
 
 class TestManifestRoundTrip:

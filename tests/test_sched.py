@@ -90,14 +90,15 @@ def serve_path_by_slot(arrivals, C, *, multicast_T=None, f=1.0, secondary=None,
 
 
 def record(slots, C, *, T=0, warmup=0, L=0, streams=None, nprimary=0, secondary=False,
-           idle=None, p0=None):
+           idle=None):
     """A config record of path_outages, its fields in the order of _kernel.c's
-    enum: the addresses of its stream rows, of its multicast draw rows
-    (`traffic.binomial_table`'s) and of its p0 (`binomial_start`'s), or 0."""
+    enum: the addresses of its stream rows and of its multicast draw rows
+    (`traffic.binomial_table`'s), or 0: a multicast config without draw rows
+    walks the pmf."""
     def at(a):
         return 0 if a is None else a.ctypes.data
 
-    return (slots, L, at(streams), nprimary, int(secondary), T, C, warmup, at(idle), at(p0))
+    return (slots, L, at(streams), nprimary, int(secondary), T, C, warmup, at(idle))
 
 
 def run_configs(u, records, rates, T):
@@ -578,7 +579,9 @@ def test_the_library_exports_what_sim_and_traffic_call(monkeypatch):
                         capture_output=True, text=True).stdout
     exported = {line.split()[2] for line in nm.splitlines() if line.split()[1] == "T"}
     # the hand traces run the slot loop on chosen counts
-    assert exported == called | {"path_outages"}
+    assert exported == called | {"path_outages"} == {
+        "binomial_least", "binomial_table", "group_close", "group_open", "group_run",
+        "path_outages", "poisson_tables"}
 
 
 @pytest.fixture

@@ -296,12 +296,9 @@ def fresh_demand_outages(u, n, A, capacities, rows=None):
     sources, one slot per uniform of u, from path_outages with its records
     written directly.  Every slot finds the n sources idle and draws its
     fresh demand, Binomial(n, A), an outage iff it exceeds C: by the pmf
-    walk from p0 of binomial_start (the record's IDLE_P0), or through the
-    rows of `traffic.binomial_table` for A (its IDLE)."""
-    p0 = np.empty(n + 1)
-    sched._kernel().binomial_start(n, A, p0.ctypes.data)
-    walk = p0 if rows is None else None
-    configs = [record(len(u), C, L=n, idle=rows, p0=walk) for C in capacities]
+    walk (the record's IDLE 0), or through the rows of
+    `traffic.binomial_table` for A (its IDLE)."""
+    configs = [record(len(u), C, L=n, idle=rows) for C in capacities]
     return run_configs(u, configs, [(A, 1.0)] * len(configs), 0)[:, 0]
 
 
