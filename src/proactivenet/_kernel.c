@@ -12,18 +12,16 @@
  *   group, each config through a copy of the slot loop compiled for its
  *   policy shape, with no per-slot policy test.
  *
- * group_open, group_run, group_close: path_outages over a group's paths on
- *   W workers, W - 1 of them helper threads that never take the GIL.
- *   group_open starts the helpers before the group is planned, so that
- *   they wake while it is; each waits on its group's go flag, spinning for
- *   SPIN_NS before it sleeps.  group_run publishes the group, and every
- *   worker, the calling thread among them, claims its paths one at a time
- *   and fills each path's uniforms itself, bit for bit as numpy draws
- *   them: a copy of numpy's PCG64 (128-bit LCG, numpy's multiplier, XSL-RR
- *   output, each double (next64 >> 11) * 2**-53), started from the state
- *   and increment numpy seeds for the seed and jumped to the path's block
- *   of 2**64 draws, as sim.path_rng(seed, i).random draws it.  A path's
- *   counts so depend on (seed, path index) alone, not on its worker.
+ * group_run: path_outages over a group's paths on W workers, the calling
+ *   thread and W - 1 helper threads that it starts, with every signal
+ *   blocked, and joins before it returns; none of them takes the GIL.
+ *   Every worker claims its paths one at a time and fills each path's
+ *   uniforms itself, bit for bit as numpy draws them: a copy of numpy's
+ *   PCG64 (128-bit LCG, numpy's multiplier, XSL-RR output, each double
+ *   (next64 >> 11) * 2**-53), started from the state and increment numpy
+ *   seeds for the seed and jumped to the path's block of 2**64 draws, as
+ *   sim.path_rng(seed, i).random draws it.  A path's counts so depend on
+ *   (seed, path index) alone, not on its worker.
  *
  * Each count is a uniform inverted through a cdf window and its guide table
  * (invert).  poisson_tables builds every Poisson stream's of a group in one
@@ -40,19 +38,14 @@
  * use and loads it through ctypes.
  */
 
-/* POSIX 2008 (sigset_t, clock_gettime, posix_memalign), also under -std=c99 */
+/* POSIX (sigset_t, pthread_sigmask), also under -std=c99 */
 #define _POSIX_C_SOURCE 200809L
 
 #include <math.h>
 #include <pthread.h>
 #include <signal.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
-#include <time.h>
-#if !defined(__x86_64__)
-#include <sched.h>
-#endif
 
 /* One slot, once its arrivals are in c[0..T] (total pending in all): the
  * primary is served, then q secondary requests (with `secondary`) from the
@@ -257,8 +250,9 @@ enum { SLOTS, SOURCES, STREAMS, NPRIMARY, SECONDARY, WINDOW, CAPACITY, WARMUP, I
  * multicast, secondary, capped: the config's shape, constants in each copy.
  * A request expires within T + 1 slots, so total never exceeds the arrivals
  * of the last T + 1 slots: L with L > 0 sources, else at most T + 1 times the
- * largest counts of the primary streams' cdf windows, either of which
- * sim.SimConfig keeps below 2**62.  So no count overflows. */
+ * largest counts of the primary streams' cdf windows, which sim.SimConfig
+ * keeps below 2**62, and L below 2**53, where binomial's doubles count
+ * exactly.  So no count overflows. */
 static inline __attribute__((always_inline)) void config_outages(
     const double *u, const int64_t *cfg, double A, double f, int64_t *c, int64_t *outages,
     const int multicast, const int secondary, const int capped)
@@ -385,146 +379,57 @@ static void serve_claims(const struct job *job, int64_t *next, int64_t w)
     }
 }
 
-/* A helper waits this long for its group with the pause hint before it
- * sleeps on the group's condition variable.  A canned figure's group plans
- * for 0.2-0.6 ms, and a thread asleep on an idle vCPU of a 2-vCPU KVM guest
- * takes ~200 us to wake; a group that plans for longer pays that wake, and
- * a helper spends at most SPIN_NS of CPU waiting. */
-#define SPIN_NS 2000000
-#define BLOCK 128  /* the pair of cache lines adjacent-line prefetch fetches */
-
-enum { WAIT, RUN, QUIT };
-
-/* The go flag and the claim counter each own a 128-byte block, so that the
- * spinning helpers' reads and the per-path claims touch nothing else. */
+/* The claim counter owns a 128-byte block (the pair of cache lines
+ * adjacent-line prefetch fetches), so that the per-path claims touch
+ * nothing else. */
 struct group {
-    union { int go; char pad[BLOCK]; } flag;
-    union { int64_t next; char pad[BLOCK]; } claim;
+    struct { int64_t next; } __attribute__((aligned(128))) claim;
     struct job job;
-    pthread_mutex_t lock;
-    pthread_cond_t wake;
-    int64_t helpers;  /* started and not yet joined */
-    struct helper { pthread_t id; struct group *group; int64_t w; } helper[];
 };
 
-static inline void relax(void)
-{
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#else
-    sched_yield();
-#endif
-}
+struct helper { pthread_t id; struct group *group; int64_t w; };
 
 static void *helper_main(void *arg)
 {
     const struct helper *h = arg;
-    struct group *g = h->group;
-    struct timespec t0, t;
-    int go;
-    clock_gettime(CLOCK_MONOTONIC, &t0);
-    for (int64_t i = 1; !(go = __atomic_load_n(&g->flag.go, __ATOMIC_ACQUIRE)); i++) {
-        relax();
-        if (i % 64 == 0) {
-            clock_gettime(CLOCK_MONOTONIC, &t);
-            if ((t.tv_sec - t0.tv_sec) * 1000000000LL + (t.tv_nsec - t0.tv_nsec) > SPIN_NS)
-                break;
-        }
-    }
-    if (!go) {
-        pthread_mutex_lock(&g->lock);
-        while (!(go = __atomic_load_n(&g->flag.go, __ATOMIC_ACQUIRE)))
-            pthread_cond_wait(&g->wake, &g->lock);
-        pthread_mutex_unlock(&g->lock);
-    }
-    if (go == RUN)
-        serve_claims(&g->job, &g->claim.next, h->w);
+    serve_claims(&h->group->job, &h->group->claim.next, h->w);
     return NULL;
 }
 
-static void release(struct group *g, int go)
+/* Serves the job (struct job) on W workers, the calling thread worker 0,
+ * and returns once every path is served and the helpers joined.  u and c
+ * hold a pointer per worker.  The helpers block every signal, so that a
+ * signal to the process lands on the calling thread.  A helper that cannot
+ * be started leaves fewer workers, which changes no count. */
+void group_run(int64_t W, const uint64_t *seed, const uint64_t *paths, int64_t n,
+               double *const *u, int64_t fill, int64_t K, const int64_t *config,
+               const double *rate, int64_t *const *c, int64_t *outages)
 {
-    pthread_mutex_lock(&g->lock);
-    __atomic_store_n(&g->flag.go, go, __ATOMIC_RELEASE);
-    pthread_cond_broadcast(&g->wake);
-    pthread_mutex_unlock(&g->lock);
-}
-
-/* A group of 1 + helpers workers, its helpers started and waiting; NULL for
- * none, when the calling thread serves every path alone.  The helpers block
- * every signal, so that a signal to the process lands on the calling
- * thread.  A helper that cannot be started leaves fewer workers, which
- * changes no count. */
-struct group *group_open(int64_t helpers)
-{
-    struct group *g;
-    if (helpers < 1 || posix_memalign((void **)&g, BLOCK,
-                                      sizeof *g + (size_t)helpers * sizeof *g->helper))
-        return NULL;
-    g->flag.go = WAIT;
-    g->claim.next = 0;
-    g->helpers = 0;
-    pthread_mutex_init(&g->lock, NULL);
-    pthread_cond_init(&g->wake, NULL);
+    struct group g = {.claim = {0},
+                      .job = {.state = (u128)seed[0] << 64 | seed[1],
+                              .inc = (u128)seed[2] << 64 | seed[3], .block = PCG_MULT,
+                              .paths = paths, .n = n, .fill = fill, .K = K, .u = u, .c = c,
+                              .config = config, .rate = rate, .outages = outages}};
+    g.job.plus = g.job.inc;
+    for (int b = 0; b < 64; b++) {
+        g.job.plus *= g.job.block + 1;
+        g.job.block *= g.job.block;
+    }
+    struct helper helper[W > 1 ? W - 1 : 1];
+    int64_t helpers = 0;
     sigset_t all, old;
     sigfillset(&all);
     pthread_sigmask(SIG_SETMASK, &all, &old);
-    for (struct helper *h = g->helper; g->helpers < helpers; h++, g->helpers++) {
-        h->group = g;
-        h->w = 1 + g->helpers;
+    for (struct helper *h = helper; helpers < W - 1; h++, helpers++) {
+        h->group = &g;
+        h->w = 1 + helpers;
         if (pthread_create(&h->id, NULL, helper_main, h))
             break;
     }
     pthread_sigmask(SIG_SETMASK, &old, NULL);
-    return g;
-}
-
-static void join(struct group *g)
-{
-    for (int64_t w = 0; w < g->helpers; w++)
-        pthread_join(g->helper[w].id, NULL);
-    g->helpers = 0;
-}
-
-/* Serves the job (struct job) on the group g's workers, the calling thread
- * worker 0, and returns once every path is served and the helpers joined;
- * with g NULL, on the calling thread alone.  u and c hold a pointer per
- * worker.  A group runs once. */
-void group_run(struct group *g, const uint64_t *seed, const uint64_t *paths, int64_t n,
-               double *const *u, int64_t fill, int64_t K, const int64_t *config,
-               const double *rate, int64_t *const *c, int64_t *outages)
-{
-    struct job job = {.state = (u128)seed[0] << 64 | seed[1], .inc = (u128)seed[2] << 64 | seed[3],
-                      .block = PCG_MULT, .paths = paths, .n = n, .fill = fill, .K = K, .u = u,
-                      .c = c, .config = config, .rate = rate, .outages = outages};
-    job.plus = job.inc;
-    for (int b = 0; b < 64; b++) {
-        job.plus *= job.block + 1;
-        job.block *= job.block;
-    }
-    int64_t next = 0;
-    if (!g) {
-        serve_claims(&job, &next, 0);
-        return;
-    }
-    g->job = job;
-    release(g, RUN);
-    serve_claims(&g->job, &g->claim.next, 0);
-    join(g);
-}
-
-/* Joins the group's helpers, releasing them first if the group never ran,
- * and frees it. */
-void group_close(struct group *g)
-{
-    if (!g)
-        return;
-    if (__atomic_load_n(&g->flag.go, __ATOMIC_RELAXED) == WAIT)
-        release(g, QUIT);
-    join(g);
-    pthread_cond_destroy(&g->wake);
-    pthread_mutex_destroy(&g->lock);
-    free(g);
+    serve_claims(&g.job, &g.claim.next, 0);
+    for (int64_t w = 0; w < helpers; w++)
+        pthread_join(helper[w].id, NULL);
 }
 
 /* F[j] = P(X <= lo + j), j < m, for X ~ Poisson(mu), mu >= 0, over a window

@@ -180,43 +180,24 @@ def binomial_term(n: float, q: float, a: float = 1.0) -> tuple:
     return ("binomial", n, q, a)
 
 
-def _log_mgf(terms, r: float) -> float:
-    total = 0.0
+def _cumulants(terms, r: float) -> tuple[float, float, float]:
+    """The log-MGF of the terms at r and its first two derivatives in r."""
+    psi = d1 = d2 = 0.0
     for t in terms:
         if t[0] == "poisson":
             _, lam, a = t
-            total += lam * math.expm1(a * r)
-        else:
-            _, n, q, a = t
-            total += n * math.log1p(q * math.expm1(a * r))
-    return total
-
-
-def _log_mgf_deriv(terms, r: float) -> float:
-    total = 0.0
-    for t in terms:
-        if t[0] == "poisson":
-            _, lam, a = t
-            total += lam * a * math.exp(a * r)
-        else:
-            _, n, q, a = t
             e = math.exp(a * r)
-            total += n * q * a * e / (1.0 - q + q * e)
-    return total
-
-
-def _log_mgf_deriv2(terms, r: float) -> float:
-    total = 0.0
-    for t in terms:
-        if t[0] == "poisson":
-            _, lam, a = t
-            total += lam * a * a * math.exp(a * r)
+            psi += lam * math.expm1(a * r)
+            d1 += lam * a * e
+            d2 += lam * a * a * e
         else:
             _, n, q, a = t
             e = math.exp(a * r)
             d = 1.0 - q + q * e
-            total += n * a * a * (q * e / d) * ((1.0 - q) / d)
-    return total
+            psi += n * math.log1p(q * math.expm1(a * r))
+            d1 += n * q * a * e / d
+            d2 += n * a * a * (q * e / d) * ((1.0 - q) / d)
+    return psi, d1, d2
 
 
 def chernoff_exponent(terms: list, threshold: float, scale: float = 1.0) -> float:
@@ -228,7 +209,7 @@ def chernoff_exponent(terms: list, threshold: float, scale: float = 1.0) -> floa
     threshold does not exceed the mean (no large deviation), inf when no r
     reaches it.
     """
-    mean = _log_mgf_deriv(terms, 0.0)
+    mean = _cumulants(terms, 0.0)[1]
     if threshold <= mean:
         return 0.0
     # binomial terms saturate; the derivative may never reach the threshold
@@ -241,33 +222,30 @@ def chernoff_exponent(terms: list, threshold: float, scale: float = 1.0) -> floa
     if threshold >= sup:
         return math.inf
 
-    def g(r):
-        return _log_mgf_deriv(terms, r) - threshold
-
     lo, hi = 0.0, 1.0
-    while g(hi) < 0.0:
+    while _cumulants(terms, hi)[1] - threshold < 0.0:
         lo, hi = hi, 2.0 * hi
         if hi > 1e6:
             raise RuntimeError("failed to bracket the exponent optimizer")
-    # g(lo) < 0 <= g(hi) and g increases.  Newton from r = hi; bisect when
-    # a step would leave [lo, hi] or not halve the step before it (g is
-    # flat near a saturating binomial's root), so every step either halves
-    # the one before or halves [lo, hi].
+    # g = psi' - threshold: g(lo) < 0 <= g(hi) and g increases.  Newton from
+    # r = hi; bisect when a step would leave [lo, hi] or not halve the step
+    # before it (g is flat near a saturating binomial's root), so every step
+    # either halves the one before or halves [lo, hi].
     r, step = hi, hi - lo
     for _ in range(200):
-        gr = g(r)
+        _, d1, d2 = _cumulants(terms, r)
+        gr = d1 - threshold
         if gr < 0.0:
             lo = r
         else:
             hi = r
-        d2 = _log_mgf_deriv2(terms, r)
         prev, step = step, gr / d2 if d2 > 0.0 else math.inf
         nxt = r - step
         if not (lo <= nxt <= hi and 2.0 * abs(step) <= abs(prev)):
             nxt = 0.5 * (lo + hi)
             step = r - nxt
         if abs(step) <= 1e-14 + 1e-15 * abs(nxt):
-            return (threshold * nxt - _log_mgf(terms, nxt)) / scale
+            return (threshold * nxt - _cumulants(terms, nxt)[0]) / scale
         r = nxt
     raise RuntimeError("the exponent optimizer did not converge")
 

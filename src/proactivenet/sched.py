@@ -7,9 +7,9 @@ residual 0 expire, and residual deadlines drop by one.  The slot is one C
 function of `_kernel.c`, compiled with `cc` on first use and cached next to
 this module, and it has one driver, `path_outages`: `sim` runs a whole
 group of paths in one call whose workers, the calling thread and helper
-threads started in C that never take the GIL, claim the paths one at a
-time and draw each path's uniforms as numpy's PCG64 does, and serve each
-path's arrivals, drawn from its uniforms, under every config of the group.
+threads the call starts and joins, none taking the GIL, claim the paths
+one at a time, draw each path's uniforms as numpy's PCG64 does, and serve
+its arrivals, drawn from its uniforms, under every config of the group.
 The library also fills the cdf and guide tables through which `sim` inverts
 each count: `traffic.poisson_tables`, those of every Poisson stream of a
 group in one call, and `traffic.binomial_table`, one per idle count, for a
@@ -100,15 +100,12 @@ def _kernel() -> ctypes.CDLL:
             shutil.rmtree(path.parent, ignore_errors=True)
         i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
         lib.path_outages.argtypes = [ptr, i64, ptr, ptr, ptr, ptr]
-        lib.group_open.argtypes = [i64]
-        lib.group_open.restype = ptr
-        lib.group_run.argtypes = [ptr, ptr, ptr, i64, ptr, i64, i64, ptr, ptr, ptr, ptr]
-        lib.group_close.argtypes = [ptr]
+        lib.group_run.argtypes = [i64, ptr, ptr, i64, ptr, i64, i64, ptr, ptr, ptr, ptr]
         lib.poisson_tables.argtypes = [i64, ptr, ptr, ptr, ptr]
         lib.binomial_table.argtypes = [i64, dbl, i64, ptr, ptr, ptr]
         lib.binomial_least.argtypes = [i64, dbl, i64]
         lib.binomial_table.restype = lib.binomial_least.restype = i64
-        for fn in (lib.path_outages, lib.group_run, lib.group_close, lib.poisson_tables):
+        for fn in (lib.path_outages, lib.group_run, lib.poisson_tables):
             fn.restype = None
         _lib = lib
     return _lib

@@ -13,8 +13,8 @@ configs' records, their rates and their streams' rows, the cdf windows of
 all its distinct Poisson means built by one `traffic.poisson_tables` call.
 The paths of a large group run on up to min(usable CPUs, paths) workers in
 one call of the compiled `group_run`: the calling thread and helper threads
-started in C before the group is planned, which never take the GIL, claim
-the paths one at a time.
+that the call starts once the group is planned and joins before it
+returns, none taking the GIL, claim the paths one at a time.
 
 Path i of a seed is the i-th block of 2**64 draws of the seed's one PCG64
 stream (`path_rng`), so it sees the same randomness however many paths run.
@@ -66,8 +66,9 @@ POLICIES = (REACTIVE, EDF, SELFISH, DYNAMIC, MULTICAST, PI2)
 
 DRAW_LAYOUT = 3  # the order of a path's draws (module docstring), as manifests record it
 
-# A split costs a helper's wake, which overlaps the group's planning, and
-# its join.  On a 2-vCPU KVM Xeon (Python 3.11, gcc 12), each call after a
+# A split costs a helper's start and its join (measured below when the
+# helpers started before planning; starting them in `group_run` cost no
+# more).  On a 2-vCPU KVM Xeon (Python 3.11, gcc 12), each call after a
 # 1 ms busy-wait (the other vCPU idle, as between groups), serial against
 # two workers in process: reactive paths (the cheapest slot) broke even at
 # about 26 000 path-slots (26 x 1000 slots: 194 us serial, 195 split; 22 x
@@ -154,11 +155,14 @@ class SimConfig:
             self.check_stability(streams)
             largest = [(k, check_mean(mu)[2]) for k, mu in streams]
             # a request pends at most T + 1 slots, the secondary's none, and a
-            # multicast path (no primary stream) at most its L sources
+            # multicast path (no primary stream) at most its L sources, which
+            # its walk counts in doubles, exact only below 2**53
             L = self.multicast.num_sources(self.C) if self.policy in (MULTICAST, PI2) else 0
-            if L + (T + 1) * sum(hi for k, hi in largest if k >= 0) >= 2**62:
-                raise ValueError((f"L = {L} sources" if L else f"T + 1 = {T + 1} slots of the "
-                                  "primary's largest counts") + " reach 2**62 pending requests")
+            pending = L or (T + 1) * sum(hi for k, hi in largest if k >= 0)
+            if pending >= (2**53 if L else 2**62):
+                raise ValueError((f"L = {L} sources reach 2**53, past which the walk's doubles "
+                                  "are inexact") if L else (f"T + 1 = {T + 1} slots of the "
+                                  "primary's largest counts reach 2**62 pending requests"))
         except ValueError as exc:
             raise SimConfigError(str(exc)) from exc
 
@@ -337,34 +341,29 @@ def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
 
     A path is one pass of the compiled `path_outages`, from its block's
     uniforms in a reused buffer, filled at the group's longest layout, to
-    its counters under every config.  The group runs on `_workers` workers:
-    the helpers start in C before the group is planned (`_plan_group`), so
-    that they wake while the calling thread plans, and then every worker,
-    the calling thread the first, claims the paths one at a time in the
-    compiled `group_run`, which jumps its PCG64 from the seed's state to
-    each path's block, so paths may come in any order and a path's counts
-    depend only on (seed, path index), not on the worker that runs it.  The
-    helpers are joined before this returns or raises.
+    its counters under every config.  Once the group is planned
+    (`_plan_group`), it runs on `_workers` workers in one call of the
+    compiled `group_run`, which starts the helpers, joins them before it
+    returns, and jumps its PCG64 from the seed's state to each path's
+    block: every worker, the calling thread the first, claims the paths one
+    at a time, so paths may come in any order and a path's counts depend
+    only on (seed, path index), not on the worker that runs it.
     """
     if len({cfg.seed for cfg in cfgs}) > 1:
         raise SimConfigError("the configs of a group must share their seed")
     index = np.array(paths, dtype=np.uint64)
-    W, kernel = _workers(index.size, sum(cfg.slots for cfg in cfgs)), sched._kernel()
-    group = kernel.group_open(W - 1)  # None for W = 1
-    try:
-        plan = _plan_group(cfgs)
-        counts = np.zeros((index.size, len(plan.records), 3), dtype=np.int64)
-        if cfgs:
-            _run_paths(group, W, cfgs[0].seed, plan, index, counts)
-    finally:
-        kernel.group_close(group)
+    plan = _plan_group(cfgs)
+    counts = np.zeros((index.size, len(plan.records), 3), dtype=np.int64)
+    if cfgs:
+        W = _workers(index.size, sum(cfg.slots for cfg in cfgs))
+        _run_paths(W, cfgs[0].seed, plan, index, counts)
     return counts
 
 
-def _run_paths(group, W: int, seed: int, plan: _Plan, index: np.ndarray,
-               counts: np.ndarray) -> None:
+def _run_paths(W: int, seed: int, plan: _Plan, index: np.ndarray, counts: np.ndarray) -> None:
     """Fill counts, rows by path, then by config, in one `group_run` call
-    on the group's W workers, each with its own uniforms and workspace."""
+    on W workers, each with its own uniforms and workspace; W = 1 starts no
+    thread."""
     # the seed's PCG64 as numpy seeds it, whose blocks the kernel draws
     bits = np.random.PCG64(seed).state["state"]
     words = np.array(divmod(bits["state"], 1 << 64) + divmod(bits["inc"], 1 << 64),
@@ -373,7 +372,7 @@ def _run_paths(group, W: int, seed: int, plan: _Plan, index: np.ndarray,
     c = [_workspace(plan.window + 1) for _ in range(W)]
     # the kernel reads each worker's buffer through these addresses
     u_at, c_at = (np.array([a.ctypes.data for a in bufs], dtype=np.uintp) for bufs in (u, c))
-    sched._kernel().group_run(group, words.ctypes.data, index.ctypes.data, index.size,
+    sched._kernel().group_run(W, words.ctypes.data, index.ctypes.data, index.size,
                               u_at.ctypes.data, plan.fill, len(plan.records),
                               plan.records.ctypes.data, plan.rates.ctypes.data,
                               c_at.ctypes.data, counts.ctypes.data)

@@ -493,14 +493,15 @@ class TestExitCodes:
         assert err.splitlines() == [line] and "UserWarning" not in err
 
     def test_a_multicast_config_of_2_to_the_62_sources_is_2(self, tmp_path, capsys):
-        # L = 15 C sources, each of which may pend
+        # L = 15 C sources, past the 2**53 that the walk counts exactly
         out = tmp_path / "run.csv"
         rc = main(["simulate", "--C", str(10**18), "--policy", "multicast", "--gamma-m", "0.9",
                    "--theta", "15", "--T", "1", "--paths", "2", "--slots", "200", "--warmup",
                    "10", "--out", str(out)])
         assert rc == 2 and not out.exists()
         assert capsys.readouterr().err == (
-            "error: L = 15000000000000000000 sources reach 2**62 pending requests\n")
+            "error: L = 15000000000000000000 sources reach 2**53, past which the walk's "
+            "doubles are inexact\n")
 
     def test_unknown_policy_is_2(self, capsys):
         rc = main(["simulate", "--C", "4", "--gamma", "0.5", "--policy", "lifo"])

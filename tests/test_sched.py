@@ -580,8 +580,7 @@ def test_the_library_exports_what_sim_and_traffic_call(monkeypatch):
     exported = {line.split()[2] for line in nm.splitlines() if line.split()[1] == "T"}
     # the hand traces run the slot loop on chosen counts
     assert exported == called | {"path_outages"} == {
-        "binomial_least", "binomial_table", "group_close", "group_open", "group_run",
-        "path_outages", "poisson_tables"}
+        "binomial_least", "binomial_table", "group_run", "path_outages", "poisson_tables"}
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import math
 import os
@@ -65,9 +66,9 @@ def fresh_demand_uniforms(cfgs, paths):
             return getattr(lib, name)
 
         @staticmethod
-        def group_run(group, seed, paths, n, u, fill, K, config, rate, c, outages):
+        def group_run(W, seed, paths, n, u, fill, K, config, rate, c, outages):
             for j in range(n):
-                lib.group_run(None, seed, paths + 8 * j, 1, u, fill, K, config, rate, c,
+                lib.group_run(1, seed, paths + 8 * j, 1, u, fill, K, config, rate, c,
                               outages + 24 * K * j)
                 first = ctypes.c_void_p.from_address(u).value  # worker 0's buffer
                 seen.append(np.array((ctypes.c_double * cfgs[0].slots).from_address(first)))
@@ -94,7 +95,7 @@ def serial_group(seed, paths, fill, cfgs=()):
     u, c = np.empty(fill), np.empty(1 + plan.window, np.int64)
     u_at, c_at = np.array([u.ctypes.data], np.uintp), np.array([c.ctypes.data], np.uintp)
     counts = np.zeros((index.size, len(cfgs), 3), dtype=np.int64)
-    sched._kernel().group_run(None, words.ctypes.data, index.ctypes.data, index.size,
+    sched._kernel().group_run(1, words.ctypes.data, index.ctypes.data, index.size,
                               u_at.ctypes.data, fill, len(cfgs), plan.records.ctypes.data,
                               plan.rates.ctypes.data, c_at.ctypes.data, counts.ctypes.data)
     return u, counts
@@ -536,14 +537,17 @@ def test_a_config_that_may_pend_2_to_the_62_requests_is_refused():
 
 @pytest.mark.parametrize("policy", ["multicast", "pi2"])
 def test_a_multicast_config_of_2_to_the_62_sources_is_refused(policy):
-    # a multicast path pends at most its L = round(theta C) sources; the
-    # float theta C takes every 512th integer below 2**62
+    # a multicast path pends at most its L = round(theta C) sources, which
+    # its walk counts in doubles, exact below 2**53: from there on, 2**62
+    # among them, the config is refused
     spec = MulticastSpec(0.9, 1.0)
-    assert spec.num_sources(2**62 - 512) == 2**62 - 512
+    assert spec.num_sources(2**53 - 1) == 2**53 - 1
     common = dict(policy=policy, slots=2, seed=0, warmup=0, multicast=spec)
-    SimConfig(C=2**62 - 512, **common)
-    with pytest.raises(sim.SimConfigError, match=r"^L = 4611686018427387904 sources reach 2\*\*62"):
-        SimConfig(C=2**62, **common)
+    SimConfig(C=2**53 - 1, **common)
+    for C in (2**53, 2**62):
+        with pytest.raises(sim.SimConfigError,
+                           match=rf"^L = {C} sources reach 2\*\*53, past which the walk's"):
+            SimConfig(C=C, **common)
 
 
 @pytest.mark.parametrize("policy", ["multicast", "pi2"])
@@ -799,9 +803,9 @@ def four_cpus(monkeypatch):
 
 
 class TestWorkers:
-    """A group's workers, the calling thread and helper threads started in
-    C before the group is planned, claim its paths one at a time; a path's
-    counts depend only on (seed, path index)."""
+    """A group's workers, the calling thread and the helper threads that
+    one `group_run` call starts and joins, claim its paths one at a time; a
+    path's counts depend only on (seed, path index)."""
 
     def test_workers_per_estimate(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -866,11 +870,11 @@ class TestWorkers:
                 return getattr(lib, name)
 
             @staticmethod
-            def group_run(group, seed, paths, n, u, fill, K, config, rate, c, *rest):
+            def group_run(W, seed, paths, n, u, fill, K, config, rate, c, *rest):
                 # u and c hold one address per worker
                 handed.append([list((ctypes.c_void_p * len(made)).from_address(at))
                                for at in (u, c)])
-                return lib.group_run(group, seed, paths, n, u, fill, K, config, rate, c, *rest)
+                return lib.group_run(W, seed, paths, n, u, fill, K, config, rate, c, *rest)
 
         monkeypatch.setattr(sched, "_kernel", Spy)
         cfg = SimConfig(C=4, slots=40000, seed=3, warmup=100, policy="edf",
@@ -886,7 +890,7 @@ class TestWorkers:
                                                    (4, 7, 10000, 4), (4, 20, 1000, 1)])
     def test_one_kernel_call_per_worker(self, cpus, n, slots, W, monkeypatch):
         # the workers serve the whole group in one C call from the calling
-        # thread, with W - 1 helpers, started before it
+        # thread, which starts its W - 1 helpers: none runs before it
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         cfg = reactive_cfg(C=8, regime=Regime("linear", 0.8), slots=slots)
         want = sim._outage_counts([cfg], range(n))
@@ -899,20 +903,20 @@ class TestWorkers:
                 return getattr(lib, name)
 
             @staticmethod
-            def group_run(group, seed, paths, count, *rest):
+            def group_run(W, seed, paths, count, *rest):
                 handed = list((ctypes.c_uint64 * count).from_address(paths))
-                calls.append((threading.get_ident(), handed, len(tasks() - before)))
-                return lib.group_run(group, seed, paths, count, *rest)
+                calls.append((threading.get_ident(), W, handed, len(tasks() - before)))
+                return lib.group_run(W, seed, paths, count, *rest)
 
         monkeypatch.setattr(sched, "_kernel", Spy)
         # the kernel adds each path's counts to zeroed rows: a path served
         # twice would read doubled, one not served zero
         assert np.array_equal(sim._outage_counts([cfg], range(n)), want)
-        assert calls == [(threading.get_ident(), list(range(n)), W - 1)]
+        assert calls == [(threading.get_ident(), W, list(range(n)), 0)]
         assert not new_tasks(before)
 
     @pytest.mark.filterwarnings("ignore:offered load")
-    def test_helpers_start_before_planning_and_are_always_joined(self, monkeypatch):
+    def test_no_helper_runs_while_planning_and_none_outlives_a_group(self, monkeypatch):
         # the table arena of rate 2.5 cannot be allocated, so its group
         # cannot be planned
         four_cpus(monkeypatch)
@@ -935,13 +939,13 @@ class TestWorkers:
         monkeypatch.setattr(sim, "_streams", streams)
         monkeypatch.setattr(sim, "poisson_tables", tables)
         assert sim._outage_counts([clean, also], range(5))[:, :, 0].all()
-        assert helpers == [3, 3] and not new_tasks(before)
+        assert helpers == [0, 0] and not new_tasks(before)
         for cfgs, error, match in (([clean, also, unplanned], MemoryError, "no room"),
                                    ([clean, interrupted], KeyboardInterrupt, None)):
             helpers.clear()
             with pytest.raises(error, match=match):
                 sim._outage_counts(cfgs, range(5))
-            assert helpers == [3] * len(cfgs)
+            assert helpers == [0] * len(cfgs)
             assert not new_tasks(before)
 
     def test_any_worker_count_gives_the_serial_counts(self, monkeypatch):
@@ -971,7 +975,7 @@ class TestWorkers:
                 assert got[1] == set()  # its helpers joined
 
     def test_helpers_sleep_while_a_slow_group_is_planned(self, monkeypatch):
-        # a helper spins for a bounded time, then sleeps until the group runs
+        # no helper exists until the group runs, so none spends CPU meanwhile
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         cfg = reactive_cfg(regime=Regime("linear", 0.8), slots=20000)
         assert sim._workers(8, cfg.slots) == 2
@@ -982,37 +986,73 @@ class TestWorkers:
         assert time.process_time() - start < 0.1
 
     def test_helpers_block_every_signal(self, monkeypatch):
-        # so a signal to the process lands on the Python main thread, which
-        # raises KeyboardInterrupt for SIGINT and joins the helpers
-        four_cpus(monkeypatch)
-        cfg = reactive_cfg(regime=Regime("linear", 0.8), slots=40000)
-        assert sim._workers(5, cfg.slots) == 4
+        # a watcher thread samples the threads while group_run runs, the GIL
+        # released: exactly W - 1 helpers, each blocking every signal, so
+        # that the SIGINT the watcher sends the process lands on the Python
+        # main thread, which raises KeyboardInterrupt once the call returns
+        every = sum(1 << (sig - 1) for sig in signal.valid_signals()
+                    if sig not in (signal.SIGKILL, signal.SIGSTOP))
+        lib, running, done, called = sched._kernel(), threading.Event(), threading.Event(), []
 
         def blocked(tid):
             with open(f"/proc/self/task/{tid}/status") as status:
                 text = status.read()
             return int(re.search(r"^SigBlk:\s*([0-9a-f]+)$", text, re.M).group(1), 16)
 
-        every = sum(1 << (sig - 1) for sig in signal.valid_signals()
-                    if sig not in (signal.SIGKILL, signal.SIGSTOP))
-        main, before, masks, real_plan = threading.get_native_id(), tasks(), [], sim._plan_group
-        main_mask = blocked(main)
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(lib, name)
 
-        def plan(*args):
-            masks.extend(blocked(tid) for tid in tasks() - before)
-            assert blocked(main) == main_mask
-            os.kill(os.getpid(), signal.SIGINT)
-            return real_plan(*args)
+            @staticmethod
+            def group_run(*args):
+                called.append(tasks())
+                running.set()
+                try:
+                    return lib.group_run(*args)
+                finally:
+                    done.set()
 
-        monkeypatch.setattr(sim, "_plan_group", plan)
+        def watch(W, before, seen):
+            signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+            running.wait(60)
+            mine, sent = str(threading.get_native_id()), False
+            while not done.is_set():
+                helpers = tasks() - before - {mine}
+                with contextlib.suppress(OSError):  # a helper that exited meanwhile
+                    seen.append((len(helpers), [blocked(tid) for tid in helpers]))
+                    if len(helpers) == W - 1 and not sent:
+                        os.kill(os.getpid(), signal.SIGINT)
+                        sent = True
+                time.sleep(0.0005)
+
+        monkeypatch.setattr(sched, "_kernel", Spy)
+        # 64 paths of 300 000 reactive slots: ~0.2 s of CPU, so that a call
+        # lasts well over 50 ms on a few cores and the sampling sees it
+        cfg = reactive_cfg(regime=Regime("linear", 0.8), slots=300_000)
+        main_mask = blocked(threading.get_native_id())
         handler = signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
-            with pytest.raises(KeyboardInterrupt):
-                sim._outage_counts([cfg], range(5))
+            for W in (2, 4):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(W)))
+                assert sim._workers(64, cfg.slots) == W
+                running.clear()
+                done.clear()
+                called.clear()
+                before, seen = tasks(), []
+                watcher = threading.Thread(target=watch, args=(W, before, seen))
+                watcher.start()
+                with pytest.raises(KeyboardInterrupt):
+                    sim._outage_counts([cfg], range(64))
+                watcher.join(60)
+                assert not watcher.is_alive()
+                # no helper before the call: the watcher is the one new thread
+                assert [new - before for new in called] == [{str(watcher.native_id)}]
+                assert max(n for n, _ in seen) == W - 1
+                assert all(mask & every == every for _, masks in seen for mask in masks)
+                assert blocked(threading.get_native_id()) == main_mask
+                assert not new_tasks(before)
         finally:
             signal.signal(signal.SIGINT, handler)
-        assert len(masks) == 3 and all(mask & every == every for mask in masks)
-        assert not new_tasks(before)
 
 
 @st.composite
