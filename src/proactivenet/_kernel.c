@@ -7,21 +7,24 @@
  *   tests/test_sched.py), with the dynamic cap computed in double as Python
  *   does, so that outputs are bit-identical to it.
  *
- * path_outages: the one slot loop, for sim: one call takes a path from its
- *   uniforms to its post-warm-up outage counts under each config of a
- *   group, each config through a copy of the slot loop compiled for its
- *   policy shape, with no per-slot policy test.
+ * path_outages: the one slot loop, for sim: one call takes a block of
+ *   slots of a path from its uniforms to its post-warm-up outage counts
+ *   under each config of a group, each config through a copy of the slot
+ *   loop compiled for its policy shape, with no per-slot policy test.  Each
+ *   config's pending counts and total carry from one block to the next, so
+ *   a path is served in blocks of any length with the counts of one pass.
  *
  * group_run: path_outages over a group's paths on W workers, the calling
  *   thread and W - 1 helper threads that it starts, with every signal
  *   blocked, and joins before it returns; none of them takes the GIL.
- *   Every worker claims its paths one at a time and fills each path's
- *   uniforms itself, bit for bit as numpy draws them: a copy of numpy's
- *   PCG64 (128-bit LCG, numpy's multiplier, XSL-RR output, each double
- *   (next64 >> 11) * 2**-53), started from the state and increment numpy
- *   seeds for the seed and jumped to the path's block of 2**64 draws, as
- *   sim.path_rng(seed, i).random draws it.  A path's counts so depend on
- *   (seed, path index) alone, not on its worker.
+ *   Every worker claims its paths one at a time and fills each block of a
+ *   path's uniforms itself, bit for bit as numpy draws them: a copy of
+ *   numpy's PCG64 (128-bit LCG, numpy's multiplier, XSL-RR output, each
+ *   double (next64 >> 11) * 2**-53), started from the state and increment
+ *   numpy seeds for the seed and jumped to the path's block of 2**64 draws,
+ *   as sim.path_rng(seed, i).random draws it.  A path's counts so depend on
+ *   (seed, path index) alone, not on its worker, and a worker holds one
+ *   block of uniforms whatever the path's length.
  *
  * Each count is a uniform inverted through a cdf window and its guide table
  * (invert).  poisson_tables builds every Poisson stream's of a group in one
@@ -232,19 +235,21 @@ int64_t binomial_table(int64_t L, double A, int64_t cap, double *F, int64_t *g, 
  * double record is (A, f). */
 enum { SLOTS, SOURCES, STREAMS, NPRIMARY, SECONDARY, WINDOW, CAPACITY, WARMUP, IDLE, FIELDS };
 
-/* One sample path under one config, from its uniforms to its outage counts.
- * u:         the path's uniforms in the config's draw order: with L > 0
- *            sources, one per slot for its multicast fresh demand, the
- *            Binomial(idle, A) count of binomial over the idle = L - pending
- *            sources, drawn through row idle of the config's binomial_table
- *            or, without one, by binomial's walk; then slots uniforms per
- *            Poisson stream, one per count;
+/* Slots [a, a + len) of one sample path under one config, from their
+ * uniforms to its outage counts.
+ * u:         the block's uniforms in the config's draw order, a row of len
+ *            per draw: with L > 0 sources, one per slot for its multicast
+ *            fresh demand, the Binomial(idle, A) count of binomial over the
+ *            idle = L - pending sources, drawn through row idle of the
+ *            config's binomial_table or, without one, by binomial's walk;
+ *            then a row per Poisson stream, one uniform per count;
  * stream:    a row (column, lo, m, F, g) per Poisson stream, in draw order,
  *            F and g the addresses of its cdf window and guide table:
  *            nprimary primary streams, whose count invert(u, F, g, lo, m)
  *            lands at look-ahead `column`, then the secondary's if
  *            `secondary`;
- * c:         T+1 int64 entries of workspace;
+ * c:         the config's state, carried from block to block: c[0..T], the
+ *            pending counts, and c[T + 1], their total; zeroed at a = 0;
  * outages:   3 int64 counters, incremented by the slots from `warmup` on in
  *            which a primary, a secondary, or any request expired.
  * multicast, secondary, capped: the config's shape, constants in each copy.
@@ -254,71 +259,75 @@ enum { SLOTS, SOURCES, STREAMS, NPRIMARY, SECONDARY, WINDOW, CAPACITY, WARMUP, I
  * keeps below 2**62, and L below 2**53, where binomial's doubles count
  * exactly.  So no count overflows. */
 static inline __attribute__((always_inline)) void config_outages(
-    const double *u, const int64_t *cfg, double A, double f, int64_t *c, int64_t *outages,
-    const int multicast, const int secondary, const int capped)
+    const double *u, int64_t a, int64_t len, const int64_t *cfg, double A, double f, int64_t *c,
+    int64_t *outages, const int multicast, const int secondary, const int capped)
 {
-    const int64_t slots = cfg[SLOTS], L = cfg[SOURCES], nprimary = cfg[NPRIMARY];
+    const int64_t L = cfg[SOURCES], nprimary = cfg[NPRIMARY];
     const int64_t T = cfg[WINDOW], C = cfg[CAPACITY], warmup = cfg[WARMUP];
     const int64_t *stream = (const int64_t *)(uintptr_t)cfg[STREAMS];
     const int64_t *idle = (const int64_t *)(uintptr_t)cfg[IDLE];
-    const double *draws = multicast ? u + slots : u;
+    const double *draws = multicast ? u + len : u;
     const double r = A / (1.0 - A), lq = log1p(-A);
-    int64_t total = 0, q = 0, e[2], o[3] = {0, 0, 0};
-    memset(c, 0, (size_t)(T + 1) * sizeof *c);
-    for (int64_t n = 0; n < slots; n++) {
+    if (a == 0)
+        memset(c, 0, (size_t)(T + 2) * sizeof *c);
+    int64_t total = c[T + 1], q = 0, e[2], o[3] = {0, 0, 0};
+    for (int64_t n = 0; n < len; n++) {
         if (multicast) {
-            int64_t a = idle ? draw(u[n], idle + 5 * (L - total))
+            int64_t x = idle ? draw(u[n], idle + 5 * (L - total))
                              : binomial(u[n], L - total, A, r, lq);
-            c[T] += a;
-            total += a;
+            c[T] += x;
+            total += x;
         }
         for (int64_t s = 0; s < nprimary; s++) {
             const int64_t *row = stream + 5 * s;
-            int64_t a = draw(draws[s * slots + n], row);
-            c[row[0]] += a;
-            total += a;
+            int64_t x = draw(draws[s * len + n], row);
+            c[row[0]] += x;
+            total += x;
         }
         if (secondary)
-            q = draw(draws[nprimary * slots + n], stream + 5 * nprimary);
+            q = draw(draws[nprimary * len + n], stream + 5 * nprimary);
         /* pi2, the one two-class multicast policy, refills */
         total = serve_slot(c, T, total, C, f, capped, secondary, q, multicast && secondary, e);
-        if (n >= warmup) {
+        if (a + n >= warmup) {
             o[0] += e[0] > 0;
             o[1] += e[1] > 0;
             o[2] += e[0] > 0 || e[1] > 0;
         }
     }
+    c[T + 1] = total;
     for (int i = 0; i < 3; i++)
         outages[i] += o[i];
 }
 
-/* One sample path of sim under each of the K configs of a group, all
- * reading prefixes of the same uniforms u, each in its own layout.
+/* Slots [a, a + len) of one sample path of sim under each of the K configs
+ * of a group, all reading the same block of uniforms u, each in its own
+ * layout: one call with a = 0 and len = slots serves a whole path.
  * config:    K int64 records of FIELDS entries, the addresses of the
  *            config's stream rows and, with L > 0 sources, of the rows of
  *            its binomial_table (0 for the walk) among them;
  * rate:      K double records (A, f);
- * c:         1 + the largest window's T int64 entries of workspace;
+ * state:     config k's state of config_outages at state + k * stride,
+ *            stride at least its T + 2;
  * outages:   K rows of the 3 counters of config_outages.
  * Each config runs a copy of config_outages compiled for its shape: L > 0
  * sources (multicast), a secondary class, and a capped primary (f < 1). */
-void path_outages(const double *u, int64_t K, const int64_t *config, const double *rate,
-                  int64_t *c, int64_t *outages)
+void path_outages(const double *u, int64_t a, int64_t len, int64_t K, const int64_t *config,
+                  const double *rate, int64_t *state, int64_t stride, int64_t *outages)
 {
     for (int64_t k = 0; k < K; k++) {
         const int64_t *cfg = config + FIELDS * k;
         const double A = rate[2 * k], f = rate[2 * k + 1];
-        int64_t *o = outages + 3 * k;
+        int64_t *c = state + stride * k, *o = outages + 3 * k;
         if (cfg[SOURCES] && cfg[SECONDARY])  /* pi2: its f is 0, so capped */
-            config_outages(u, cfg, A, f, c, o, 1, 1, 1);
+            config_outages(u, a, len, cfg, A, f, c, o, 1, 1, 1);
         else if (cfg[SOURCES])
-            config_outages(u, cfg, A, f, c, o, 1, 0, 0);
+            config_outages(u, a, len, cfg, A, f, c, o, 1, 0, 0);
         else if (cfg[SECONDARY] && f < 1.0)
-            config_outages(u, cfg, A, f, c, o, 0, 1, 1);
+            config_outages(u, a, len, cfg, A, f, c, o, 0, 1, 1);
         else if (cfg[SECONDARY])
-            config_outages(u, cfg, A, f, c, o, 0, 1, 0);
+            config_outages(u, a, len, cfg, A, f, c, o, 0, 1, 0);
         else
-            config_outages(u, cfg, A, f, c, o, 0, 0, 0);
+            config_outages(u, a, len, cfg, A, f, c, o, 0, 0, 0);
     }
 }
 
@@ -328,23 +337,70 @@ void path_outages(const double *u, int64_t K, const int64_t *config, const doubl
 __extension__ typedef unsigned __int128 u128;
 #define PCG_MULT (((u128)0x2360ed051fc65da4ULL << 64) | 0x4385df649fccf645ULL)
 
+/* The state d steps of the LCG s -> s m + p after s, in O(log d) steps
+ * (Brown, "Random number generation with arbitrary strides"). */
+static u128 jump(u128 s, u128 d, u128 m, u128 p)
+{
+    u128 am = 1, ap = 0;
+    for (; d; d >>= 1) {
+        if (d & 1) {
+            am *= m;
+            ap = ap * m + p;
+        }
+        p *= m + 1;
+        m *= m;
+    }
+    return am * s + ap;
+}
+
+/* numpy's double of the PCG64 state s, its draw once stepped to s. */
+static inline double uniform(u128 s)
+{
+    const uint64_t x = (uint64_t)(s >> 64) ^ (uint64_t)s;
+    const unsigned rot = (unsigned)(s >> 122);
+    return (double)((x >> rot | x << (-rot & 63)) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* u[0..n-1], the n draws of PCG64 with increment inc whose first is s's
+ * (s the state stepped to it), as two interleaved chains stepped two draws
+ * at a time, so that neither waits on the other's multiply.  Returns the
+ * state of the draw after the last. */
+static u128 fill(double *u, int64_t n, u128 s, u128 inc)
+{
+    const u128 m2 = PCG_MULT * PCG_MULT, inc2 = inc * (PCG_MULT + 1);
+    u128 t = s * PCG_MULT + inc;
+    int64_t k = 0;
+    for (; k + 1 < n; k += 2) {
+        u[k] = uniform(s);
+        u[k + 1] = uniform(t);
+        s = s * m2 + inc2;
+        t = t * m2 + inc2;
+    }
+    if (k < n) {
+        u[k] = uniform(s);
+        return t;
+    }
+    return s;
+}
+
 /* A group of sim's paths: path_outages under the K configs of a group for
  * each of the n path indices paths[0..n-1], in any order, repeats allowed,
- * each path jumped to from the seed state.
+ * each path jumped to from the seed state and served in blocks of `block`
+ * slots (the last of a path's may be shorter).
  * seed:      the state and increment of the seed's PCG64, as numpy seeds it,
  *            high words first: (state >> 64, state mod 2**64, inc >> 64,
  *            inc mod 2**64);
- * u[w]:      worker w's fill doubles, overwritten with each of its paths'
+ * u[w]:      worker w's rows * block fill doubles, rows the most uniform rows
+ *            a config reads, overwritten with each block of its paths'
  *            uniforms: path i is the block of 2**64 draws from the seed
- *            state's i * 2**64-th, reached by the LCG's jump (Brown, "Random
- *            number generation with arbitrary strides"), each uniform
+ *            state's i * 2**64-th, reached by jump, each uniform
  *            (next64 >> 11) * 2**-53 as numpy's Generator.random draws it;
- * c[w]:      worker w's workspace of path_outages;
+ * c[w]:      worker w's K * stride int64 of path_outages' state;
  * outages:   n rows of path_outages' K counters, row j for paths[j]. */
 struct job {
-    u128 state, inc, block, plus;  /* block, plus: the LCG's step of 2**64 draws */
+    u128 state, inc, path_m, path_p;  /* the LCG's step of 2**64 draws: path to path */
     const uint64_t *paths;
-    int64_t n, fill, K;
+    int64_t n, len, slots, K, stride;  /* len: a block's slots; slots: the longest config's */
     double *const *u;
     int64_t *const *c;
     const int64_t *config;
@@ -352,30 +408,48 @@ struct job {
     int64_t *outages;
 };
 
+/* The rows of uniforms a config of record cfg reads: its multicast fresh
+ * demand's, then one per Poisson stream. */
+static int64_t rows(const int64_t *cfg)
+{
+    return (cfg[SOURCES] > 0) + cfg[NPRIMARY] + cfg[SECONDARY];
+}
+
 /* Worker w's share of the job: it claims the next unserved path from *next
- * until none is left, fills the path's uniforms and serves it. */
+ * until none is left and serves it block by block.  For each block and
+ * each distinct `slots` S among the configs still running, it fills the
+ * rows those configs read, row r of the block [a, a + len) the path's draws
+ * r S + a .. r S + a + len - 1, as a whole-path fill puts them, then serves
+ * those configs. */
 static void serve_claims(const struct job *job, int64_t *next, int64_t w)
 {
     double *u = job->u[w];
-    const int64_t K = job->K;
+    const int64_t K = job->K, *config = job->config;
     for (int64_t j; (j = __atomic_fetch_add(next, 1, __ATOMIC_RELAXED)) < job->n;) {
-        u128 am = 1, ap = 0, m = job->block, p = job->plus;
-        for (uint64_t i = job->paths[j]; i; i >>= 1) {
-            if (i & 1) {
-                am *= m;
-                ap = ap * m + p;
+        const u128 start = jump(job->state, job->paths[j], job->path_m, job->path_p);
+        for (int64_t a = 0; a < job->slots; a += job->len) {
+            for (int64_t k = 0; k < K; k++) {
+                const int64_t S = config[FIELDS * k + SLOTS];
+                int64_t first = 0, R = 0;
+                while (config[FIELDS * first + SLOTS] != S)
+                    first++;
+                if (S <= a || first < k)
+                    continue;  /* done, or served with the first config of its S */
+                for (int64_t i = k; i < K; i++)
+                    if (config[FIELDS * i + SLOTS] == S && rows(config + FIELDS * i) > R)
+                        R = rows(config + FIELDS * i);
+                const int64_t len = S - a < job->len ? S - a : job->len;
+                u128 s = jump(start, (u128)a + 1, PCG_MULT, job->inc);
+                for (int64_t r = 0; r < R; r++)
+                    s = jump(fill(u + r * len, len, s, job->inc), (u128)(S - len), PCG_MULT,
+                             job->inc);
+                for (int64_t i = k; i < K; i++)
+                    if (config[FIELDS * i + SLOTS] == S)
+                        path_outages(u, a, len, 1, config + FIELDS * i, job->rate + 2 * i,
+                                     job->c[w] + job->stride * i, job->stride,
+                                     job->outages + 3 * (K * j + i));
             }
-            p *= m + 1;
-            m *= m;
         }
-        u128 s = am * job->state + ap;
-        for (int64_t k = 0; k < job->fill; k++) {
-            s = s * PCG_MULT + job->inc;
-            const uint64_t x = (uint64_t)(s >> 64) ^ (uint64_t)s;
-            const unsigned rot = (unsigned)(s >> 122);
-            u[k] = (double)((x >> rot | x << (-rot & 63)) >> 11) * (1.0 / 9007199254740992.0);
-        }
-        path_outages(u, K, job->config, job->rate, job->c[w], job->outages + 3 * K * j);
     }
 }
 
@@ -402,19 +476,23 @@ static void *helper_main(void *arg)
  * signal to the process lands on the calling thread.  A helper that cannot
  * be started leaves fewer workers, which changes no count. */
 void group_run(int64_t W, const uint64_t *seed, const uint64_t *paths, int64_t n,
-               double *const *u, int64_t fill, int64_t K, const int64_t *config,
-               const double *rate, int64_t *const *c, int64_t *outages)
+               double *const *u, int64_t block, int64_t K, const int64_t *config,
+               const double *rate, int64_t *const *c, int64_t stride, int64_t *outages)
 {
     struct group g = {.claim = {0},
                       .job = {.state = (u128)seed[0] << 64 | seed[1],
-                              .inc = (u128)seed[2] << 64 | seed[3], .block = PCG_MULT,
-                              .paths = paths, .n = n, .fill = fill, .K = K, .u = u, .c = c,
-                              .config = config, .rate = rate, .outages = outages}};
-    g.job.plus = g.job.inc;
+                              .inc = (u128)seed[2] << 64 | seed[3], .path_m = PCG_MULT,
+                              .paths = paths, .n = n, .len = block, .K = K, .stride = stride,
+                              .u = u, .c = c, .config = config, .rate = rate,
+                              .outages = outages}};
+    g.job.path_p = g.job.inc;
     for (int b = 0; b < 64; b++) {
-        g.job.plus *= g.job.block + 1;
-        g.job.block *= g.job.block;
+        g.job.path_p *= g.job.path_m + 1;
+        g.job.path_m *= g.job.path_m;
     }
+    for (int64_t k = 0; k < K; k++)
+        if (config[FIELDS * k + SLOTS] > g.job.slots)
+            g.job.slots = config[FIELDS * k + SLOTS];
     struct helper helper[W > 1 ? W - 1 : 1];
     int64_t helpers = 0;
     sigset_t all, old;

@@ -8,8 +8,9 @@ function of `_kernel.c`, compiled with `cc` on first use and cached next to
 this module, and it has one driver, `path_outages`: `sim` runs a whole
 group of paths in one call whose workers, the calling thread and helper
 threads the call starts and joins, none taking the GIL, claim the paths
-one at a time, draw each path's uniforms as numpy's PCG64 does, and serve
-its arrivals, drawn from its uniforms, under every config of the group.
+one at a time, draw each path's uniforms as numpy's PCG64 does, one block
+of slots at a time, and serve its arrivals, drawn from its uniforms, under
+every config of the group, each config's state carried across blocks.
 The library also fills the cdf and guide tables through which `sim` inverts
 each count: `traffic.poisson_tables`, those of every Poisson stream of a
 group in one call, and `traffic.binomial_table`, one per idle count, for a
@@ -99,8 +100,8 @@ def _kernel() -> ctypes.CDLL:
         if path.parent != _CACHE:  # a temporary build: loaded, it is no longer needed
             shutil.rmtree(path.parent, ignore_errors=True)
         i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        lib.path_outages.argtypes = [ptr, i64, ptr, ptr, ptr, ptr]
-        lib.group_run.argtypes = [i64, ptr, ptr, i64, ptr, i64, i64, ptr, ptr, ptr, ptr]
+        lib.path_outages.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr, i64, ptr]
+        lib.group_run.argtypes = [i64, ptr, ptr, i64, ptr, i64, i64, ptr, ptr, ptr, i64, ptr]
         lib.poisson_tables.argtypes = [i64, ptr, ptr, ptr, ptr]
         lib.binomial_table.argtypes = [i64, dbl, i64, ptr, ptr, ptr]
         lib.binomial_least.argtypes = [i64, dbl, i64]

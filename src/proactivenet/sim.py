@@ -1,12 +1,14 @@
 """Monte Carlo engine: sample paths and outage estimation.
 
 The unit of simulation is a group of configs of one seed
-(`estimate_outages`): a path is one pass of the compiled `path_outages`
-(`_kernel.c`), from the uniforms of the path's random stream, filled once,
-to its outage counts under every config of the group.  Under each it draws
-each slot's arrivals and serves them by the one EDF slot rule (`sched`).  A
-slot is an outage for a class iff at least one request of that class
-expires in it; the per-path outage ratio divides by all post-warmup slots.
+(`estimate_outages`): a path is served by the compiled `path_outages`
+(`_kernel.c`) in blocks of `_BLOCK_SLOTS` slots, from the uniforms of each
+block, filled once, to its outage counts under every config of the group,
+each config's pending counts carried from one block to the next.  Under
+each it draws each slot's arrivals and serves them by the one EDF slot
+rule (`sched`).  A slot is an outage for a class iff at least one request
+of that class expires in it; the per-path outage ratio divides by all
+post-warmup slots.
 Estimates average path ratios and report the standard error across paths.
 A group is planned in one pass (`_plan_group`) into whole arrays: its
 configs' records, their rates and their streams' rows, the cdf windows of
@@ -29,8 +31,11 @@ two configs sharing (seed, path index) see identical arrivals (paired
 comparisons across policies and look-ahead windows): reactive and every
 deterministic window the same per-slot totals, the curves of one two-class
 figure the same counts, and multicast windows and pi2 the same uniforms.
-Each config reads a prefix of the path's block, so a group fills the path
-once, at its longest layout, and each config reads what it would alone.
+Each config reads rows of the path's stream, row r of a path of S slots its
+draws r S .. r S + S - 1; a block of slots [a, a + len) holds draws r S + a
+onward of each row.  So a group fills each block once per distinct path
+length, at the largest layout of that length, and each config reads what it
+would alone, whatever the block length.
 """
 
 from __future__ import annotations
@@ -84,6 +89,20 @@ _SLOTS_PER_WORKER = 13_000
 # fig5a's group (15 configs x 20 paths) took 4.2 ms instead of 2.3 ms there,
 # the block bouncing between the cores.
 _BLOCK = 128
+# A worker holds one block of a path's uniforms, rows x _BLOCK_SLOTS doubles,
+# whatever the path's length.  On the same machine, serially in process, in
+# 21 alternating runs of the benchmark's 20 000-slot groups, blocks of 1024,
+# 4096 and 16384 slots took as long as whole-path buffers within the runs'
+# spread (medians 44-54 ms, quartiles about 10 % apart); its figures' paths,
+# of 1000 slots, fit one block.
+_BLOCK_SLOTS = 4096
+# A multicast draw walks the Binomial(idle, A) pmf over O(sigma) counts,
+# sigma = sqrt(L A (1 - A)) at most: about 57 ns per unit of sigma per draw
+# on the same machine (2 paths x 200 slots: 1.0 s of process at sigma =
+# 3.1e4, 2.7 s at 9.9e4).  Configs past this sigma are refused, so that no
+# draw takes more than ~6 ms; every one of them has L > 1e10 sources, far
+# over the table budget, so it would draw by the walk.
+_WALK_SIGMA = 1e5
 
 
 class SimConfigError(ValueError):
@@ -163,6 +182,10 @@ class SimConfig:
                 raise ValueError((f"L = {L} sources reach 2**53, past which the walk's doubles "
                                   "are inexact") if L else (f"T + 1 = {T + 1} slots of the "
                                   "primary's largest counts reach 2**62 pending requests"))
+            A = self.multicast.source_prob() if L else 0.0
+            if (sigma := math.sqrt(L * A * (1.0 - A))) > _WALK_SIGMA:
+                raise ValueError(f"L = {L} sources spread a draw's pmf walk over sigma = "
+                                 f"{sigma:.3g} counts, past its bound of {_WALK_SIGMA:g}")
         except ValueError as exc:
             raise SimConfigError(str(exc)) from exc
 
@@ -288,11 +311,13 @@ def estimate_outages(cfgs: list[SimConfig], n_paths: int) -> list[dict[str, Outa
 
 
 class _Plan(NamedTuple):
-    """A group's configs planned for `group_run`, in order."""
+    """A group's configs planned for `group_run`, in order: what a worker
+    needs besides rows x block uniforms and K x (window + 2) counters of
+    state, whatever the paths' length."""
 
     records: np.ndarray  # (K, 9) int64: per config, _kernel.c's enum fields (IDLE 0: walk)
     rates: np.ndarray  # (K, 2): per config, (A, f)
-    fill: int  # the uniforms a path of the group reads
+    rows: int  # the most uniform rows a config reads, one uniform per slot each
     window: int  # the largest config's T
     arrays: tuple  # what the records hold the addresses of: they must outlive every call
 
@@ -313,7 +338,7 @@ def _plan_group(cfgs: list[SimConfig]) -> _Plan:
     rows = tables.take(which, axis=0)  # a (column, lo, m, F, g) row per stream, in draw order
     rows[:, 0] = [k for _, _, streams in planned for k, _ in streams]
     idle, records, rates, arrays = {}, [], [], [rows, F, g]
-    fill = window = 0
+    most = window = 0
     at = rows.ctypes.data
     for cfg, T, streams in planned:
         L, A, draws = 0, 0.0, 0
@@ -329,9 +354,9 @@ def _plan_group(cfgs: list[SimConfig]) -> _Plan:
                     cfg.effective_warmup, draws)
         rates += (A, {DYNAMIC: cfg.f, PI2: 0.0}.get(cfg.policy, 1.0))
         at += 40 * len(streams)
-        fill, window = max(fill, cfg.slots * ((L > 0) + len(streams))), max(window, T)
+        most, window = max(most, (L > 0) + len(streams)), max(window, T)
     return _Plan(np.array(records, dtype=np.int64).reshape(-1, 9),
-                 np.array(rates).reshape(-1, 2), fill, window, tuple(arrays))
+                 np.array(rates).reshape(-1, 2), most, window, tuple(arrays))
 
 
 def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
@@ -339,10 +364,11 @@ def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
     indices under each config: the primary's, the secondary's, and those
     with either.
 
-    A path is one pass of the compiled `path_outages`, from its block's
-    uniforms in a reused buffer, filled at the group's longest layout, to
-    its counters under every config.  Once the group is planned
-    (`_plan_group`), it runs on `_workers` workers in one call of the
+    A path is served by the compiled `path_outages` one block of slots at a
+    time, from the block's uniforms in a reused buffer, filled once per
+    distinct path length at its largest layout, to its counters under every
+    config, each config's state carried across blocks.  Once the group is
+    planned (`_plan_group`), it runs on `_workers` workers in one call of the
     compiled `group_run`, which starts the helpers, joins them before it
     returns, and jumps its PCG64 from the seed's state to each path's
     block: every worker, the calling thread the first, claims the paths one
@@ -362,24 +388,27 @@ def _outage_counts(cfgs: list[SimConfig], paths) -> np.ndarray:
 
 def _run_paths(W: int, seed: int, plan: _Plan, index: np.ndarray, counts: np.ndarray) -> None:
     """Fill counts, rows by path, then by config, in one `group_run` call
-    on W workers, each with its own uniforms and workspace; W = 1 starts no
-    thread."""
+    on W workers, each with its own block of uniforms, rows x block
+    doubles, and its configs' states, K x (window + 2) counters; W = 1
+    starts no thread."""
     # the seed's PCG64 as numpy seeds it, whose blocks the kernel draws
     bits = np.random.PCG64(seed).state["state"]
     words = np.array(divmod(bits["state"], 1 << 64) + divmod(bits["inc"], 1 << 64),
                      dtype=np.uint64)
-    u = [np.empty(plan.fill) for _ in range(W)]
-    c = [_workspace(plan.window + 1) for _ in range(W)]
+    block = min(_BLOCK_SLOTS, int(plan.records[:, 0].max()))
+    stride = plan.window + 2  # a config's pending counts c[0..T] and their total
+    u = [np.empty(plan.rows * block) for _ in range(W)]
+    c = [_workspace(len(plan.records) * stride) for _ in range(W)]
     # the kernel reads each worker's buffer through these addresses
     u_at, c_at = (np.array([a.ctypes.data for a in bufs], dtype=np.uintp) for bufs in (u, c))
     sched._kernel().group_run(W, words.ctypes.data, index.ctypes.data, index.size,
-                              u_at.ctypes.data, plan.fill, len(plan.records),
+                              u_at.ctypes.data, block, len(plan.records),
                               plan.records.ctypes.data, plan.rates.ctypes.data,
-                              c_at.ctypes.data, counts.ctypes.data)
+                              c_at.ctypes.data, stride, counts.ctypes.data)
 
 
 def _workspace(n: int) -> np.ndarray:
-    """n int64 entries of a path's workspace, starting on a 128-byte boundary
+    """n int64 entries of a worker's workspace, starting on a 128-byte boundary
     with at least 128 bytes of their own buffer on either side: the kernel
     writes them every slot, and no other thread touches the 128-byte blocks
     (a pair of cache lines, as adjacent-line prefetch fetches them) they lie

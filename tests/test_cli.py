@@ -630,13 +630,15 @@ class TestFlags:
         assert (tmp_path / "again.csv").read_bytes() == out.read_bytes()
 
 
-def peak_rss_kib(argv, out):
+def peak_rss_kib(argv, out, cpus=None):
     """The exit code and peak resident set (KiB) of a fresh process that runs
-    `simulate` on argv, writing its CSV to out."""
+    `simulate` on argv, writing its CSV to out, on its first `cpus` usable
+    CPUs (all of them by default)."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    script = ("import resource, sys\nfrom proactivenet.cli import main\n"
+    script = ("import os, resource, sys\nfrom proactivenet.cli import main\n"
+              f"os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:{cpus}])\n"
               "rc = main(sys.argv[1:])\n"
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\nsys.exit(rc)")
     proc = subprocess.run([sys.executable, "-c", script, "simulate", *argv, "--out", str(out)],
@@ -646,20 +648,26 @@ def peak_rss_kib(argv, out):
 
 MULTICAST_WALK = ["--policy", "multicast", "--gamma-m", "0.9", "--theta", "15", "--T", "1",
                   "--paths", "2", "--slots", "200", "--warmup", "10"]
+EDF_BINOM = ["--C", "16", "--gamma", "0.8", "--policy", "edf", "--lookahead", "binom:5,0.5",
+             "--paths", "2", "--warmup", "100"]
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, small, cpus", [
     # L = 1.8e10 sources, far over the table budget: the walk needs no
-    # memory per source
-    ["--C", "1200000000", *MULTICAST_WALK],
+    # memory per source; against a small walk: C = 200, L = 3000 sources,
+    # just over the budget
+    (["--C", "1200000000", *MULTICAST_WALK], ["--C", "200", *MULTICAST_WALK], None),
     # a window of 5e9 slots on a path of 2: the pending counts span 2 slots
-    ["--C", "4", "--gamma", "0.5", "--policy", "edf", "--T", "5000000000", "--warmup", "0",
-     "--slots", "2", "--paths", "2"],
-], ids=["sources", "window"])
-def test_memory_does_not_grow_with_sources_or_window(tmp_path, argv):
-    # against a small walk: C = 200, L = 3000 sources, just over the budget
-    base = peak_rss_kib(["--C", "200", *MULTICAST_WALK], tmp_path / "small.csv")
-    rc, peak = peak_rss_kib(argv, tmp_path / "large.csv")
+    (["--C", "4", "--gamma", "0.5", "--policy", "edf", "--T", "5000000000", "--warmup", "0",
+      "--slots", "2", "--paths", "2"], ["--C", "200", *MULTICAST_WALK], None),
+    # two paths of 2e6 slots against 1e4: a worker holds one block of its
+    # path's uniforms, on one worker and on one per path
+    ([*EDF_BINOM, "--slots", "2000000"], [*EDF_BINOM, "--slots", "10000"], 1),
+    ([*EDF_BINOM, "--slots", "2000000"], [*EDF_BINOM, "--slots", "10000"], 2),
+], ids=["sources", "window", "length-1-cpu", "length-2-cpus"])
+def test_memory_does_not_grow_with_sources_or_window(tmp_path, argv, small, cpus):
+    base = peak_rss_kib(small, tmp_path / "small.csv", cpus)
+    rc, peak = peak_rss_kib(argv, tmp_path / "large.csv", cpus)
     assert base[0] == rc == 0
     assert peak - base[1] < 10 * 1024
 

@@ -103,16 +103,20 @@ def record(slots, C, *, T=0, warmup=0, L=0, streams=None, nprimary=0, secondary=
 
 def run_configs(u, records, rates, T):
     """The outages of one path_outages call over the uniforms u under the
-    configs `records`, each with its (A, f) of `rates`: each config's three
-    outage counters.  The workspace of T + 1 entries starts dirty, as a
-    group's earlier configs leave it."""
+    configs `records`, all of one length, each with its (A, f) of `rates`,
+    served as one block of the whole path: each config's three outage
+    counters.  Each config's state of T + 2 entries starts dirty, as an
+    earlier path leaves it."""
     u = np.ascontiguousarray(u, dtype=float)
     records = np.array(records, dtype=np.int64)
     rates = np.array(rates, dtype=float)
-    c = np.full(T + 1, 7, dtype=np.int64)
+    slots = int(records[0, 0])
+    assert (records[:, 0] == slots).all()
+    state = np.full(len(records) * (T + 2), 7, dtype=np.int64)
     outages = np.zeros((len(records), 3), np.int64)
-    sched._kernel().path_outages(u.ctypes.data, len(records), records.ctypes.data,
-                                 rates.ctypes.data, c.ctypes.data, outages.ctypes.data)
+    sched._kernel().path_outages(u.ctypes.data, 0, slots, len(records), records.ctypes.data,
+                                 rates.ctypes.data, state.ctypes.data, T + 2,
+                                 outages.ctypes.data)
     return outages
 
 
@@ -547,9 +551,9 @@ class TestKernelInputs:
         expire(self.presence, 0, multicast_T=2)
 
     def test_interleaved_calls_leave_no_state(self):
-        # each config of a call starts from an empty workspace, whatever an
-        # earlier one left in it: a path left busy at its last slot does not
-        # leak into the next
+        # each config starts its path's first block (a = 0) from an empty
+        # state, whatever an earlier path left in it: a path left busy at
+        # its last slot does not leak into the next
         busy = expire(self.counts, 1)
         outages = run_configs(np.zeros(5), [record(5, 1, T=2)], [(0.0, 1.0)], 2)
         assert not outages.any()

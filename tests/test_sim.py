@@ -58,7 +58,8 @@ def binomial_quantiles(u, L, A):
 def fresh_demand_uniforms(cfgs, paths):
     """The first cfgs[0].slots uniforms of the buffer of each path of the
     group cfgs over paths, read where the kernel is handed them: the group's
-    call runs as one call per path, in order, on the calling thread."""
+    call runs as one call per path, in order, on the calling thread.  The
+    paths fit one block, whose first row is the fresh demand's."""
     lib, seen = sched._kernel(), []
 
     class Spy:
@@ -66,9 +67,10 @@ def fresh_demand_uniforms(cfgs, paths):
             return getattr(lib, name)
 
         @staticmethod
-        def group_run(W, seed, paths, n, u, fill, K, config, rate, c, outages):
+        def group_run(W, seed, paths, n, u, block, K, config, rate, c, stride, outages):
+            assert block >= cfgs[0].slots
             for j in range(n):
-                lib.group_run(1, seed, paths + 8 * j, 1, u, fill, K, config, rate, c,
+                lib.group_run(1, seed, paths + 8 * j, 1, u, block, K, config, rate, c, stride,
                               outages + 24 * K * j)
                 first = ctypes.c_void_p.from_address(u).value  # worker 0's buffer
                 seen.append(np.array((ctypes.c_double * cfgs[0].slots).from_address(first)))
@@ -81,24 +83,27 @@ def fresh_demand_uniforms(cfgs, paths):
     return np.array(seen)
 
 
-def serial_group(seed, paths, fill, cfgs=()):
+def serial_group(seed, paths, cfgs, block):
     """(u, counts) of one group_run call on the calling thread alone
-    over the path indices `paths` under the group cfgs of `seed`, from the
-    words of numpy's PCG64 state: u holds the last path's uniforms, at least
-    `fill` of them."""
+    over the path indices `paths` under the group cfgs of `seed`, all of one
+    length, from the words of numpy's PCG64 state, in blocks of `block`
+    slots: u holds the last block of the last path, row by row."""
     state = np.random.PCG64(seed).state["state"]
     words = np.array([state["state"] >> 64, state["state"] % 2**64, state["inc"] >> 64,
                       state["inc"] % 2**64], dtype=np.uint64)
     index = np.array(paths, dtype=np.uint64)
     plan = sim._plan_group(list(cfgs))
-    fill = max(fill, plan.fill)
-    u, c = np.empty(fill), np.empty(1 + plan.window, np.int64)
+    [slots] = {cfg.slots for cfg in cfgs}
+    stride = plan.window + 2
+    u, c = np.empty(plan.rows * min(block, slots)), np.empty(len(cfgs) * stride, np.int64)
     u_at, c_at = np.array([u.ctypes.data], np.uintp), np.array([c.ctypes.data], np.uintp)
     counts = np.zeros((index.size, len(cfgs), 3), dtype=np.int64)
     sched._kernel().group_run(1, words.ctypes.data, index.ctypes.data, index.size,
-                              u_at.ctypes.data, fill, len(cfgs), plan.records.ctypes.data,
-                              plan.rates.ctypes.data, c_at.ctypes.data, counts.ctypes.data)
-    return u, counts
+                              u_at.ctypes.data, block, len(cfgs), plan.records.ctypes.data,
+                              plan.rates.ctypes.data, c_at.ctypes.data, stride,
+                              counts.ctypes.data)
+    last = slots - (slots - 1) // block * block  # the last block's slots
+    return u[:plan.rows * last], counts
 
 
 def tasks():
@@ -162,10 +167,11 @@ class TestRunPath:
         cfgs = [SimConfig(C=C, policy="reactive", slots=u.size, seed=0, warmup=0, rate=mu)
                 for C in range(want.min(), want.max())]
         plan = sim._plan_group(cfgs)
-        c = np.empty(1, dtype=np.int64)
+        state = np.empty(2 * len(cfgs), dtype=np.int64)  # per config, c[0] and its total
         counts = np.zeros((len(cfgs), 3), dtype=np.int64)
-        sched._kernel().path_outages(u.ctypes.data, len(cfgs), plan.records.ctypes.data,
-                                     plan.rates.ctypes.data, c.ctypes.data, counts.ctypes.data)
+        sched._kernel().path_outages(u.ctypes.data, 0, u.size, len(cfgs),
+                                     plan.records.ctypes.data, plan.rates.ctypes.data,
+                                     state.ctypes.data, 2, counts.ctypes.data)
         assert counts[:, 0].tolist() == [int((want > cfg.C).sum()) for cfg in cfgs]
 
     def test_scripted_overflow_trace(self):
@@ -539,8 +545,9 @@ def test_a_config_that_may_pend_2_to_the_62_requests_is_refused():
 def test_a_multicast_config_of_2_to_the_62_sources_is_refused(policy):
     # a multicast path pends at most its L = round(theta C) sources, which
     # its walk counts in doubles, exact below 2**53: from there on, 2**62
-    # among them, the config is refused
-    spec = MulticastSpec(0.9, 1.0)
+    # among them, the config is refused.  A source is present with
+    # probability A ~ 1e-7, so that the walk's spread stays within its bound
+    spec = MulticastSpec(1e-7, 1.0)
     assert spec.num_sources(2**53 - 1) == 2**53 - 1
     common = dict(policy=policy, slots=2, seed=0, warmup=0, multicast=spec)
     SimConfig(C=2**53 - 1, **common)
@@ -548,6 +555,36 @@ def test_a_multicast_config_of_2_to_the_62_sources_is_refused(policy):
         with pytest.raises(sim.SimConfigError,
                            match=rf"^L = {C} sources reach 2\*\*53, past which the walk's"):
             SimConfig(C=C, **common)
+    # at A ~ 0.59, 2**53 - 1 sources spread the walk past its bound
+    with pytest.raises(sim.SimConfigError, match=r"^L = 9007199254740991 sources spread"):
+        SimConfig(C=2**53 - 1, **{**common, "multicast": MulticastSpec(0.9, 1.0)})
+
+
+@pytest.mark.parametrize("policy", ["multicast", "pi2"])
+def test_a_walk_spread_past_its_bound_is_refused(policy):
+    # a draw walks the pmf over O(sigma) counts, sigma = sqrt(L A (1 - A)):
+    # the 1.8e10 sources of C = 1.2e9 (sigma 3.1e4) are admitted, the 9e15
+    # of C = 6e14 (sigma 2.2e7, hours of walking) refused, and the bound
+    # holds to the source
+    spec = MulticastSpec(0.9, 15.0)
+    common = dict(policy=policy, slots=2, seed=0, warmup=0, multicast=spec)
+    SimConfig(C=1_200_000_000, **common)
+    with pytest.raises(sim.SimConfigError, match=(
+            r"^L = 9007199254740990 sources spread a draw's pmf walk over sigma = 2\.22e\+07 "
+            r"counts, past its bound of 100000$")):
+        SimConfig(C=600479950316066, **common)
+    A = spec.source_prob()
+
+    def sigma(C):
+        return math.sqrt(spec.num_sources(C) * A * (1.0 - A))
+
+    C = int(sim._WALK_SIGMA**2 / (15 * A * (1.0 - A)))
+    C += sigma(C + 1) <= sim._WALK_SIGMA
+    C -= sigma(C) > sim._WALK_SIGMA
+    assert sigma(C) <= sim._WALK_SIGMA < sigma(C + 1)
+    SimConfig(C=C, **common)
+    with pytest.raises(sim.SimConfigError, match=r"past its bound of 100000$"):
+        SimConfig(C=C + 1, **common)
 
 
 @pytest.mark.parametrize("policy", ["multicast", "pi2"])
@@ -722,12 +759,21 @@ class TestSeeding:
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(0, 10**6) | st.integers(2**63, 2**63 + 10**6),
-           st.integers(0, 3000))
-    def test_kernel_fill_is_the_path_stream(self, seed, index, n):
-        # the kernel's own PCG64, from the seed's state words, draws numpy's doubles
-        u, _ = serial_group(seed, [index], n)
-        assert u.size == n
-        assert np.array_equal(u, sim.path_rng(seed, index).random(n))
+           st.integers(1, 3000), st.data())
+    def test_kernel_fill_is_the_path_stream(self, seed, index, n, data):
+        # the kernel's own PCG64, from the seed's state words, draws numpy's
+        # doubles: the three streams of an EDF path of n slots, odd or even,
+        # in one block, its first 3 n draws; in blocks of b slots, the last
+        # block [a, n) of each row r, its draws r n + a .. r n + n - 1
+        cfg = SimConfig(C=4, policy="edf", slots=n, seed=seed, warmup=0, rate=1.5,
+                        law=LookaheadLaw.binomial(2, 0.5))
+        want = sim.path_rng(seed, index).random(3 * n)
+        u, _ = serial_group(seed, [index], [cfg], n)
+        assert u.size == 3 * n
+        assert np.array_equal(u, want)
+        b = data.draw(st.integers(1, n), label="block")
+        u, _ = serial_group(seed, [index], [cfg], b)
+        assert np.array_equal(u, want.reshape(3, n)[:, (n - 1) // b * b:].ravel())
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**64 - 1),
@@ -735,7 +781,7 @@ class TestSeeding:
     def test_a_chunk_in_any_order_reads_each_paths_block(self, seed, order):
         # with repeats: each path jumps from the seed state, not from the one before
         cfg = reactive_cfg(C=2, rate=1.5, regime=None, seed=seed, slots=300)
-        u, counts = serial_group(seed, order, cfg.slots, [cfg])
+        u, counts = serial_group(seed, order, [cfg], cfg.slots)
         assert np.array_equal(u, sim.path_rng(seed, order[-1]).random(cfg.slots))
         for row, i in zip(counts, order):
             assert np.array_equal(row, sim._outage_counts([cfg], [i])[0])
@@ -870,18 +916,19 @@ class TestWorkers:
                 return getattr(lib, name)
 
             @staticmethod
-            def group_run(W, seed, paths, n, u, fill, K, config, rate, c, *rest):
+            def group_run(W, seed, paths, n, u, block, K, config, rate, c, *rest):
                 # u and c hold one address per worker
                 handed.append([list((ctypes.c_void_p * len(made)).from_address(at))
                                for at in (u, c)])
-                return lib.group_run(W, seed, paths, n, u, fill, K, config, rate, c, *rest)
+                return lib.group_run(W, seed, paths, n, u, block, K, config, rate, c, *rest)
 
         monkeypatch.setattr(sched, "_kernel", Spy)
         cfg = SimConfig(C=4, slots=40000, seed=3, warmup=100, policy="edf",
                         regime=Regime("linear", 0.8), law=LookaheadLaw.deterministic(5))
         assert sim._workers(8, cfg.slots) == 4
         sim._outage_counts([cfg], range(8))
-        assert len(made) == 4 and all(c.size == 6 for c in made)
+        # one config of window 5: its pending counts c[0..5] and their total
+        assert len(made) == 4 and all(c.size == 7 for c in made)
         [(uniforms, workspaces)] = handed
         assert workspaces == [c.ctypes.data for c in made]
         assert len(set(uniforms)) == 4  # and its own uniforms
@@ -1188,3 +1235,58 @@ class TestGroups:
         # the next group builds its own tables, and counts as the first did
         assert np.array_equal(sim._outage_counts(cfgs, range(3)), counts)
         assert len(built) == 2 and built[1][0] == means and built[1][1][1] is not F
+
+
+# one config of each shape the slot loop is compiled for, and selfish, each
+# path a different length, so that a block ends inside some and on the edge
+# of others; at C = 2 each has outages in the first three paths of seed 11
+SHAPES = [
+    dict(slots=50, policy="reactive", rate=2.4),
+    dict(slots=41, policy="edf", rate=2.4, law=LookaheadLaw.binomial(5, 0.5)),
+    dict(slots=37, policy="selfish", rate=1.8, secondary=Regime("linear", 0.3),
+         law=LookaheadLaw.deterministic(2)),
+    dict(slots=50, policy="dynamic", f=0.3, rate=1.8, secondary=Regime("linear", 0.3),
+         law=LookaheadLaw.deterministic(2)),
+    dict(slots=61, policy="multicast", law=LookaheadLaw.deterministic(1),
+         multicast=MulticastSpec(0.95, 15.0)),
+    dict(slots=23, policy="pi2", rate=0.6, law=LookaheadLaw.deterministic(1),
+         multicast=MulticastSpec(0.9, 15.0)),
+]
+
+
+class TestBlocks:
+    """A path is served in blocks of `_BLOCK_SLOTS` slots, each config's
+    pending counts carried from one block to the next: any block length
+    gives the counts of the whole path in one block."""
+
+    @pytest.mark.filterwarnings("ignore:offered load")
+    @pytest.mark.parametrize("block", [1, 2, 7, 10, 20, 22, 23, 24, 40, 50, 61, 4096])
+    def test_warm_up_ends_inside_a_block_or_on_its_edge(self, block, monkeypatch):
+        # warm-up 20 ends on a block edge at blocks 1, 2, 10 and 20, and
+        # inside one at the others; the group has paths of five lengths,
+        # each config's counts its own alone and the slot loop's
+        cfgs = [SimConfig(C=2, seed=11, warmup=20, **kw) for kw in SHAPES]
+        whole = sim._outage_counts(cfgs, range(3))
+        for k, cfg in enumerate(cfgs):
+            for i in range(3):
+                counts = dict(zip(sim._CLASSES[cfg.policy], whole[i, k].tolist()))
+                want = reference_counts(cfg, i)
+                assert {cls: counts[cls] for cls in want} == want
+        assert whole[:, :, 0].any(axis=0).all()
+        monkeypatch.setattr(sim, "_BLOCK_SLOTS", block)
+        assert np.array_equal(sim._outage_counts(cfgs, range(3)), whole)
+        for k, cfg in enumerate(cfgs):
+            assert np.array_equal(sim._outage_counts([cfg], range(3))[:, 0], whole[:, k])
+
+    @pytest.mark.filterwarnings("ignore:offered load")
+    @settings(max_examples=150, deadline=None)
+    @given(groups(), st.integers(1, 3), st.data())
+    def test_any_block_length_gives_the_whole_path_counts(self, cfgs, n_paths, data):
+        whole = sim._outage_counts(cfgs, range(n_paths))
+        block = data.draw(st.integers(1, max(cfg.slots for cfg in cfgs)), label="block")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_BLOCK_SLOTS", block)
+            assert np.array_equal(sim._outage_counts(cfgs, range(n_paths)), whole)
+            for k, cfg in enumerate(cfgs):
+                assert np.array_equal(sim._outage_counts([cfg], range(n_paths))[:, 0],
+                                      whole[:, k])
