@@ -9,8 +9,8 @@
  *
  * path_outages: the one slot loop, for sim: one call takes a block of
  *   slots of a path from its uniforms to its post-warm-up outage counts
- *   under each config of a group, each config through a copy of the slot
- *   loop compiled for its policy shape, with no per-slot policy test.  Each
+ *   under one config of a group, through a copy of the slot loop compiled
+ *   for the config's policy shape, with no per-slot policy test.  The
  *   config's pending counts and total carry from one block to the next, so
  *   a path is served in blocks of any length with the counts of one pass.
  *
@@ -299,36 +299,31 @@ static inline __attribute__((always_inline)) void config_outages(
         outages[i] += o[i];
 }
 
-/* Slots [a, a + len) of one sample path of sim under each of the K configs
- * of a group, all reading the same block of uniforms u, each in its own
- * layout: one call with a = 0 and len = slots serves a whole path.
- * config:    K int64 records of FIELDS entries, the addresses of the
- *            config's stream rows and, with L > 0 sources, of the rows of
- *            its binomial_table (0 for the walk) among them;
- * rate:      K double records (A, f);
- * state:     config k's state of config_outages at state + k * stride,
- *            stride at least its T + 2;
- * outages:   K rows of the 3 counters of config_outages.
- * Each config runs a copy of config_outages compiled for its shape: L > 0
+/* Slots [a, a + len) of one sample path of sim under one config of a
+ * group, reading its block of uniforms u in the config's layout: one call
+ * with a = 0 and len = slots serves a whole path.
+ * cfg:       the config's int64 record of FIELDS entries, the addresses of
+ *            its stream rows and, with L > 0 sources, of the rows of its
+ *            binomial_table (0 for the walk) among them;
+ * rate:      its double record (A, f);
+ * c:         its state of config_outages, T + 2 entries;
+ * outages:   its 3 counters of config_outages.
+ * It runs a copy of config_outages compiled for the config's shape: L > 0
  * sources (multicast), a secondary class, and a capped primary (f < 1). */
-void path_outages(const double *u, int64_t a, int64_t len, int64_t K, const int64_t *config,
-                  const double *rate, int64_t *state, int64_t stride, int64_t *outages)
+void path_outages(const double *u, int64_t a, int64_t len, const int64_t *cfg,
+                  const double *rate, int64_t *c, int64_t *outages)
 {
-    for (int64_t k = 0; k < K; k++) {
-        const int64_t *cfg = config + FIELDS * k;
-        const double A = rate[2 * k], f = rate[2 * k + 1];
-        int64_t *c = state + stride * k, *o = outages + 3 * k;
-        if (cfg[SOURCES] && cfg[SECONDARY])  /* pi2: its f is 0, so capped */
-            config_outages(u, a, len, cfg, A, f, c, o, 1, 1, 1);
-        else if (cfg[SOURCES])
-            config_outages(u, a, len, cfg, A, f, c, o, 1, 0, 0);
-        else if (cfg[SECONDARY] && f < 1.0)
-            config_outages(u, a, len, cfg, A, f, c, o, 0, 1, 1);
-        else if (cfg[SECONDARY])
-            config_outages(u, a, len, cfg, A, f, c, o, 0, 1, 0);
-        else
-            config_outages(u, a, len, cfg, A, f, c, o, 0, 0, 0);
-    }
+    const double A = rate[0], f = rate[1];
+    if (cfg[SOURCES] && cfg[SECONDARY])  /* pi2: its f is 0, so capped */
+        config_outages(u, a, len, cfg, A, f, c, outages, 1, 1, 1);
+    else if (cfg[SOURCES])
+        config_outages(u, a, len, cfg, A, f, c, outages, 1, 0, 0);
+    else if (cfg[SECONDARY] && f < 1.0)
+        config_outages(u, a, len, cfg, A, f, c, outages, 0, 1, 1);
+    else if (cfg[SECONDARY])
+        config_outages(u, a, len, cfg, A, f, c, outages, 0, 1, 0);
+    else
+        config_outages(u, a, len, cfg, A, f, c, outages, 0, 0, 0);
 }
 
 /* numpy's PCG64: a 128-bit LCG under numpy's multiplier, each draw the
@@ -395,8 +390,9 @@ static u128 fill(double *u, int64_t n, u128 s, u128 inc)
  *            uniforms: path i is the block of 2**64 draws from the seed
  *            state's i * 2**64-th, reached by jump, each uniform
  *            (next64 >> 11) * 2**-53 as numpy's Generator.random draws it;
- * c[w]:      worker w's K * stride int64 of path_outages' state;
- * outages:   n rows of path_outages' K counters, row j for paths[j]. */
+ * c[w]:      worker w's K * stride int64, config k's path_outages state at
+ *            k * stride, stride at least the largest T + 2;
+ * outages:   n rows of K times path_outages' 3 counters, row j for paths[j]. */
 struct job {
     u128 state, inc, path_m, path_p;  /* the LCG's step of 2**64 draws: path to path */
     const uint64_t *paths;
@@ -445,8 +441,8 @@ static void serve_claims(const struct job *job, int64_t *next, int64_t w)
                              job->inc);
                 for (int64_t i = k; i < K; i++)
                     if (config[FIELDS * i + SLOTS] == S)
-                        path_outages(u, a, len, 1, config + FIELDS * i, job->rate + 2 * i,
-                                     job->c[w] + job->stride * i, job->stride,
+                        path_outages(u, a, len, config + FIELDS * i, job->rate + 2 * i,
+                                     job->c[w] + job->stride * i,
                                      job->outages + 3 * (K * j + i));
             }
         }

@@ -5,12 +5,14 @@ residual deadline, c[i] = requests with i slots left (i = 0 is due this
 slot).  Each slot, arrivals land, service is applied, requests still at
 residual 0 expire, and residual deadlines drop by one.  The slot is one C
 function of `_kernel.c`, compiled with `cc` on first use and cached next to
-this module, and it has one driver, `path_outages`: `sim` runs a whole
-group of paths in one call whose workers, the calling thread and helper
-threads the call starts and joins, none taking the GIL, claim the paths
-one at a time, draw each path's uniforms as numpy's PCG64 does, one block
-of slots at a time, and serve its arrivals, drawn from its uniforms, under
-every config of the group, each config's state carried across blocks.
+this module under a SipHash of its source and command (`_build`), and it
+has one driver, `path_outages`, which serves one config: `sim` runs a
+whole group of paths in one call whose workers, the calling thread and
+helper threads the call starts and joins, none taking the GIL, claim the
+paths one at a time, draw each path's uniforms as numpy's PCG64 does, from
+the state `sim` derives as numpy seeds it, one block of slots at a time,
+and serve its arrivals, drawn from its uniforms, under every config of the
+group, each config's state carried across blocks.
 The library also fills the cdf and guide tables through which `sim` inverts
 each count: `traffic.poisson_tables`, those of every Poisson stream of a
 group in one call, and `traffic.binomial_table`, one per idle count, for a
@@ -54,18 +56,23 @@ def _build(source: Path, cache: Path) -> Path:
 
     The file name hashes the source and the command, so an edited source
     builds a new file and removes the older ones, and os.replace lets
-    racing processes both succeed.
+    racing processes both succeed.  The hash is the one Python keys
+    hash-based .pyc files with (importlib.util.source_hash, SipHash, loaded
+    at start-up), so that no process loads hashlib and OpenSSL to name the
+    file; SipHash's key is the interpreter's bytecode magic number, so each
+    Python version names its own file.
     The cache ignores sys.dont_write_bytecode: honouring it would recompile
     in every process.  If `cache` cannot be written, the library goes to a
     fresh temporary directory.
     """
-    import hashlib  # imported here: commands that never simulate
-    import subprocess  # pay for neither
+    import importlib.util  # loaded by site at start-up: no cost
 
-    key = hashlib.sha256(source.read_bytes() + " ".join(_CC).encode()).hexdigest()[:16]
+    key = importlib.util.source_hash(source.read_bytes() + " ".join(_CC).encode()).hex()
     lib = cache / f"_kernel-{key}.so"
     if lib.exists():
         return lib
+    import subprocess  # imported here: only a process that compiles pays for it
+
     # cc creates the output in a private directory: a file made beforehand
     # would hand the library its owner-only mode
     try:
@@ -100,7 +107,7 @@ def _kernel() -> ctypes.CDLL:
         if path.parent != _CACHE:  # a temporary build: loaded, it is no longer needed
             shutil.rmtree(path.parent, ignore_errors=True)
         i64, dbl, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        lib.path_outages.argtypes = [ptr, i64, i64, i64, ptr, ptr, ptr, i64, ptr]
+        lib.path_outages.argtypes = [ptr, i64, i64, ptr, ptr, ptr, ptr]
         lib.group_run.argtypes = [i64, ptr, ptr, i64, ptr, i64, i64, ptr, ptr, ptr, i64, ptr]
         lib.poisson_tables.argtypes = [i64, ptr, ptr, ptr, ptr]
         lib.binomial_table.argtypes = [i64, dbl, i64, ptr, ptr, ptr]

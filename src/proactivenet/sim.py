@@ -21,7 +21,8 @@ returns, none taking the GIL, claim the paths one at a time.
 Path i of a seed is the i-th block of 2**64 draws of the seed's one PCG64
 stream (`path_rng`), so it sees the same randomness however many paths run.
 `group_run` draws it with its own copy of numpy's PCG64, from the state
-numpy seeds for the seed (`SeedSequence`), jumped to the block: the same
+numpy seeds for the seed (`SeedSequence`), which `_seed_state` derives bit
+for bit without loading `numpy.random`, jumped to the block: the same
 doubles as `path_rng(seed, i).random`.
 A path draws in a fixed order (`_streams`, layout `DRAW_LAYOUT`): for the
 multicast policies one uniform per slot, its fresh demand Binomial(idle, A)
@@ -103,6 +104,7 @@ _BLOCK_SLOTS = 4096
 # draw takes more than ~6 ms; every one of them has L > 1e10 sources, far
 # over the table budget, so it would draw by the walk.
 _WALK_SIGMA = 1e5
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # numpy's PCG64 multiplier, as in _kernel.c
 
 
 class SimConfigError(ValueError):
@@ -149,6 +151,8 @@ class SimConfig:
             raise SimConfigError(f"unknown policy {self.policy!r}")
         if self.slots < 1:
             raise SimConfigError("slots must be positive")
+        if self.seed < 0:  # numpy's SeedSequence, which _seed_state follows, takes none
+            raise SimConfigError("seed must be nonnegative")
         if not 0.0 <= self.f <= 1.0:
             raise SimConfigError(f"f must lie in [0,1], got {self.f}")
         if self.effective_warmup >= self.slots:
@@ -391,10 +395,10 @@ def _run_paths(W: int, seed: int, plan: _Plan, index: np.ndarray, counts: np.nda
     on W workers, each with its own block of uniforms, rows x block
     doubles, and its configs' states, K x (window + 2) counters; W = 1
     starts no thread."""
-    # the seed's PCG64 as numpy seeds it, whose blocks the kernel draws
-    bits = np.random.PCG64(seed).state["state"]
-    words = np.array(divmod(bits["state"], 1 << 64) + divmod(bits["inc"], 1 << 64),
-                     dtype=np.uint64)
+    # the state and increment numpy's PCG64(seed) starts from, whose blocks
+    # the kernel draws, derived without numpy.random
+    state, inc = _seed_state(seed)
+    words = np.array(divmod(state, 1 << 64) + divmod(inc, 1 << 64), dtype=np.uint64)
     block = min(_BLOCK_SLOTS, int(plan.records[:, 0].max()))
     stride = plan.window + 2  # a config's pending counts c[0..T] and their total
     u = [np.empty(plan.rows * block) for _ in range(W)]
@@ -405,6 +409,53 @@ def _run_paths(W: int, seed: int, plan: _Plan, index: np.ndarray, counts: np.nda
                               u_at.ctypes.data, block, len(plan.records),
                               plan.records.ctypes.data, plan.rates.ctypes.data,
                               c_at.ctypes.data, stride, counts.ctypes.data)
+
+
+def _seed_state(seed: int) -> tuple[int, int]:
+    """(state, inc) of numpy's PCG64(seed), bit for bit, in integer Python,
+    so that no simulation loads numpy.random (and with it OpenSSL).
+
+    numpy's SeedSequence hashes the seed's 32-bit words, least significant
+    first (seed 0 is [0]), into a pool of 4 words, mixing in the words past
+    the fourth; generate_state(4, uint64) hashes the pool into 8 words,
+    joined in pairs low word first into w0..w3; and PCG64 seeds its LCG with
+    initstate = w0 w1 and initseq = w2 w3, high words first.  The seed must
+    be nonnegative (SimConfig checks it): a negative one never runs out of
+    words.
+    """
+    M32 = 0xFFFFFFFF
+    entropy = [seed & M32]
+    while seed := seed >> 32:
+        entropy.append(seed & M32)
+    h = 0x43B0D7E5
+
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v, h = v ^ h, h * 0x931E8875 & M32
+        v = v * h & M32
+        return v ^ v >> 16
+
+    def mix(x: int, y: int) -> int:
+        v = (0xCA01F9DD * x - 0x4973F715 * y) & M32
+        return v ^ v >> 16
+
+    pool = [hashmix(word) for word in (entropy + [0] * 3)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h, w = 0x8B51F9DD, []
+    for i in range(8):
+        v, h = pool[i % 4] ^ h, h * 0x58F38DED & M32
+        v = v * h & M32
+        w.append(v ^ v >> 16)
+    w = [w[i] | w[i + 1] << 32 for i in range(0, 8, 2)]
+    M128 = (1 << 128) - 1
+    inc = (w[2] << 64 | w[3]) << 1 & M128 | 1
+    return ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & M128, inc
 
 
 def _workspace(n: int) -> np.ndarray:

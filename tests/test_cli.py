@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proactivenet import cli
+from proactivenet import cli, sim
 from proactivenet.analytic import div_nonpred, poisson_tail
 from proactivenet.cli import (
     CSV_HEADER,
@@ -502,6 +502,29 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: L = 15000000000000000000 sources reach 2**53, past which the walk's "
             "doubles are inexact\n")
+
+    def test_a_negative_seed_is_2_before_planning(self, tmp_path, capsys, monkeypatch):
+        # numpy's SeedSequence, whose seeding the kernel's follows, takes no
+        # negative seed: the config refuses it, so no group is planned
+        out, again = tmp_path / "run.csv", tmp_path / "again.csv"
+        argv = ["simulate", "--C", "4", "--gamma", "0.5", "--paths", "2", "--slots", "300"]
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        manifest["params"]["seed"] = -1
+        edited = tmp_path / "edited.manifest.json"
+        edited.write_text(json.dumps(manifest))
+
+        def unplanned(cfgs):
+            raise AssertionError("planned")
+
+        monkeypatch.setattr(sim, "_plan_group", unplanned)
+        capsys.readouterr()
+        for run in ([*argv, "--seed", "-1", "--out", str(again)],
+                    ["reproduce-figure", "fig6a", "--seed", "-1", "--out", str(again)],
+                    ["rerun-from-manifest", str(edited), "--out", str(again)]):
+            assert main(run) == 2
+            assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+            assert not again.exists()
 
     def test_unknown_policy_is_2(self, capsys):
         rc = main(["simulate", "--C", "4", "--gamma", "0.5", "--policy", "lifo"])

@@ -1,4 +1,6 @@
-"""Importing the package and running any command loads no scipy module.
+"""Importing the package and running any command loads no scipy module,
+and neither `numpy.random` nor `hashlib` (with OpenSSL's `_hashlib`): a
+simulation seeds its PCG64 and names its cached kernel without them.
 The compiled kernels (slot loop and Poisson sampler) are built and loaded
 by the first simulation, not by an import, `oracle-check` or `analytic`.
 
@@ -28,11 +30,15 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 
+def seeding_modules():
+    return sorted(m for m in ("numpy.random", "hashlib", "_hashlib") if m in sys.modules)
+
+
 import proactivenet
 from proactivenet import analytic, cli, oracle, sched, sim, traffic
 
 def state(code):
-    return [code, scipy_modules(), sched._lib is not None]
+    return [code, scipy_modules(), sched._lib is not None, seeding_modules()]
 
 
 report = {"import": state(0)}
@@ -69,7 +75,8 @@ print(json.dumps(report))
 
 def run_script(tmp_path_factory, stages):
     """Per stage, run in this order in one fresh interpreter: the exit code,
-    the scipy modules loaded and whether the slot loop is loaded."""
+    the scipy modules loaded, whether the slot loop is loaded, and which of
+    numpy.random, hashlib and _hashlib are loaded."""
     src = str(Path(proactivenet.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
@@ -101,7 +108,17 @@ def kernel_report(tmp_path_factory):
     "stage", ["import", "simulate", "sweep-pi2", "reproduce-figure", "oracle-check", "analytic"]
 )
 def test_no_scipy_module_is_loaded(report, stage):
-    code, loaded, _ = report[stage]
+    code, loaded, _, _ = report[stage]
+    assert code == 0
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "stage", ["import", "simulate", "sweep-pi2", "reproduce-figure", "oracle-check", "analytic"]
+)
+def test_no_numpy_random_or_hashlib_is_loaded(report, stage):
+    # checked before the control stage, whose scipy loads all three
+    code, _, _, loaded = report[stage]
     assert code == 0
     assert loaded == []
 
@@ -119,19 +136,20 @@ def test_oracle_check_loads_no_sparse_module(report):
 
 def test_report_lists_scipy_loaded_on_purpose(report):
     # and so the empty lists above are not an artefact of the check
-    code, loaded, _ = report["control"]
+    code, loaded, _, seeding = report["control"]
     assert code == 0
     assert "scipy.special" in loaded
+    assert seeding == ["_hashlib", "hashlib", "numpy.random"]
 
 
 @pytest.mark.parametrize("stage", ["import", "oracle-check", "analytic"])
 def test_no_kernel_is_loaded(kernel_report, stage):
-    code, _, loaded = kernel_report[stage]
+    code, _, loaded, _ = kernel_report[stage]
     assert code == 0
     assert not loaded
 
 
 def test_simulation_loads_the_kernel(kernel_report):
     # and so the checks above are not an artefact of the check
-    code, _, loaded = kernel_report["simulate"]
+    code, _, loaded, _ = kernel_report["simulate"]
     assert code == 0 and loaded

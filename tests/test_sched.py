@@ -102,21 +102,22 @@ def record(slots, C, *, T=0, warmup=0, L=0, streams=None, nprimary=0, secondary=
 
 
 def run_configs(u, records, rates, T):
-    """The outages of one path_outages call over the uniforms u under the
-    configs `records`, all of one length, each with its (A, f) of `rates`,
-    served as one block of the whole path: each config's three outage
-    counters.  Each config's state of T + 2 entries starts dirty, as an
-    earlier path leaves it."""
+    """The outages of one path_outages call per config over the uniforms u
+    under the configs `records`, all of one length, each with its (A, f) of
+    `rates`, served as one block of the whole path: each config's three
+    outage counters.  Each config's state of T + 2 entries starts dirty, as
+    an earlier path leaves it."""
     u = np.ascontiguousarray(u, dtype=float)
     records = np.array(records, dtype=np.int64)
     rates = np.array(rates, dtype=float)
     slots = int(records[0, 0])
     assert (records[:, 0] == slots).all()
-    state = np.full(len(records) * (T + 2), 7, dtype=np.int64)
+    state = np.full((len(records), T + 2), 7, dtype=np.int64)
     outages = np.zeros((len(records), 3), np.int64)
-    sched._kernel().path_outages(u.ctypes.data, 0, slots, len(records), records.ctypes.data,
-                                 rates.ctypes.data, state.ctypes.data, T + 2,
-                                 outages.ctypes.data)
+    for k in range(len(records)):
+        sched._kernel().path_outages(u.ctypes.data, 0, slots, records[k].ctypes.data,
+                                     rates[k].ctypes.data, state[k].ctypes.data,
+                                     outages[k].ctypes.data)
     return outages
 
 

@@ -167,11 +167,12 @@ class TestRunPath:
         cfgs = [SimConfig(C=C, policy="reactive", slots=u.size, seed=0, warmup=0, rate=mu)
                 for C in range(want.min(), want.max())]
         plan = sim._plan_group(cfgs)
-        state = np.empty(2 * len(cfgs), dtype=np.int64)  # per config, c[0] and its total
+        state = np.empty((len(cfgs), 2), dtype=np.int64)  # per config, c[0] and its total
         counts = np.zeros((len(cfgs), 3), dtype=np.int64)
-        sched._kernel().path_outages(u.ctypes.data, 0, u.size, len(cfgs),
-                                     plan.records.ctypes.data, plan.rates.ctypes.data,
-                                     state.ctypes.data, 2, counts.ctypes.data)
+        for k in range(len(cfgs)):
+            sched._kernel().path_outages(u.ctypes.data, 0, u.size, plan.records[k].ctypes.data,
+                                         plan.rates[k].ctypes.data, state[k].ctypes.data,
+                                         counts[k].ctypes.data)
         assert counts[:, 0].tolist() == [int((want > cfg.C).sum()) for cfg in cfgs]
 
     def test_scripted_overflow_trace(self):
@@ -756,6 +757,21 @@ class TestSeeding:
         bits.advance(index * 2**64)
         assert np.array_equal(sim.path_rng(seed, index).random(5),
                               np.random.Generator(bits).random(5))
+
+    @settings(max_examples=500)
+    @given(st.integers(0, 2**300))
+    @example(0)
+    @example(2**32 - 1)
+    @example(2**32)
+    @example(2**64 + 7)
+    @example(2**128 - 1)  # four words, the pool's size, then five and seven
+    @example(2**128)
+    @example(2**200 + 99)
+    def test_seed_state_is_numpys(self, seed):
+        # the state and increment the kernel starts from, derived without
+        # numpy.random, are those numpy's PCG64 seeds for the seed
+        bits = np.random.PCG64(seed).state["state"]
+        assert sim._seed_state(seed) == (bits["state"], bits["inc"])
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(0, 10**6) | st.integers(2**63, 2**63 + 10**6),
